@@ -38,7 +38,7 @@ __all__ = [
 
 def amplitude(p: float) -> float:
     """A(p) = 135 * 4^(p-1) / sqrt(90 pi)^p."""
-    return 135.0 * 4.0 ** (p - 1.0) / math.sqrt(90.0 * math.pi) ** p
+    return predicted_block_mass(0, p)
 
 
 def decay_base(p: float) -> float:
@@ -47,8 +47,11 @@ def decay_base(p: float) -> float:
 
 
 def predicted_block_mass(n: int, p: float) -> float:
-    """Asymptotic prediction A(p) / b(p)^n for the block-n mass."""
-    return amplitude(p) / decay_base(p) ** n
+    """Asymptotic prediction A(p) / b(p)^n for the block-n mass, formed in
+    the log domain: the factors overflow for large p, the mass only
+    underflows."""
+    log_a = math.log(135.0) - 0.5 * p * math.log(90.0 * math.pi)
+    return math.exp(log_a + (1 - n) * (p - 1.0) * math.log(4.0))
 
 
 def model_divergence_slope() -> float:
@@ -65,6 +68,8 @@ class WeightStats:
     partial_sums: tuple[tuple[int, float], ...]
     model_D: float
     fitted_slope: float
+    # per partial sum: the fit over blocks 3..n, None before block 4
+    running_slopes: tuple[float | None, ...]
 
 
 def _require_combo(e: Expansion) -> None:
@@ -134,9 +139,7 @@ def lp_norm_check(e: Expansion, p: float) -> tuple[float, bool]:
     if p <= 1.0:
         raise DomainError("l_p check needs p > 1 (the p = 1 mass diverges)")
     total_blocks = math.fsum(np.power(e.weights, p).tolist())
-    b = decay_base(p)
-    n_last = int(e.max_block)
-    tail = amplitude(p) * b ** -(n_last + 1) / (1.0 - 1.0 / b)
+    tail = predicted_block_mass(int(e.max_block) + 1, p) / (1.0 - 4.0 ** (1.0 - p))
     total = total_blocks + tail
     return total, tail < 0.01 * total
 
@@ -146,15 +149,17 @@ def divergence_profile(e: Expansion) -> WeightStats:
 
     The partial sum S(m) is recorded at m = y_2, y_3, ...; the slope of S
     against ln m, fitted over blocks >= 3, estimates the D of the
-    surrogate law lambda*_k = D/k.
+    surrogate law lambda*_k = D/k.  The fit is also reported as it runs,
+    block by block.
     """
     _require_combo(e)
     if int(e.max_block) < 4:
         raise DomainError("divergence profile needs at least 4 blocks")
     per_block = []
     partial = []
+    slopes: list[float | None] = []
     running = 0.0
-    sums = []
+    fit_pts: list[tuple[float, float]] = []
     for n in range(1, int(e.max_block) + 1):
         g = block_mass(e, n, 1.0)
         per_block.append((n, g))
@@ -162,15 +167,18 @@ def divergence_profile(e: Expansion) -> WeightStats:
         boundary = e.block_slice(n).stop
         partial.append((boundary, running))
         if n >= 3:
-            sums.append((math.log(boundary), running))
-    lnm = np.array([a for a, _ in sums])
-    sv = np.array([b for _, b in sums])
-    design = np.vstack([lnm, np.ones_like(lnm)]).T
-    slope = float(np.linalg.lstsq(design, sv, rcond=None)[0][0])
+            fit_pts.append((math.log(boundary), running))
+        if len(fit_pts) < 2:
+            slopes.append(None)
+            continue
+        a = np.array(fit_pts)
+        design = np.vstack([a[:, 0], np.ones(len(a))]).T
+        slopes.append(float(np.linalg.lstsq(design, a[:, 1], rcond=None)[0][0]))
     return WeightStats(
         p=1.0,
         per_block=tuple(per_block),
         partial_sums=tuple(partial),
         model_D=model_divergence_slope(),
-        fitted_slope=slope,
+        fitted_slope=slopes[-1],
+        running_slopes=tuple(slopes),
     )

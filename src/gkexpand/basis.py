@@ -15,18 +15,13 @@ by the consumers in this package, which start at 1e-12 for small k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (
-    SLV_ONE,
-    SLV_ZERO,
-    SignedLogValue,
-    log_factorial,
-    log_factorial_array,
-)
+from .numerics import SLV_ZERO, SignedLogValue, log_factorial_array
 
 __all__ = [
     "PsiIndex",
@@ -39,9 +34,10 @@ __all__ = [
     "eval_h",
     "h_sup_norm",
     "fit_h_envelope",
+    "log_psi",
     "log_abs_psi_many",
-    "psi_signs_many",
     "log_m_squared_many",
+    "log_h_sup_many",
 ]
 
 # Series index of a basis function; kept as a plain int.
@@ -78,16 +74,69 @@ def _check_index(k: int) -> int:
     return int(k)
 
 
+def log_psi(ks, x) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, log |psi_k(x)|) for integer indices ``ks`` (any dtype)
+    broadcast against ``x``, a single point or an array of points.
+
+    Signs are floats in {-1, 0, +1}, for an array ``x`` possibly a
+    read-only broadcast view; the log is -inf where psi_k(x) = 0.  Every
+    psi evaluation in the package goes through this function.
+    """
+    kf = np.asarray(ks, dtype=np.float64)
+    # the branches below add logc in place: the bits of logc + k ln|x|
+    # without one more full-size array
+    logc = 0.5 * (kf * _LN2 - log_factorial_array(kf))
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim == 0:
+        x = float(xs)
+        if x == 0.0:
+            at_zero = kf == 0
+            return at_zero.astype(np.float64), np.where(at_zero, 0.0, -np.inf)
+        # math.log, not np.log: they differ in the last bit on some doubles,
+        # and every scalar-x path has always taken math.log
+        logs = kf * math.log(abs(x))
+        logs += logc
+        logs -= x * x
+        if x > 0.0:
+            return np.ones(logs.shape), logs
+        return 1.0 - 2.0 * _parity(ks), logs
+    ax = np.abs(xs)
+    # the NaN of 0 * log(0) at (k = 0, x = 0) is overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = kf * np.log(ax)
+    logs += logc
+    logs -= xs * xs
+    signs = np.broadcast_to(1.0, logs.shape)
+    neg = xs < 0.0
+    if np.any(neg):
+        signs = np.where(neg & (_parity(ks) == 1), -1.0, 1.0)
+    at_zero = ax == 0.0
+    if np.any(at_zero):
+        k_zero = kf == 0
+        logs = np.where(at_zero, np.where(k_zero, 0.0, -np.inf), logs)
+        signs = np.where(at_zero & ~k_zero, 0.0, signs)
+    return signs, logs
+
+
+def _parity(ks) -> np.ndarray:
+    """k mod 2 from an int64 view of the indices (no float modulo)."""
+    return np.asarray(ks).astype(np.int64, copy=False) & 1
+
+
 def eval_psi(k: PsiIndex, x: float) -> SignedLogValue:
     """Evaluate psi_k(x) = sqrt(2^k / k!) x^k e^(-x^2) in the log domain."""
     k = _check_index(k)
     if not math.isfinite(x):
         raise DomainError(f"psi argument must be finite, got {x!r}")
-    if x == 0.0:
-        return SLV_ONE if k == 0 else SLV_ZERO
-    sign = 1 if (x > 0.0 or k % 2 == 0) else -1
-    log_mag = 0.5 * (k * _LN2 - log_factorial(k)) + k * math.log(abs(x)) - x * x
-    return SignedLogValue(sign, log_mag)
+    sign, log_mag = log_psi(k, x)
+    if sign == 0.0:
+        return SLV_ZERO
+    return SignedLogValue(int(sign), float(log_mag))
+
+
+def log_abs_psi_many(ks: np.ndarray, x: float) -> np.ndarray:
+    """log |psi_k(x)| for an array of indices at a single point."""
+    return log_psi(ks, x)[1]
 
 
 def peak(k: PsiIndex) -> PeakInfo:
@@ -96,17 +145,21 @@ def peak(k: PsiIndex) -> PeakInfo:
     k = 0 is the constant-times-Gaussian term with its maximum 1 at x = 0.
     """
     k = _check_index(k)
-    if k == 0:
-        return PeakInfo(0.0, 1.0, 0.0)
-    m_squared_log = k * math.log(k) - k - log_factorial(k)
+    m_squared_log = float(log_m_squared_many(k))
     return PeakInfo(math.sqrt(k / 2.0), math.exp(0.5 * m_squared_log), m_squared_log)
 
 
+def _log_index(ks: np.ndarray) -> np.ndarray:
+    """ln k, with ln 0 read as 0.  A scalar takes math.log, as in
+    :func:`log_psi`, so the scalar paths keep their bits."""
+    safe = np.maximum(ks, 1.0)
+    return math.log(safe) if ks.ndim == 0 else np.log(safe)
+
+
 def log_m_squared_many(ks: np.ndarray) -> np.ndarray:
-    """Vectorised ln(m_k^2); matches :func:`peak` entry by entry."""
+    """ln(m_k^2) = k ln k - k - ln k!, which is 0 for k = 0 (m_0 = 1)."""
     ks = np.asarray(ks, dtype=np.float64)
-    safe = np.where(ks > 0, ks, 1.0)
-    return np.where(ks > 0, ks * np.log(safe) - ks - log_factorial_array(ks), 0.0)
+    return ks * _log_index(ks) - ks - log_factorial_array(ks)
 
 
 def bump_approx(k: PsiIndex, x: float) -> float:
@@ -119,41 +172,6 @@ def bump_approx(k: PsiIndex, x: float) -> float:
     if e < -745.0:
         return 0.0
     return (2.0 * math.pi * k) ** -0.25 * math.exp(e)
-
-
-def log_abs_psi_many(ks: np.ndarray, x: float) -> np.ndarray:
-    """log |psi_k(x)| for an array of indices at a single point.
-
-    Entries for x = 0 with k >= 1 come out as -inf.
-    """
-    ks = np.asarray(ks, dtype=np.float64)
-    ax = abs(x)
-    if ax == 0.0:
-        return np.where(ks == 0, 0.0, -np.inf)
-    return 0.5 * (ks * _LN2 - log_factorial_array(ks)) + ks * math.log(ax) - x * x
-
-
-def psi_signs_many(ks: np.ndarray, x: float) -> np.ndarray:
-    """Signs of psi_k(x) for an array of indices (0.0 where the value is 0)."""
-    ks = np.asarray(ks)
-    if x == 0.0:
-        return np.where(ks == 0, 1.0, 0.0)
-    if x > 0.0:
-        return np.ones(ks.shape)
-    return np.where(ks % 2 == 0, 1.0, -1.0)
-
-
-def _psi_grid(k: int, xs: np.ndarray) -> np.ndarray:
-    """Signed linear psi_k over a grid of points (underflow goes to 0)."""
-    logc = 0.5 * (k * _LN2 - log_factorial(k))
-    ax = np.abs(xs)
-    with np.errstate(divide="ignore", under="ignore"):
-        logmag = logc + k * np.log(ax) - xs * xs
-        vals = np.exp(logmag)
-    if k % 2 == 1:
-        vals = np.where(xs < 0, -vals, vals)
-    vals = np.where(ax == 0.0, 1.0 if k == 0 else 0.0, vals)
-    return vals
 
 
 def bump_error(k: PsiIndex, window_halfwidth: float) -> float:
@@ -170,7 +188,9 @@ def bump_error(k: PsiIndex, window_halfwidth: float) -> float:
     info = peak(k)
     steps = int(round(window_halfwidth / GRID_STEP))
     xs = info.x_peak + np.arange(-steps, steps + 1, dtype=np.float64) * GRID_STEP
-    psi = _psi_grid(k, xs)
+    signs, logs = log_psi(k, xs)
+    with np.errstate(under="ignore"):
+        psi = signs * np.exp(logs)
     model = (2.0 * math.pi * k) ** -0.25 * np.exp(-2.0 * (xs - info.x_peak) ** 2)
     return float(np.max(np.abs(psi - model)) / info.m)
 
@@ -187,55 +207,65 @@ def eval_h(k: PsiIndex, x: float) -> SignedLogValue:
     return eval_psi(k, x).scaled(math.log(k))
 
 
+def log_h_sup_many(ks: np.ndarray, domain_edge: float) -> np.ndarray:
+    """ln of the maximum of h_k over [0, N] for an array of indices.
+
+    psi_k rises up to its peak sqrt(k/2), so the maximum is k m_k for
+    k <= 2 N^2 and h_k(N) beyond; k = 0 gives 0 (h_0 = psi_0 peaks at 1).
+    """
+    ks = np.asarray(ks, dtype=np.float64)
+    interior = 0.5 * log_m_squared_many(ks)  # 0 at k = 0
+    boundary = log_psi(ks, domain_edge)[1]
+    return _log_index(ks) + np.where(np.sqrt(ks / 2.0) <= domain_edge, interior, boundary)
+
+
 def h_sup_norm(k: PsiIndex, domain_edge: float) -> SignedLogValue:
     """Maximum of h_k over [0, N], in the log domain.
 
-    The peak sqrt(k/2) is interior for k <= 2 N^2, otherwise the maximum
-    sits on the boundary x = N.  Returned as a SignedLogValue because the
-    boundary branch underflows doubles already for moderate k.
+    Returned as a SignedLogValue because the boundary branch underflows
+    doubles already for moderate k.
     """
     k = _check_index(k)
     if not domain_edge > 0.0:
         raise DomainError("domain edge must be positive")
-    if k == 0:
-        return SLV_ONE
-    if math.sqrt(k / 2.0) <= domain_edge:
-        return SignedLogValue(1, math.log(k) + peak(k).log_m)
-    return eval_psi(k, domain_edge).scaled(math.log(k))
-
-
-def _log_h_sup_many(ks: np.ndarray, domain_edge: float) -> np.ndarray:
-    ks = np.asarray(ks, dtype=np.float64)
-    lf = log_factorial_array(ks)
-    interior = np.log(ks) + 0.5 * (ks * np.log(ks) - lf) - ks / 2.0
-    boundary = (
-        np.log(ks)
-        + 0.5 * (ks * _LN2 - lf)
-        + ks * math.log(domain_edge)
-        - domain_edge * domain_edge
-    )
-    return np.where(np.sqrt(ks / 2.0) <= domain_edge, interior, boundary)
+    return SignedLogValue(1, float(log_h_sup_many(k, domain_edge)))
 
 
 @dataclass(frozen=True, slots=True)
 class HEnvelope:
-    """Fitted decay envelope A k^(3/4) e^(-B k) for the h_k sup-norms.
-
-    ``max_violation`` is the largest log-domain excess of a sup-norm over
-    the envelope on the verification range (<= 0 means the envelope holds);
-    ``sup_argmax``/``sup_log_value`` locate the global sup over all k >= 1.
-    """
+    """Fitted decay envelope A k^(3/4) e^(-B k) for the h_k sup-norms,
+    checked on [k0, k_max]; ``sup_argmax``/``sup_log_value`` locate the
+    global sup over all k >= 1."""
 
     domain_edge: float
     k0: int
+    k_max: int
     B: float
     log_A: float
-    max_violation: float
     sup_argmax: int
     sup_log_value: float
 
-    def log_envelope(self, k: float) -> float:
-        return self.log_A + 0.75 * math.log(k) - self.B * k
+    def log_envelope(self, k: float | np.ndarray) -> float | np.ndarray:
+        return self.log_A + 0.75 * np.log(k) - self.B * k
+
+    @property
+    def max_violation(self) -> float:
+        """Largest excess of ln sup h_k over the envelope on [k0, k_max], net
+        of rounding; <= 0 means the envelope holds.
+
+        Each side is good to a few eps times the total size of its log terms;
+        4 eps is allowed (1.5 is the most seen against exact values, N <= 5).
+        For ln sup h_k that size is at most ln k + (k ln 2 + ln k! + k) / 2 +
+        k |ln N| + N^2 on both branches (interior k <= 2 N^2 bounds k ln k);
+        the envelope adds |log_A| + (3/4) ln k + B k.  Without the allowance
+        the touch point k0 fails on its own rounding.
+        """
+        ks = np.arange(self.k0, self.k_max + 1, dtype=np.float64)
+        edge = self.domain_edge
+        size = (1.75 * np.log(ks) + 0.5 * (ks * _LN2 + log_factorial_array(ks) + ks)
+                + abs(self.log_A) + ks * (abs(math.log(edge)) + abs(self.B)) + edge * edge)
+        excess = log_h_sup_many(ks, edge) - self.log_envelope(ks)
+        return float(np.max(excess - 4.0 * sys.float_info.epsilon * size))
 
 
 def fit_h_envelope(domain_edge: float, k_max: int = 5000) -> HEnvelope:
@@ -254,17 +284,15 @@ def fit_h_envelope(domain_edge: float, k_max: int = 5000) -> HEnvelope:
         raise DomainError(f"k_max must exceed k0={k0}")
     B = 0.5 * math.log(k0 / crit)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
-    logh = _log_h_sup_many(ks, domain_edge)
-    log_A = logh[k0 - 1] - 0.75 * math.log(k0) + B * k0
-    tail = ks >= k0
-    violation = logh[tail] - (log_A + 0.75 * np.log(ks[tail]) - B * ks[tail])
+    logh = log_h_sup_many(ks, domain_edge)
+    log_A = float(logh[k0 - 1] - 0.75 * math.log(k0) + B * k0)
     sup_idx = int(np.argmax(logh))
     return HEnvelope(
         domain_edge=domain_edge,
         k0=k0,
+        k_max=k_max,
         B=B,
         log_A=log_A,
-        max_violation=float(np.max(violation)),
         sup_argmax=int(ks[sup_idx]),
         sup_log_value=float(logh[sup_idx]),
     )

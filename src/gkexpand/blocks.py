@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .numerics import SignedLogValue, log_factorial_array, slv_sum
+from .numerics import SignedLogValue, slv_sum
 from .optimize import golden_max
 from . import basis
 
@@ -36,12 +36,15 @@ __all__ = [
     "row_values",
     "min_row_separation",
     "SEPARATION_LIMIT",
-    "MAX_SIGN_COLUMNS",
+    "MAX_SIGN_BYTES",
     "WINDOW_HALFWIDTH",
 ]
 
-# c_n cap for sign matrices (2^15 columns).
-MAX_SIGN_COLUMNS = 2**15
+# Memory cap for a dense c x c sign matrix, checked before any allocation.
+# The Gram check of `gkexpand signs` holds four c x c int64 arrays at once
+# (matrix, Gram matrix, identity, c * identity): 32 c^2 = 32 * 4^(n-1) bytes.
+MAX_SIGN_BYTES = 2**28
+_MAX_SIGN_BLOCK = 1 + int(math.log(MAX_SIGN_BYTES / 32, 4))
 
 # Block numbers large enough that y_{n+1} would overflow a 64-bit integer
 # are rejected so specs stay portable to fixed-width consumers.
@@ -126,9 +129,12 @@ def sign_matrix(n: int) -> SignMatrix:
     """
     if n < 1:
         raise RangeError(f"block number must be >= 1, got {n}")
+    if n > _MAX_SIGN_BLOCK:
+        raise RangeError(
+            f"sign matrix for block {n} exceeds the {MAX_SIGN_BYTES}-byte cap "
+            f"(deepest block {_MAX_SIGN_BLOCK})"
+        )
     c = 2 ** (n - 1)
-    if c > MAX_SIGN_COLUMNS:
-        raise RangeError(f"sign matrix for block {n} exceeds {MAX_SIGN_COLUMNS} columns")
     s = np.eye(c, dtype=np.int64)
     for _ in range(n - 1):
         nxt = np.empty_like(s)
@@ -165,12 +171,8 @@ def combo_descriptor(n: int, h: int, slot: int) -> ComboDescriptor:
 
 def eval_combo(d: ComboDescriptor, x: float) -> SignedLogValue:
     """c^(-1/2) * sum_k signs[k] * psi_{P_k}(x), via the signed log sum."""
-    terms = []
-    for sign, idx in zip(d.signs, d.indices()):
-        t = basis.eval_psi(idx, x)
-        if sign < 0:
-            t = SignedLogValue(-t.sign, t.log_mag)
-        terms.append(t)
+    psign, logs = basis.log_psi(np.asarray(d.indices()), x)
+    terms = [SignedLogValue(int(s * p), v) for s, p, v in zip(d.signs, psign.tolist(), logs.tolist())]
     return slv_sum(terms).scaled(-0.5 * math.log(d.block.c))
 
 
@@ -181,30 +183,19 @@ def row_values(spec: BlockSpec, h: int, xs: np.ndarray) -> np.ndarray:
     come out as 0, which is harmless for the absolute comparisons these
     matrices feed.
     """
-    xs = np.asarray(xs, dtype=np.float64)
     idx = np.asarray(row_indices(spec, h), dtype=np.float64)
-    logc = 0.5 * (idx * math.log(2.0) - log_factorial_array(idx))
-    ax = np.abs(xs)
-    # 0 * log(0) below produces a NaN for the (k = 0, x = 0) cell; it is
-    # overwritten by the explicit x = 0 fixup at the end.
-    with np.errstate(divide="ignore", under="ignore", invalid="ignore"):
-        logmag = logc[:, None] + idx[:, None] * np.log(ax[None, :]) - (xs * xs)[None, :]
-        vals = np.exp(logmag)
-    neg = xs < 0
-    if np.any(neg):
-        odd = (idx % 2 == 1)[:, None]
-        vals = np.where(odd & neg[None, :], -vals, vals)
-    if np.any(ax == 0.0):
-        vals = np.where((ax == 0.0)[None, :], np.where(idx[:, None] == 0, 1.0, 0.0), vals)
+    signs, logs = basis.log_psi(idx[:, None], np.asarray(xs, dtype=np.float64))
+    with np.errstate(under="ignore"):
+        vals = np.exp(logs, out=logs)
+    vals *= signs
     return vals
 
 
 def _combo_abs_at(signs_arr: np.ndarray, idx: np.ndarray, scale: float, x: float) -> float:
     """|combo(x)| in linear space; accurate near the peaks where it is used."""
-    logc = 0.5 * (idx * math.log(2.0) - log_factorial_array(idx))
-    with np.errstate(divide="ignore", under="ignore"):
-        vals = np.exp(logc + idx * math.log(abs(x)) - x * x)
-    psign = np.ones(idx.shape) if x > 0 else np.where(idx % 2 == 0, 1.0, -1.0)
+    psign, logs = basis.log_psi(idx, x)
+    with np.errstate(under="ignore"):
+        vals = np.exp(logs)
     return abs(float(np.sum(signs_arr * psign * vals))) * scale
 
 
@@ -216,11 +207,7 @@ def combo_sup_norm(d: ComboDescriptor) -> tuple[float, float]:
     sit on any of the peaks (their heights agree to ~1e-11 for deep
     blocks); only the value carries a guarantee.
     """
-    if d.block.c == 1:
-        info = basis.peak(d.block.y + d.row)
-        return info.x_peak, info.m
-    results = row_sup_norms(d.block.n, d.row, slots=(d.slot,))
-    _, x_star, value = results[0]
+    _, x_star, value = row_sup_norms(d.block.n, d.row, slots=(d.slot,))[0]
     return x_star, value
 
 

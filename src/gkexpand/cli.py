@@ -99,15 +99,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         threads=args.threads,
     )
     out = _out_dir(args)
-    if args.format == "csv":
-        reconstruct.write_report_csv(report, out / "reconstruct.csv")
-    else:
-        rows = [
-            [_fmt(x), _fmt(y), _fmt(ex), _fmt(se), _fmt(er),
-             "" if b is None else _fmt(b)]
-            for x, y, ex, se, er, b in report.rows
-        ]
-        _write_rows(out / "reconstruct", ["x", "y", "exact", "series", "abs_error", "tail_bound"], rows, "json")
+    rows = [
+        [_fmt(x), _fmt(y), _fmt(ex), _fmt(se), _fmt(er), "" if b is None else _fmt(b)]
+        for x, y, ex, se, er, b in report.rows
+    ]
+    _write_rows(out / "reconstruct", ["x", "y", "exact", "series", "abs_error", "tail_bound"], rows, args.format)
     reconstruct.write_report_summary(report, out / "reconstruct_summary.json")
     return _status_line(
         "reconstruct",
@@ -175,12 +171,12 @@ def _norms_combo(args) -> tuple[list[list], bool, str]:
 
 def _norms_bounded(args) -> tuple[list[list], bool, str]:
     env = basis.fit_h_envelope(args.domain_edge, k_max=args.k_max)
+    log_sups = basis.log_h_sup_many(np.arange(1, args.k_max + 1), args.domain_edge)
     rows = []
-    for k in range(1, args.k_max + 1):
-        ls = basis.h_sup_norm(k, args.domain_edge).log_mag
+    for k, ls in enumerate(log_sups.tolist(), start=1):
         le = env.log_envelope(k)
-        ratio = math.exp(ls - le) if k >= env.k0 else ""
-        rows.append([f"h[{k}]", _fmt(ls), _fmt(le), "" if ratio == "" else _fmt(ratio)])
+        ratio = _fmt(math.exp(ls - le)) if k >= env.k0 else ""
+        rows.append([f"h[{k}]", _fmt(ls), _fmt(le), ratio])
     ok = env.B > 0.0 and env.max_violation <= 0.0
     detail = (
         f"N={args.domain_edge} sup=exp({env.sup_log_value:.6f})={math.exp(env.sup_log_value):.6f} "
@@ -214,9 +210,21 @@ def cmd_norms(args: argparse.Namespace) -> int:
 # weights
 
 
+def _check_mass_range(p: float, max_block: int) -> None:
+    """Reject a p whose deepest block mass (by its rigorous lower bound) or
+    prediction may underflow: the gate would then fail a correct expansion."""
+    floor = analysis.predicted_block_mass(max_block, p)
+    if max_block >= 2:  # block 1 holds the k = 0 term: its mass is >= 1
+        floor = min(floor, analysis.block_mass_bounds(max_block, p)[0])
+    if not floor >= sys.float_info.min:
+        raise DomainError(f"p={p} is too large for --max-block {max_block}: the block "
+                          f"mass bound or prediction {floor!r} is below the normal range")
+
+
 def cmd_weights(args: argparse.Namespace) -> int:
-    e = build_combo(args.max_block)
     p = args.p
+    _check_mass_range(p, args.max_block)
+    e = build_combo(args.max_block)
     rows = []
     masses = {}
     for n in range(1, args.max_block + 1):
@@ -237,18 +245,10 @@ def cmd_weights(args: argparse.Namespace) -> int:
                 notes.append(f"G({n},1)={masses[n]:.4f} outside {WEIGHT_MASS_WINDOW}")
         if args.max_block >= 4:
             stats = analysis.divergence_profile(e)
-            ps_rows = []
-            fit_pts: list[tuple[float, float]] = []
-            for (count, s), (n, _g) in zip(stats.partial_sums, stats.per_block):
-                if n >= 3:
-                    fit_pts.append((math.log(count), s))
-                if len(fit_pts) >= 2:
-                    a = np.array(fit_pts)
-                    design = np.vstack([a[:, 0], np.ones(len(a))]).T
-                    slope = float(np.linalg.lstsq(design, a[:, 1], rcond=None)[0][0])
-                    ps_rows.append([str(count), _fmt(s), _fmt(slope)])
-                else:
-                    ps_rows.append([str(count), _fmt(s), ""])
+            ps_rows = [
+                [str(count), _fmt(s), "" if slope is None else _fmt(slope)]
+                for (count, s), slope in zip(stats.partial_sums, stats.running_slopes)
+            ]
             _write_rows(out / "weights_partial_sums", ["term_count", "partial_sum", "D_ln_fit"], ps_rows, args.format)
             rel = abs(stats.fitted_slope / stats.model_D - 1.0)
             if rel > SLOPE_TOL:

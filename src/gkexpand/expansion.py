@@ -27,7 +27,6 @@ import numpy as np
 
 from . import basis, blocks
 from .errors import DomainError, RangeError
-from .numerics import log_factorial_array
 
 __all__ = [
     "RawPsi",
@@ -47,8 +46,6 @@ __all__ = [
 DEFAULT_BLOCK_CAP = 8
 
 SCHEMA_VERSION = 1
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,7 +165,7 @@ class Expansion:
                 "raw", True, self.log_weights + log_m2, log_sups=0.5 * log_m2
             )
         # bounded: sup of h_k on [0, N]
-        log_sups = self._bounded_log_sups()
+        log_sups = basis.log_h_sup_many(np.arange(self.horizon), float(self.domain_edge))
         return Expansion(
             "bounded",
             True,
@@ -176,22 +173,6 @@ class Expansion:
             domain_edge=self.domain_edge,
             log_sups=log_sups,
         )
-
-    def _bounded_log_sups(self) -> np.ndarray:
-        n_edge = float(self.domain_edge)
-        ks = np.arange(self.horizon, dtype=np.float64)
-        lf = log_factorial_array(ks)
-        safe = np.where(ks > 0, ks, 1.0)
-        interior = np.log(safe) + 0.5 * (ks * np.log(safe) - lf) - ks / 2.0
-        boundary = (
-            np.log(safe)
-            + 0.5 * (ks * _LN2 - lf)
-            + ks * math.log(n_edge)
-            - n_edge * n_edge
-        )
-        out = np.where(np.sqrt(ks / 2.0) <= n_edge, interior, boundary)
-        out[0] = 0.0  # h_0 = psi_0, sup 1 at x = 0
-        return out
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -211,12 +192,9 @@ class Expansion:
         if self.scheme == "combo":
             return self._combo_log_values(x)
         ks = np.arange(self.horizon, dtype=np.float64)
-        logs = basis.log_abs_psi_many(ks, x)
-        signs = basis.psi_signs_many(np.arange(self.horizon), x)
-        if self.scheme == "bounded":
-            with np.errstate(divide="ignore"):
-                scale = np.where(ks > 0, np.log(np.where(ks > 0, ks, 1.0)), 0.0)
-            logs = logs + scale
+        signs, logs = basis.log_psi(ks, x)
+        if self.scheme == "bounded":  # h_k = k psi_k, h_0 = psi_0
+            logs = logs + np.log(np.maximum(ks, 1.0))
         if self.normalized and self._log_sups is not None:
             logs = logs - self._log_sups
         return signs, logs
@@ -310,10 +288,7 @@ def _rebuild_like(scheme: str, doc: dict) -> "Expansion":
 def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarray, np.ndarray]:
     """(signs, log mags) of all un-normalised combos of one block at x,
     ordered (row, slot) row-major."""
-    count = spec.r * spec.c
-    idx = spec.y + np.arange(count, dtype=np.float64)
-    lpsi = basis.log_abs_psi_many(idx, x)
-    psign = basis.psi_signs_many(spec.y + np.arange(count), x)
+    psign, lpsi = basis.log_psi(spec.y + np.arange(spec.r * spec.c, dtype=np.float64), x)
     # index y + h + k*r sits at flat position k*r + h -> reshape to (c, r)
     lv = lpsi.reshape(spec.c, spec.r)
     sv = psign.reshape(spec.c, spec.r)

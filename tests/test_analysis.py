@@ -197,3 +197,15 @@ class TestPredictions:
 
     def test_g1_prediction_near_eight(self):
         assert amplitude(1.0) == pytest.approx(8.0285585, rel=1e-6)
+
+    def test_large_p_stays_in_the_log_domain(self, combo8):
+        # sqrt(90 pi)^p overflows doubles from p = 252 and 4^(p-1) from
+        # p = 513; A(p), the block predictions and the l_p tail only underflow
+        with mp.workdps(30):
+            a400 = float(135 * mp.mpf(4) ** 399 / mp.sqrt(90 * mp.pi) ** 400)
+            g1_252 = float(135 / mp.sqrt(90 * mp.pi) ** 252)  # A(p) / 4^(p-1)
+        assert a400 > 0.0 and g1_252 > 0.0
+        assert amplitude(400.0) == pytest.approx(a400, rel=1e-12)
+        assert predicted_block_mass(1, 252.0) == pytest.approx(g1_252, rel=1e-12)
+        total, converged = lp_norm_check(combo8, 600.0)
+        assert math.isfinite(total) and converged

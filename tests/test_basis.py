@@ -1,5 +1,6 @@
 """Basis functions: psi_k values, peaks, bump model, h_k variants."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -13,6 +14,8 @@ from gkexpand.basis import (
     eval_psi,
     fit_h_envelope,
     h_sup_norm,
+    log_h_sup_many,
+    log_psi,
     peak,
 )
 from gkexpand.errors import DomainError
@@ -67,6 +70,50 @@ class TestEvalPsi:
             got = eval_psi(k, x)
             rel = abs(mp.mpf(got.log_mag) - mp.log(truth))
         assert rel < 1e-11
+
+
+def _mp_log_psi(k: int, x: float):
+    """(sign, log |psi_k(x)|) from the defining formula at 40 digits."""
+    if x == 0.0:
+        return (1.0, 0.0) if k == 0 else (0.0, -math.inf)
+    sign = 1.0 if x > 0.0 or k % 2 == 0 else -1.0
+    with mp.workdps(40):
+        log = (k * mp.log(2) - mp.loggamma(k + 1)) / 2 + k * mp.log(abs(mp.mpf(x))) - mp.mpf(x) ** 2
+    return sign, log
+
+
+def _psi_log_size(k: int, x: float) -> float:
+    """Total size of the terms log |psi_k(x)| sums: its rounding scale."""
+    lnx = abs(math.log(abs(x))) if x != 0.0 else 0.0
+    return 0.5 * (k * math.log(2.0) + math.lgamma(k + 1)) + k * lnx + x * x
+
+
+class TestLogPsiKernel:
+    KS = [0, 1, 2, 7, 10**3, 3 * 10**6]
+    XS = [-3.2, -0.5, 0.0, 0.5, 3.2, 1200.0]
+
+    def _check(self, k, x, sign, log):
+        want_sign, want_log = _mp_log_psi(k, x)
+        assert sign == want_sign, (k, x)
+        if want_log == -math.inf:
+            assert log == -math.inf, (k, x)
+        else:
+            err = abs(float(mp.mpf(float(log)) - want_log))
+            assert err <= 4.0 * np.finfo(float).eps * (_psi_log_size(k, x) + 1.0), (k, x, err)
+
+    def test_grid_against_mpmath(self):
+        ks = np.array(self.KS, dtype=np.int64)
+        signs, logs = log_psi(ks[:, None], np.array(self.XS))
+        assert signs.shape == logs.shape == (len(self.KS), len(self.XS))
+        for i, k in enumerate(self.KS):
+            for j, x in enumerate(self.XS):
+                self._check(k, x, signs[i, j], logs[i, j])
+
+    @pytest.mark.parametrize("x", XS)
+    def test_single_point_against_mpmath(self, x):
+        signs, logs = log_psi(np.array(self.KS, dtype=np.float64), x)
+        for i, k in enumerate(self.KS):
+            self._check(k, x, signs[i], logs[i])
 
 
 class TestPeak:
@@ -186,7 +233,38 @@ class TestScaledH:
         assert interior == pytest.approx(boundary, abs=1e-11)
 
 
+class TestBoundedSupVector:
+    @staticmethod
+    def _rounding_size(k: int, edge: float) -> float:
+        # the term-size bound HEnvelope.max_violation allows 4 eps of
+        return (math.log(k) + 0.5 * (k * math.log(2.0) + math.lgamma(k + 1) + k)
+                + k * abs(math.log(edge)) + edge * edge)
+
+    @pytest.mark.parametrize("edge", [1.0, 3.0, 5.0])
+    def test_against_mpmath_both_branches(self, edge):
+        # psi_k rises up to its peak sqrt(k/2), so the sup over [0, N] is
+        # psi_k(min(N, sqrt(k/2))); both sides of k = 2 N^2 are sampled
+        switch = int(2 * edge * edge)
+        ks = sorted({1, 2, switch - 1, switch, switch + 1, 3 * switch, 10**3, 10**5})
+        got = log_h_sup_many(np.array([0] + ks), edge)
+        assert got[0] == 0.0  # h_0 = psi_0, sup 1 at x = 0
+        for k, g in zip(ks, got[1:].tolist()):
+            with mp.workdps(40):
+                x = min(mp.mpf(edge), mp.sqrt(mp.mpf(k) / 2))
+                truth = (mp.log(k) + (k * mp.log(2) - mp.loggamma(k + 1)) / 2
+                         + k * mp.log(x) - x**2)
+            err = abs(float(mp.mpf(g) - truth))
+            assert err <= 4.0 * np.finfo(float).eps * self._rounding_size(k, edge), (k, err)
+
+
 class TestEnvelope:
+    @pytest.mark.parametrize("edge", [1.0, 2.0, 3.0, 5.0])
+    def test_gate_passes_and_catches_a_shift(self, edge):
+        env = fit_h_envelope(edge, k_max=5000)
+        assert env.max_violation <= 0.0
+        # an envelope 1e-12 too low in log is violated at its touch point
+        assert dataclasses.replace(env, log_A=env.log_A - 1e-12).max_violation > 0.0
+
     def test_fit_for_n3(self):
         env = fit_h_envelope(3.0, k_max=5000)
         assert env.k0 == 49

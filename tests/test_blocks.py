@@ -123,6 +123,17 @@ class TestSignMatrix:
         with pytest.raises(RangeError):
             sign_matrix(17)
 
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_memory_cap_checked_before_allocating(self, monkeypatch, n):
+        # block 16 (c = 2^15) used to pass a column cap and then ask for
+        # two 8 GiB int64 arrays
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the memory cap check")
+
+        monkeypatch.setattr(np, "eye", no_alloc)
+        with pytest.raises(RangeError):
+            sign_matrix(n)
+
     def test_csv_golden_n2(self):
         assert sign_matrix(2).to_csv_text() == "1,1\n1,-1\n"
 

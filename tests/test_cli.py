@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gkexpand import analysis
@@ -71,6 +72,26 @@ class TestExitCodes:
         assert main(["weights", "--p", "2", "--max-block", "6",
                      "--out-dir", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("p, max_block", [("400", "5"), ("60", "8")])
+    def test_weights_p_beyond_double_range_rejected(self, tmp_path, capsys, p, max_block):
+        # p = 400 overflowed sqrt(90 pi)^p; at p = 60 G(8, p) underflowed
+        # to 0.0 and failed the bracket gate on a correct expansion
+        code = main(["weights", "--p", p, "--max-block", max_block,
+                     "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"--max-block {max_block}" in err
+        assert not (tmp_path / "weights_summary.json").exists()
+
+    @pytest.mark.parametrize("edge", ["1", "2"])
+    def test_norms_bounded_envelope_touch_passes(self, tmp_path, edge):
+        # the envelope touches h_k0 by construction; the touch point's
+        # rounding used to fail the gate
+        assert main(["norms", "--scheme", "bounded", "--domain-edge", edge,
+                     "--out-dir", str(tmp_path)]) == 0
+
 
 class TestSigns:
     def test_golden_table_bytes(self, tmp_path):
@@ -79,6 +100,14 @@ class TestSigns:
 
     def test_large_matrix_ok(self, tmp_path):
         assert main(["signs", "--n", "10", "--out-dir", str(tmp_path)]) == 0
+
+    def test_over_cap_rejected_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the memory cap check")
+
+        monkeypatch.setattr(np, "eye", no_alloc)
+        assert main(["signs", "--n", "16", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestProbeCommand:

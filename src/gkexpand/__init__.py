@@ -37,6 +37,7 @@ from .blocks import (
     min_row_separation,
     row_indices,
     sign_matrix,
+    sign_rows,
 )
 from .expansion import (
     BasisDescriptor,

@@ -1,4 +1,4 @@
-"""Integer block bookkeeping and recursive sign recombination.
+"""Integer block bookkeeping and sign recombination.
 
 The non-negative integers are tiled by matrices with r_n = 135 * 2^(n-1)
 rows and c_n = 2^(n-1) columns; the entries of one row index c_n raw basis
@@ -6,13 +6,17 @@ functions whose peaks are far enough apart (about 3.56 in x) that signed
 combinations barely interact.  Recombining each row with an orthogonal
 +-1 pattern shrinks every sup-norm by 1/sqrt(c_n) while keeping the kernel
 sum invariant, which is the whole point of the construction.
+
+The construction's pairing recursion (sums of adjacent pairs fill the first
+half of the slots, differences the second, n-1 times) produces exactly the
+natural-order Sylvester-Hadamard matrix S[j, k] = (-1)^popcount(j & k), so
+`sign_rows` evaluates that closed form for just the rows a caller needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "ComboDescriptor",
     "block_spec",
     "row_indices",
+    "sign_rows",
     "sign_matrix",
     "combo_descriptor",
     "eval_combo",
@@ -40,9 +45,10 @@ __all__ = [
     "WINDOW_HALFWIDTH",
 ]
 
-# Memory cap for a dense c x c sign matrix, checked before any allocation.
-# The Gram check of `gkexpand signs` holds four c x c int64 arrays at once
-# (matrix, Gram matrix, identity, c * identity): 32 c^2 = 32 * 4^(n-1) bytes.
+# Memory cap for the sign pattern of a block, checked in `sign_rows` before
+# any allocation: 32 c^2 = 32 * 4^(n-1) bytes, room for the c x c 8-byte
+# arrays the Gram check of `gkexpand signs` holds at once (the int64
+# matrix, its float64 copy and their Gram product).
 MAX_SIGN_BYTES = 2**28
 _MAX_SIGN_BLOCK = 1 + int(math.log(MAX_SIGN_BYTES / 32, 4))
 
@@ -96,21 +102,47 @@ def row_indices(spec: BlockSpec, h: int) -> list[int]:
     return [spec.y + h + k * spec.r for k in range(spec.c)]
 
 
+def sign_rows(n: int, slots: Sequence[int] | None = None) -> np.ndarray:
+    """Rows `slots` (default all) of the block-n sign pattern, int64 +-1.
+
+    S[j, k] = 1 - 2 * (popcount(j & k) mod 2) with j, k in [0, c): symmetric,
+    S S^T = c I, first row and column all +1.  Shape (len(slots), c).
+    """
+    if n < 1:
+        raise RangeError(f"block number must be >= 1, got {n}")
+    if n > _MAX_SIGN_BLOCK:
+        raise RangeError(
+            f"sign pattern for block {n} exceeds the {MAX_SIGN_BYTES}-byte cap "
+            f"(deepest block {_MAX_SIGN_BLOCK})"
+        )
+    c = 2 ** (n - 1)
+    cols = np.arange(c, dtype=np.int64)
+    if slots is None:
+        rows = cols
+    else:
+        rows = np.asarray(slots, dtype=np.int64)
+        bad = rows[(rows < 0) | (rows >= c)]
+        if bad.size:
+            raise RangeError(f"slot {int(bad[0])} outside [0, {c})")
+    bits = rows[:, None] & cols[None, :]
+    # XOR-fold the n-1 bits so bit 0 holds their parity (numpy >= 2 has
+    # np.bitwise_count; older numpy does not).
+    shift = 1
+    while shift < n - 1:
+        bits ^= bits >> shift
+        shift *= 2
+    bits &= 1
+    bits *= -2
+    bits += 1
+    return bits
+
+
 @dataclass(frozen=True)
 class SignMatrix:
-    """The +-1 recombination pattern of one block.
-
-    Rows are the sign rows of the recombined functions; the matrix is
-    orthogonal in the exact sense S S^T = c I.
-    """
+    """The full c x c +-1 recombination pattern of one block."""
 
     n: int
     entries: np.ndarray
-
-    def row(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.entries.shape[0]:
-            raise RangeError(f"slot {j} outside [0, {self.entries.shape[0]})")
-        return tuple(int(v) for v in self.entries[j])
 
     def to_csv_text(self) -> str:
         """Row-major CSV of the +-1 entries, LF line endings."""
@@ -118,31 +150,9 @@ class SignMatrix:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=64)
 def sign_matrix(n: int) -> SignMatrix:
-    """Build the block-n sign pattern by the pairing recursion.
-
-    Stage by stage, sums of adjacent pairs fill the first half of the slots
-    and differences the second half; after n-1 stages every slot combines
-    all c_n inputs.  (This ordering is the construction's own, kept verbatim
-    so the worked 8x8 table can serve as a golden test.)
-    """
-    if n < 1:
-        raise RangeError(f"block number must be >= 1, got {n}")
-    if n > _MAX_SIGN_BLOCK:
-        raise RangeError(
-            f"sign matrix for block {n} exceeds the {MAX_SIGN_BYTES}-byte cap "
-            f"(deepest block {_MAX_SIGN_BLOCK})"
-        )
-    c = 2 ** (n - 1)
-    s = np.eye(c, dtype=np.int64)
-    for _ in range(n - 1):
-        nxt = np.empty_like(s)
-        nxt[: c // 2] = s[0::2] + s[1::2]
-        nxt[c // 2 :] = s[0::2] - s[1::2]
-        s = nxt
-    s.flags.writeable = False
-    return SignMatrix(n=n, entries=s)
+    """The whole block-n sign pattern, as written out by `gkexpand signs`."""
+    return SignMatrix(n=n, entries=sign_rows(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +171,7 @@ class ComboDescriptor:
 
 def combo_descriptor(n: int, h: int, slot: int) -> ComboDescriptor:
     spec = block_spec(n)
-    signs = sign_matrix(n).row(slot)
+    signs = tuple(sign_rows(n, (slot,))[0].tolist())
     if not 0 <= h < spec.r:
         raise RangeError(f"row {h} outside [0, {spec.r}) for block {n}")
     return ComboDescriptor(
@@ -221,12 +231,9 @@ def row_sup_norms(
     per window and reused.
     """
     spec = block_spec(n)
-    sm = sign_matrix(n)
-    if slots is None:
-        slots = range(spec.c)
-    slots = list(slots)
+    slots = range(spec.c) if slots is None else list(slots)
+    srows = sign_rows(n, slots).astype(np.float64)
     idx = np.asarray(row_indices(spec, h), dtype=np.float64)
-    srows = sm.entries[slots].astype(np.float64)
     scale = spec.c**-0.5
 
     if spec.c == 1:
@@ -266,12 +273,14 @@ def row_sup_norms(
 
 
 def min_row_separation(n: int) -> float:
-    """Smallest (sqrt(P_k) - sqrt(P_{k-1})) / sqrt(2) over all rows of block n."""
+    """Smallest (sqrt(P_k) - sqrt(P_{k-1})) / sqrt(2) over all rows of block n.
+
+    Neighbours in a row differ by r, and sqrt(p) - sqrt(p - r) falls as p
+    grows, so the minimum sits at the block's last entry
+    p = y + (r - 1) + (c - 1) r.
+    """
     spec = block_spec(n)
     if spec.c < 2:
         raise DomainError("separation needs at least two columns (n >= 2)")
-    h = np.arange(spec.r, dtype=np.float64)[:, None]
-    k = np.arange(spec.c, dtype=np.float64)[None, :]
-    p = spec.y + h + k * spec.r
-    sep = (np.sqrt(p[:, 1:]) - np.sqrt(p[:, :-1])) / math.sqrt(2.0)
-    return float(sep.min())
+    p = spec.y + (spec.r - 1) + (spec.c - 1) * spec.r
+    return (math.sqrt(p) - math.sqrt(p - spec.r)) / math.sqrt(2.0)

@@ -20,11 +20,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-# Keep BLAS reductions single-threaded so matrix helpers stay bit-stable
-# regardless of the machine's core count.  Must happen before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import numpy as np
 
 from . import analysis, basis, blocks, probe, reconstruct
@@ -295,10 +290,12 @@ def cmd_signs(args: argparse.Namespace) -> int:
     path = out / f"signs_n{args.n}.csv"
     path.write_text(sm.to_csv_text(), encoding="utf-8")
     s = sm.entries
-    gram = s @ s.T
-    ok = bool(np.array_equal(gram, s.shape[0] * np.eye(s.shape[0], dtype=np.int64)))
+    c = s.shape[0]
+    f = s.astype(np.float64)
+    gram = f @ f.T  # float64 is exact here (every entry is at most c <= 2^11) and takes BLAS
+    ok = bool(np.all(np.diag(gram) == c)) and int(np.count_nonzero(gram)) == c
     ok = ok and bool(np.all(s[0] == 1)) and bool(np.all(s[:, 0] == 1))
-    return _status_line("signs", ok, f"n={args.n} ({s.shape[0]}x{s.shape[0]}) orthogonal={ok}")
+    return _status_line("signs", ok, f"n={args.n} ({c}x{c}) orthogonal={ok}")
 
 
 # ----------------------------------------------------------------------

@@ -292,7 +292,7 @@ def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarra
     # index y + h + k*r sits at flat position k*r + h -> reshape to (c, r)
     lv = lpsi.reshape(spec.c, spec.r)
     sv = psign.reshape(spec.c, spec.r)
-    s = blocks.sign_matrix(spec.n).entries.astype(np.float64)
+    s = blocks.sign_rows(spec.n).astype(np.float64)
     anchor = np.max(lv, axis=0)  # (r,)
     dead = ~np.isfinite(anchor)
     safe_anchor = np.where(dead, 0.0, anchor)

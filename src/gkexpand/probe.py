@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConstructionError, DomainError
 
 __all__ = [
@@ -300,12 +298,11 @@ def offdiag_row_sums(
     Returns (i, sum_{j<i} |F(y_i - y_j)|, (i-1) eps / 2^i) for i = 2..n,
     1-based as in the gap schedule.
     """
-    pts = np.asarray(cert.points)
+    pts = cert.points
     out = []
     for i in range(2, cert.n + 1):
-        s = math.fsum(
-            profile(abs(float(pts[i - 1]) - float(pts[j]))) for j in range(i - 1)
-        )
+        yi = pts[i - 1]
+        s = math.fsum(profile(abs(yi - yj)) for yj in pts[: i - 1])
         out.append((i, s, (i - 1) * cert.epsilon / 2.0**i))
     return out
 

@@ -13,7 +13,6 @@ test suite.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,6 @@ __all__ = [
     "series_kernel",
     "tail_bound",
     "grid_report",
-    "write_report_csv",
     "write_report_summary",
     "EVAL_SLACK",
 ]
@@ -232,17 +230,6 @@ def grid_report(
         max_tail_bound=max_bound,
         bound_satisfied=ok,
     )
-
-
-def write_report_csv(report: ReconstructionReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "y", "exact", "series", "abs_error", "tail_bound"])
-        for x, y, exact, series, err, bound in report.rows:
-            w.writerow(
-                [repr(x), repr(y), repr(exact), repr(series), repr(err),
-                 "" if bound is None else repr(bound)]
-            )
 
 
 def write_report_summary(report: ReconstructionReport, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 """Block geometry, sign recombination, combo evaluation and sup-norms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gkexpand.blocks import (
     row_sup_norms,
     row_values,
     sign_matrix,
+    sign_rows,
 )
 from gkexpand.errors import RangeError
 
@@ -89,6 +91,72 @@ class TestRowIndices:
             row_indices(block_spec(1), 135)
 
 
+def pairing_recursion(n):
+    """The construction's own recursion: sums of adjacent pairs fill the
+    first half of the slots and differences the second, n-1 times."""
+    c = 2 ** (n - 1)
+    s = np.eye(c, dtype=np.int64)
+    for _ in range(n - 1):
+        nxt = np.empty_like(s)
+        nxt[: c // 2] = s[0::2] + s[1::2]
+        nxt[c // 2 :] = s[0::2] - s[1::2]
+        s = nxt
+    return s
+
+
+def separation_array_min(n):
+    """Minimum of the full r x c separation array, taken in row chunks."""
+    spec = block_spec(n)
+    k = np.arange(spec.c, dtype=np.float64)[None, :]
+    best = math.inf
+    for h0 in range(0, spec.r, 4096):
+        h = np.arange(h0, min(h0 + 4096, spec.r), dtype=np.float64)[:, None]
+        p = spec.y + h + k * spec.r
+        sep = (np.sqrt(p[:, 1:]) - np.sqrt(p[:, :-1])) / math.sqrt(2.0)
+        best = min(best, float(sep.min()))
+    return best
+
+
+def _no_alloc(*args, **kwargs):
+    raise AssertionError("allocated before the memory cap check")
+
+
+class TestSignRows:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_pairing_recursion(self, n):
+        s = sign_rows(n)
+        assert s.dtype == np.int64
+        assert np.array_equal(s, pairing_recursion(n))
+        assert np.array_equal(s, s.T)
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 12])
+    def test_selected_rows(self, n):
+        c = 2 ** (n - 1)
+        slots = [c - 1, 0, c // 2, c - 1]
+        assert np.array_equal(sign_rows(n, slots), pairing_recursion(n)[slots])
+        assert sign_rows(n, []).shape == (0, c)
+
+    @pytest.mark.parametrize("slot", [-1, 8])
+    def test_slot_out_of_range(self, slot):
+        with pytest.raises(RangeError):
+            sign_rows(4, [0, slot])
+        with pytest.raises(RangeError):
+            combo_descriptor(4, 0, slot)
+        with pytest.raises(RangeError):
+            row_sup_norms(4, 0, [slot])
+
+    def test_block_out_of_range(self):
+        with pytest.raises(RangeError):
+            sign_rows(0)
+
+    def test_descriptor_and_norms_capped_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(np, "arange", _no_alloc)
+        with pytest.raises(RangeError):
+            combo_descriptor(13, 0, 0)
+        with pytest.raises(RangeError):
+            row_sup_norms(13, 0, [0])
+
+
 class TestSignMatrix:
     def test_n1(self):
         assert sign_matrix(1).entries.tolist() == [[1]]
@@ -127,10 +195,7 @@ class TestSignMatrix:
     def test_memory_cap_checked_before_allocating(self, monkeypatch, n):
         # block 16 (c = 2^15) used to pass a column cap and then ask for
         # two 8 GiB int64 arrays
-        def no_alloc(*args, **kwargs):
-            raise AssertionError("allocated before the memory cap check")
-
-        monkeypatch.setattr(np, "eye", no_alloc)
+        monkeypatch.setattr(np, "arange", _no_alloc)
         with pytest.raises(RangeError):
             sign_matrix(n)
 
@@ -238,6 +303,19 @@ class TestSeparation:
         # exact integer geometry makes these sharp
         assert min_row_separation(2) == pytest.approx(4.144889, abs=1e-6)
         assert min_row_separation(8) == pytest.approx(3.562817, abs=1e-6)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_corner_formula_matches_array_minimum(self, n):
+        assert min_row_separation(n) == separation_array_min(n)
+
+    def test_deepest_block_without_allocating(self, monkeypatch):
+        # r * c is about 2.4e18 entries at block 28
+        monkeypatch.setattr(np, "arange", _no_alloc)
+        t0 = time.perf_counter()
+        sep = min_row_separation(28)
+        assert time.perf_counter() - t0 < 0.1
+        assert math.isfinite(sep)
+        assert abs(sep / SEPARATION_LIMIT - 1.0) < 1e-6
 
     def test_trend_to_limit(self):
         seps = [min_row_separation(n) for n in range(2, 9)]

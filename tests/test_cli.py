@@ -1,6 +1,9 @@
 """CLI behaviour: exit codes, file outputs, determinism, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +108,7 @@ class TestSigns:
         def no_alloc(*args, **kwargs):
             raise AssertionError("allocated before the memory cap check")
 
-        monkeypatch.setattr(np, "eye", no_alloc)
+        monkeypatch.setattr(np, "arange", no_alloc)
         assert main(["signs", "--n", "16", "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -129,10 +132,10 @@ class TestOutputs:
               "--range", "-1:1", "--step", "0.5", "--out-dir", str(tmp_path)])
         csv_lines = (tmp_path / "reconstruct.csv").read_text().splitlines()
         assert csv_lines[0] == "x,y,exact,series,abs_error,tail_bound"
-        assert len(csv_lines) == 1 + 25
         doc = json.loads((tmp_path / "reconstruct_summary.json").read_text())
         assert doc["bound_satisfied"] is True
         assert doc["grid"]["points"] == 25
+        assert len(csv_lines) == 1 + doc["grid"]["points"]
 
     def test_json_data_format(self, tmp_path):
         main(["bumpcheck", "--indices", "100,1000", "--format", "json",
@@ -194,3 +197,28 @@ class TestDeterminism:
             assert main(argv + ["--threads", threads, "--out-dir", str(d)]) == 0
             outs.append(_dir_bytes(d))
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norms", "--scheme", "combo", "--max-block", "4", "--rows", "2", "--slots", "4"],
+            ["reconstruct", "--scheme", "combo", "--max-block", "3"],
+        ],
+        ids=["norms", "reconstruct"],
+    )
+    def test_blas_thread_count_invariance(self, tmp_path, argv):
+        # OpenBLAS reads its thread count once, when numpy loads, so each
+        # setting needs a fresh interpreter
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            d = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "gkexpand.cli", *argv, "--out-dir", str(d)],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outs.append((proc.stdout, _dir_bytes(d)))
+        assert outs[0] == outs[1]

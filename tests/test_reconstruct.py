@@ -14,7 +14,6 @@ from gkexpand.reconstruct import (
     grid_report,
     series_kernel,
     tail_bound,
-    write_report_csv,
 )
 
 
@@ -150,14 +149,6 @@ class TestGridReport:
         e = build_raw(120)
         rep = grid_report(e, (-6.0, 6.0), (-6.0, 6.0), 1.0, eta=4.0)
         assert rep.max_abs_error < 1e-10
-
-    def test_csv_emission(self, raw200, tmp_path):
-        rep = grid_report(raw200, (-1.0, 1.0), (-1.0, 1.0), 0.5)
-        path = tmp_path / "rep.csv"
-        write_report_csv(rep, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,exact,series,abs_error,tail_bound"
-        assert len(lines) == 1 + len(rep.rows)
 
 
 class TestPositiveSemidefinite:

@@ -146,8 +146,8 @@ class SignMatrix:
 
     def to_csv_text(self) -> str:
         """Row-major CSV of the +-1 entries, LF line endings."""
-        lines = [",".join(str(int(v)) for v in r) for r in self.entries]
-        return "\n".join(lines) + "\n"
+        text = {1: "1", -1: "-1"}.__getitem__
+        return "\n".join(",".join(map(text, r)) for r in self.entries.tolist()) + "\n"
 
 
 def sign_matrix(n: int) -> SignMatrix:

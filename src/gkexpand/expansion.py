@@ -13,6 +13,11 @@ The three builders produce:
 
 Term storage is array-backed; descriptors are materialised on demand so a
 deep combo expansion (block 8 has ~2.9 million terms) stays cheap.
+
+psi_k(x)^2 = e^(-2 x^2) (2 x^2)^k / k! is the Poisson(2 x^2) probability of
+k, so at a point only a window of indices around 2 x^2 is above double
+underflow; :meth:`Expansion.term_window` finds it and
+:meth:`Expansion.basis_log_values` evaluates just that slice.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "build_bounded",
     "build_combo",
     "DEFAULT_BLOCK_CAP",
+    "LOG_NEGLIGIBLE",
     "SCHEMA_VERSION",
 ]
 
@@ -46,6 +52,13 @@ __all__ = [
 DEFAULT_BLOCK_CAP = 8
 
 SCHEMA_VERSION = 1
+
+# Terms whose log magnitude is provably below this are skipped.  exp()
+# returns exactly 0.0 below -745.13, so the 20-unit margin covers the
+# rounding of every computed log term (and of the scalar bound itself).
+LOG_NEGLIGIBLE = -765.0
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,29 +200,83 @@ class Expansion:
         with np.errstate(under="ignore"):
             return signs * np.exp(logs)
 
-    def basis_log_values(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """(signs, log magnitudes) of every basis function at x."""
+    def basis_log_values(
+        self, x: float, terms: slice | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(signs, log magnitudes) of the basis functions at x: all of them,
+        or the contiguous slice ``terms``.  Each value has the same bits
+        either way."""
+        start, stop, step = (slice(None) if terms is None else terms).indices(self.horizon)
+        if step != 1:
+            raise RangeError("term slices must be contiguous")
         if self.scheme == "combo":
-            return self._combo_log_values(x)
-        ks = np.arange(self.horizon, dtype=np.float64)
+            return self._combo_log_values(x, start, stop)
+        ks = np.arange(start, stop, dtype=np.float64)
         signs, logs = basis.log_psi(ks, x)
         if self.scheme == "bounded":  # h_k = k psi_k, h_0 = psi_0
             logs = logs + np.log(np.maximum(ks, 1.0))
         if self.normalized and self._log_sups is not None:
-            logs = logs - self._log_sups
+            logs = logs - self._log_sups[start:stop]
         return signs, logs
 
-    def _combo_log_values(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        signs = np.empty(self.horizon)
-        logs = np.empty(self.horizon)
-        for spec in self._specs:
+    def _combo_log_values(self, x: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every block that meets [start, stop) is evaluated whole, so the
+        sign-recombination inputs never depend on the slice."""
+        specs = [spec for spec in self._specs if spec.y < stop and spec.next_start > start]
+        base = specs[0].y if specs else start
+        size = specs[-1].next_start - base if specs else 0
+        signs = np.empty(size)
+        logs = np.empty(size)
+        for spec in specs:
             s, l = _combo_block_log_values(spec, x)
             sl = slice(spec.y, spec.next_start)
             if self._log_sups is not None:
                 l = l - self._log_sups[sl]
-            signs[sl] = s
-            logs[sl] = l
-        return signs, logs
+            signs[spec.y - base : spec.next_start - base] = s
+            logs[spec.y - base : spec.next_start - base] = l
+        cut = slice(start - base, stop - base)
+        return signs[cut], logs[cut]
+
+    def term_window(self, x: float, y: float | None = None) -> slice:
+        """The contiguous terms outside which every term
+        lambda_i b_i(x) b_i(y) is provably below e^LOG_NEGLIGIBLE, so that
+        it evaluates to exactly 0.0.  The slice is empty if every term is.
+        Without y the window holds for any y, as |psi_k(y)| <= 1.
+
+        psi_k(x)^2 is the Poisson(2 x^2) probability of k, which is
+        log-concave in k with its mode at floor(2 x^2).  A raw or bounded
+        term is psi_k(x) psi_k(y) in every normalisation; its log is concave
+        in k with the mode floor(2 |x y|), so the window is found by
+        bisection on either side of it.  A combo term of block n is at most
+        c_n M_n(x) M_n(y), where M_n is the largest |psi_p| over the block's
+        indices: the value at the mode clamped into them.  Whole blocks are
+        kept, from the first to the last whose bound reaches the threshold.
+        """
+        if not (math.isfinite(x) and (y is None or math.isfinite(y))):
+            raise DomainError(f"term window needs finite points, got {x!r}, {y!r}")
+        if self.scheme == "combo":
+            points = (x,) if y is None else (x, y)
+
+            def log_block_bound(spec: blocks.BlockSpec) -> float:  # ln c_n + sum of ln M_n
+                last = spec.next_start - 1
+                return math.log(spec.c) + sum(
+                    0.5 * _log_psi_pair(_clamped_mode(p, p, spec.y, last), p, p) for p in points
+                )
+
+            kept = [spec for spec in self._specs if log_block_bound(spec) >= LOG_NEGLIGIBLE]
+            return slice(kept[0].y, kept[-1].next_start) if kept else slice(0, 0)
+        scale, y = (0.5, x) if y is None else (1.0, y)
+
+        def log_term(k: int) -> float:
+            return scale * _log_psi_pair(k, x, y)
+
+        last = self.horizon - 1
+        mode = _clamped_mode(x, y, 0, last)
+        if log_term(mode) < LOG_NEGLIGIBLE:
+            return slice(0, 0)
+        start = 0 if log_term(0) >= LOG_NEGLIGIBLE else _first_skipped(log_term, mode, 0) + 1
+        stop = last + 1 if log_term(last) >= LOG_NEGLIGIBLE else _first_skipped(log_term, mode, last)
+        return slice(start, stop)
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -313,6 +380,41 @@ def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarra
     signs = np.where(alive, np.sign(sums), 0.0)
     # back to (row, slot) ordering
     return signs.T.reshape(-1), logs.T.reshape(-1)
+
+
+def _log_psi_pair(k: int, x: float, y: float) -> float:
+    """log |psi_k(x) psi_k(y)| = k ln(2 |x y|) - ln k! - x^2 - y^2, twice
+    log |psi_k(x)| at y = x.  Scalar arithmetic with math.lgamma, so not
+    bit-equal to basis.log_psi: it feeds only the skip rule, whose threshold
+    leaves a 20-unit margin, and a numpy call on one index costs ten times
+    more."""
+    if x == 0.0 or y == 0.0:  # psi_k(0) = 0 for every k >= 1
+        return -(x * x + y * y) if k == 0 else -math.inf
+    slope = _LN2 + math.log(abs(x)) + math.log(abs(y))
+    return k * slope - math.lgamma(k + 1.0) - x * x - y * y
+
+
+def _clamped_mode(x: float, y: float, lo: int, hi: int) -> int:
+    """floor(2 |x y|), the mode of k -> |psi_k(x) psi_k(y)|, clamped into
+    [lo, hi]."""
+    mode = 2.0 * abs(x) * abs(y)
+    if mode <= lo:
+        return lo
+    return hi if mode >= hi else int(mode)
+
+
+def _first_skipped(log_term, inside: int, outside: int) -> int:
+    """Bisection between a kept index (log_term >= LOG_NEGLIGIBLE) and a
+    skipped one, with log_term monotone in between, for a skipped index at
+    most 16 past the last kept one: a few more evaluated terms cost less
+    than more bisection steps."""
+    while abs(outside - inside) > 16:
+        mid = (inside + outside) // 2
+        if log_term(mid) >= LOG_NEGLIGIBLE:
+            inside = mid
+        else:
+            outside = mid
+    return outside
 
 
 # ----------------------------------------------------------------------

@@ -202,6 +202,12 @@ class TestSignMatrix:
     def test_csv_golden_n2(self):
         assert sign_matrix(2).to_csv_text() == "1,1\n1,-1\n"
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_csv_matches_per_entry_formatting(self, n):
+        entries = sign_matrix(n).entries
+        expected = "\n".join(",".join(str(int(v)) for v in r) for r in entries) + "\n"
+        assert sign_matrix(n).to_csv_text() == expected
+
 
 class TestEvalCombo:
     def test_single_column_equals_psi(self):

@@ -40,6 +40,15 @@ class TestExitCodes:
         assert code == 1
         assert "defined on [0, 3.0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("span", ["nan:1", "0:inf", "-inf:0"])
+    def test_non_finite_range_is_domain_error(self, tmp_path, capsys, span):
+        # nan:1 ended in a ValueError traceback, 0:inf in an OverflowError
+        code = main(["reconstruct", "--range", span, "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
     def test_bad_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["reconstruct", "--scheme", "nonsense"])

@@ -51,6 +51,15 @@ class TestSeriesKernel:
             series_kernel(raw200, y, x), rel=1e-14, abs=1e-300
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # used to return nan with a RuntimeWarning
+        for e in (build_raw(50), build_combo(1)):
+            with pytest.raises(DomainError):
+                series_kernel(e, bad, 0.5)
+            with pytest.raises(DomainError):
+                series_kernel(e, 0.5, bad)
+
     def test_bounded_domain_guard(self):
         e = build_bounded(3.0, 50)
         with pytest.raises(DomainError):
@@ -139,6 +148,15 @@ class TestGridReport:
         e = build_bounded(3.0, 50)
         with pytest.raises(DomainError):
             grid_report(e, (-5.0, 5.0), (-5.0, 5.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)]
+    )
+    def test_non_finite_bounds_rejected(self, raw200, lo, hi):
+        with pytest.raises(DomainError):
+            grid_report(raw200, (lo, hi), (0.0, 1.0), 0.5)
+        with pytest.raises(DomainError):
+            grid_report(raw200, (0.0, 1.0), (lo, hi), 0.5)
 
     def test_threads_do_not_change_rows(self, raw200):
         a = grid_report(raw200, (-2.0, 2.0), (-2.0, 2.0), 0.5, threads=1)

@@ -16,8 +16,9 @@ deep combo expansion (block 8 has ~2.9 million terms) stays cheap.
 
 psi_k(x)^2 = e^(-2 x^2) (2 x^2)^k / k! is the Poisson(2 x^2) probability of
 k, so at a point only a window of indices around 2 x^2 is above double
-underflow; :meth:`Expansion.term_window` finds it and
-:meth:`Expansion.basis_log_values` evaluates just that slice.
+underflow.  For combo expansions :meth:`Expansion.term_window` finds the
+blocks that hold it and :meth:`Expansion.basis_log_values` evaluates just
+that slice.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "build_bounded",
     "build_combo",
     "DEFAULT_BLOCK_CAP",
-    "LOG_NEGLIGIBLE",
     "SCHEMA_VERSION",
 ]
 
@@ -56,7 +56,7 @@ SCHEMA_VERSION = 1
 # Terms whose log magnitude is provably below this are skipped.  exp()
 # returns exactly 0.0 below -745.13, so the 20-unit margin covers the
 # rounding of every computed log term (and of the scalar bound itself).
-LOG_NEGLIGIBLE = -765.0
+_LOG_NEGLIGIBLE = -765.0
 
 _LN2 = math.log(2.0)
 
@@ -237,46 +237,31 @@ class Expansion:
         cut = slice(start - base, stop - base)
         return signs[cut], logs[cut]
 
-    def term_window(self, x: float, y: float | None = None) -> slice:
+    def term_window(self, x: float) -> slice:
         """The contiguous terms outside which every term
-        lambda_i b_i(x) b_i(y) is provably below e^LOG_NEGLIGIBLE, so that
-        it evaluates to exactly 0.0.  The slice is empty if every term is.
-        Without y the window holds for any y, as |psi_k(y)| <= 1.
+        lambda_i b_i(x) b_i(y) is provably below e^_LOG_NEGLIGIBLE for any
+        y, so that it evaluates to exactly 0.0.  The slice is empty if every
+        term is.  Raw and bounded expansions are not windowed: their window
+        is the full horizon.
 
-        psi_k(x)^2 is the Poisson(2 x^2) probability of k, which is
-        log-concave in k with its mode at floor(2 x^2).  A raw or bounded
-        term is psi_k(x) psi_k(y) in every normalisation; its log is concave
-        in k with the mode floor(2 |x y|), so the window is found by
-        bisection on either side of it.  A combo term of block n is at most
-        c_n M_n(x) M_n(y), where M_n is the largest |psi_p| over the block's
-        indices: the value at the mode clamped into them.  Whole blocks are
-        kept, from the first to the last whose bound reaches the threshold.
+        psi_k(x)^2 is the Poisson(2 x^2) probability of k, unimodal in k
+        with its mode at floor(2 x^2).  A combo term of block n is at most
+        c_n M_n(x) M_n(y) <= c_n M_n(x), where M_n is the largest |psi_p|
+        over the block's indices: the value at the mode clamped into them.
+        Whole blocks are kept, from the first to the last whose bound
+        reaches the threshold.
         """
-        if not (math.isfinite(x) and (y is None or math.isfinite(y))):
-            raise DomainError(f"term window needs finite points, got {x!r}, {y!r}")
-        if self.scheme == "combo":
-            points = (x,) if y is None else (x, y)
+        if not math.isfinite(x):
+            raise DomainError(f"term window needs a finite point, got {x!r}")
+        if self.scheme != "combo":
+            return slice(0, self.horizon)
 
-            def log_block_bound(spec: blocks.BlockSpec) -> float:  # ln c_n + sum of ln M_n
-                last = spec.next_start - 1
-                return math.log(spec.c) + sum(
-                    0.5 * _log_psi_pair(_clamped_mode(p, p, spec.y, last), p, p) for p in points
-                )
+        def log_block_bound(spec: blocks.BlockSpec) -> float:  # ln c_n + ln M_n(x)
+            mode = int(min(max(2.0 * x * x, spec.y), spec.next_start - 1))
+            return math.log(spec.c) + _log_abs_psi(mode, x)
 
-            kept = [spec for spec in self._specs if log_block_bound(spec) >= LOG_NEGLIGIBLE]
-            return slice(kept[0].y, kept[-1].next_start) if kept else slice(0, 0)
-        scale, y = (0.5, x) if y is None else (1.0, y)
-
-        def log_term(k: int) -> float:
-            return scale * _log_psi_pair(k, x, y)
-
-        last = self.horizon - 1
-        mode = _clamped_mode(x, y, 0, last)
-        if log_term(mode) < LOG_NEGLIGIBLE:
-            return slice(0, 0)
-        start = 0 if log_term(0) >= LOG_NEGLIGIBLE else _first_skipped(log_term, mode, 0) + 1
-        stop = last + 1 if log_term(last) >= LOG_NEGLIGIBLE else _first_skipped(log_term, mode, last)
-        return slice(start, stop)
+        kept = [spec for spec in self._specs if log_block_bound(spec) >= _LOG_NEGLIGIBLE]
+        return slice(kept[0].y, kept[-1].next_start) if kept else slice(0, 0)
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -382,39 +367,14 @@ def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarra
     return signs.T.reshape(-1), logs.T.reshape(-1)
 
 
-def _log_psi_pair(k: int, x: float, y: float) -> float:
-    """log |psi_k(x) psi_k(y)| = k ln(2 |x y|) - ln k! - x^2 - y^2, twice
-    log |psi_k(x)| at y = x.  Scalar arithmetic with math.lgamma, so not
-    bit-equal to basis.log_psi: it feeds only the skip rule, whose threshold
-    leaves a 20-unit margin, and a numpy call on one index costs ten times
-    more."""
-    if x == 0.0 or y == 0.0:  # psi_k(0) = 0 for every k >= 1
-        return -(x * x + y * y) if k == 0 else -math.inf
-    slope = _LN2 + math.log(abs(x)) + math.log(abs(y))
-    return k * slope - math.lgamma(k + 1.0) - x * x - y * y
-
-
-def _clamped_mode(x: float, y: float, lo: int, hi: int) -> int:
-    """floor(2 |x y|), the mode of k -> |psi_k(x) psi_k(y)|, clamped into
-    [lo, hi]."""
-    mode = 2.0 * abs(x) * abs(y)
-    if mode <= lo:
-        return lo
-    return hi if mode >= hi else int(mode)
-
-
-def _first_skipped(log_term, inside: int, outside: int) -> int:
-    """Bisection between a kept index (log_term >= LOG_NEGLIGIBLE) and a
-    skipped one, with log_term monotone in between, for a skipped index at
-    most 16 past the last kept one: a few more evaluated terms cost less
-    than more bisection steps."""
-    while abs(outside - inside) > 16:
-        mid = (inside + outside) // 2
-        if log_term(mid) >= LOG_NEGLIGIBLE:
-            inside = mid
-        else:
-            outside = mid
-    return outside
+def _log_abs_psi(k: int, x: float) -> float:
+    """log |psi_k(x)| = (k ln(2 x^2) - ln k!) / 2 - x^2.  Scalar arithmetic
+    with math.lgamma, so not bit-equal to basis.log_psi: it feeds only the
+    skip rule, whose threshold leaves a 20-unit margin, and a numpy call on
+    one index costs ten times more."""
+    if x == 0.0:  # psi_k(0) = 0 for every k >= 1
+        return 0.0 if k == 0 else -math.inf
+    return 0.5 * (k * (_LN2 + 2.0 * math.log(abs(x))) - math.lgamma(k + 1.0)) - x * x
 
 
 # ----------------------------------------------------------------------

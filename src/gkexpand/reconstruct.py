@@ -13,7 +13,7 @@ test suite.
 Evaluation follows :meth:`Expansion.term_window`: only the terms of a
 point pair that can leave a nonzero double are evaluated and summed, and
 every skipped term would have been exactly 0.0, so each result keeps the
-bits of the full-horizon sum.
+bits of the full-horizon sum.  Only combo expansions are windowed.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ EVAL_SLACK = 1e-13
 # Linear accumulation is used while any term magnitude stays above this;
 # below it the signed log-domain reduction takes over.
 _LINEAR_FLOOR_LOG = math.log(1e-300)
-
-# series_kernel evaluates shorter expansions whole: bounding a window costs
-# a few microseconds, about what evaluating 100 terms does, so below a few
-# hundred terms it saves nothing (break-even measured near 300 terms at
-# |x|, |y| <= 3).
-_WINDOW_MIN_TERMS = 512
 
 
 def exact_kernel(x: float, y: float, eta: float = 1.0) -> float:
@@ -108,27 +102,41 @@ def _accumulate(
     return math.copysign(math.exp(log_res), acc)
 
 
+def _windowed_sum(e: Expansion, x_part, y_part) -> float | None:
+    """sum_i lambda_i b_i(x) b_i(y) over the intersection of two point
+    windows, each part being (window, (signs, log magnitudes) over it).
+
+    None if the intersection is empty, or if it is short of the full
+    horizon and holds only all-tiny terms: that regime anchors on the top
+    term of the whole horizon, so the caller evaluates the full horizon.
+    """
+    (wx, (sx, lx)), (wy, (sy, ly)) = x_part, y_part
+    start, stop = max(wx.start, wy.start), min(wx.stop, wy.stop)
+    if start >= stop:
+        return None
+    cx = slice(start - wx.start, stop - wx.start)
+    cy = slice(start - wy.start, stop - wy.start)
+    return _accumulate(
+        e.log_weights[start:stop], sx[cx], lx[cx], sy[cy], ly[cy],
+        linear_only=stop - start < len(e),
+    )
+
+
 def series_kernel(e: Expansion, x: float, y: float) -> float:
     """sum_i lambda_i b_i(x) b_i(y) in a deterministic order.
 
-    From _WINDOW_MIN_TERMS terms on, only the pair's term window is
-    evaluated; the all-tiny regime (|x - y| beyond about 26) falls back to
-    the full horizon.
+    A combo expansion evaluates only the terms inside both points'
+    windows; the all-tiny regime (|x - y| beyond about 26) falls back to
+    the full horizon, which raw and bounded expansions always evaluate.
     """
     _check_domain(e, x)
     _check_domain(e, y)
-    if len(e) >= _WINDOW_MIN_TERMS:
-        w = e.term_window(x, y)
-        if w.start < w.stop:
-            value = _accumulate(
-                e.log_weights[w], *e.basis_log_values(x, w), *e.basis_log_values(y, w),
-                linear_only=True,
-            )
-            if value is not None:
-                return value
-    sx, lx = e.basis_log_values(x)
-    sy, ly = e.basis_log_values(y)
-    return _accumulate(e.log_weights, sx, lx, sy, ly)
+    if e.scheme == "combo":
+        wx, wy = e.term_window(x), e.term_window(y)
+        value = _windowed_sum(e, (wx, e.basis_log_values(x, wx)), (wy, e.basis_log_values(y, wy)))
+        if value is not None:
+            return value
+    return _accumulate(e.log_weights, *e.basis_log_values(x), *e.basis_log_values(y))
 
 
 def tail_bound(horizon: int, x: float, y: float) -> float | None:
@@ -230,28 +238,21 @@ def grid_report(
         w = e.term_window(p)
         return w, e.basis_log_values(p, w)
 
-    # each grid point holds its own window; a pair sums over the
-    # intersection of the two.  Full-horizon values are made only for the
-    # all-tiny fallback, once per point (two threads may both fill an entry
-    # of full_y; they write equal arrays, so no lock is needed).
+    # each grid point holds its own window.  Full-horizon values are made
+    # only for the all-tiny fallback, once per point (two threads may both
+    # fill an entry of full_y; they write equal arrays, so no lock is
+    # needed).
     ys_core = [y * scale for y in ys]
     by = [point_values(y) for y in ys_core]
     full_y: list = [None] * len(ys)
 
     def do_row(x: float) -> list[tuple[float, float, float, float, float, float | None]]:
         xc = x * scale
-        wx, (sx, lx) = point_values(xc)
+        x_part = point_values(xc)
         full_x = None
         out = []
-        for j, (y, yc, (wy, (sy, ly))) in enumerate(zip(ys, ys_core, by)):
-            start, stop = max(wx.start, wy.start), min(wx.stop, wy.stop)
-            series = None
-            if start < stop:
-                cx = slice(start - wx.start, stop - wx.start)
-                cy = slice(start - wy.start, stop - wy.start)
-                series = _accumulate(
-                    e.log_weights[start:stop], sx[cx], lx[cx], sy[cy], ly[cy], linear_only=True
-                )
+        for j, (y, yc, y_part) in enumerate(zip(ys, ys_core, by)):
+            series = _windowed_sum(e, x_part, y_part)
             if series is None:
                 if full_x is None:
                     full_x = e.basis_log_values(xc)

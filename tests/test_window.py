@@ -1,5 +1,6 @@
-"""Localised evaluation: term windows skip only terms that are exactly 0.0,
-so every windowed sum keeps the bits of the full-horizon sum."""
+"""Localised evaluation: combo term windows skip only terms that are
+exactly 0.0, so every windowed sum keeps the bits of the full-horizon sum;
+raw and bounded expansions are not windowed."""
 
 import math
 import struct
@@ -9,14 +10,13 @@ import pytest
 
 from gkexpand import expansion
 from gkexpand.errors import DomainError, RangeError
-from gkexpand.expansion import LOG_NEGLIGIBLE, build_bounded, build_combo, build_raw
-from gkexpand.reconstruct import _accumulate, grid_report, series_kernel
-
-# exp() of a log below this is exactly 0.0
-LOG_UNDERFLOW = -745.2
+from gkexpand.expansion import _LOG_NEGLIGIBLE, build_bounded, build_combo, build_raw
+from gkexpand.reconstruct import _accumulate, _windowed_sum, grid_report, series_kernel
 
 LINE_POINTS = (0.0, -0.0, 0.4, -1.3, 2.9, -3.0, 7.5, -11.0, 26.0)
-COMBO_POINTS = (0.0, -0.0, -2.2, 3.0, 9.7, -15.0, 33.0, -60.0)
+# (4, -16): a block bound of 4 sits within 150 of the threshold while -16
+# peaks in that block, so a threshold raised to -600 drops live terms
+COMBO_POINTS = (0.0, -0.0, -2.2, 3.0, 4.0, 9.7, -15.0, -16.0, 33.0, -60.0)
 DEEP_COMBO_POINTS = (-0.0, -2.2, 9.7, 33.0, -60.0)
 DOMAIN_POINTS = (0.0, 0.25, 1.7, 3.0)
 
@@ -47,8 +47,6 @@ class _Full:
 
 
 def _cases():
-    # series_kernel windows expansions from _WINDOW_MIN_TERMS terms on;
-    # term_window itself serves every length (grid_report uses it on all)
     yield "raw200", build_raw(200), LINE_POINTS
     yield "raw3000", build_raw(3000), LINE_POINTS + (30.0, -38.0)
     yield "raw-normalized", build_raw(1000).normalize(), LINE_POINTS
@@ -70,20 +68,6 @@ class TestWindowedSum:
             for y in points:
                 assert _bits(series_kernel(e, x, y)) == _bits(full.sum(x, y)), (x, y)
 
-    def test_terms_outside_pair_window_are_zero(self, name, e, points):
-        full = _Full(e)
-        for x in points:
-            for y in points:
-                w = e.term_window(x, y)
-                signs, log_terms = full.log_terms(x, y)
-                outside = np.ones(len(e), dtype=bool)
-                outside[w] = False
-                live = outside & (signs != 0.0)
-                # the skip rule's own claim, and what it buys: exp() is 0.0
-                assert np.all(log_terms[live] < LOG_NEGLIGIBLE + 1e-6), (x, y)
-                with np.errstate(under="ignore"):
-                    assert not np.any(signs[live] * np.exp(log_terms[live])), (x, y)
-
     def test_point_window_holds_for_every_partner(self, name, e, points):
         full = _Full(e)
         for x in points:
@@ -93,7 +77,10 @@ class TestWindowedSum:
             for y in points:
                 signs, log_terms = full.log_terms(x, y)
                 live = outside & (signs != 0.0)
-                assert np.all(log_terms[live] < LOG_UNDERFLOW), (x, y)
+                # the skip rule's own claim, and what it buys: exp() is 0.0
+                assert np.all(log_terms[live] < _LOG_NEGLIGIBLE + 1e-6), (x, y)
+                with np.errstate(under="ignore"):
+                    assert not np.any(signs[live] * np.exp(log_terms[live])), (x, y)
 
     def test_sliced_values_bit_equal(self, name, e, points):
         for x in points:
@@ -104,29 +91,28 @@ class TestWindowedSum:
 
 
 class TestWindowShape:
-    @pytest.mark.parametrize("y,empty", [(26.5, False), (30.0, True)])
-    def test_all_tiny_pair_falls_back_to_full_horizon(self, y, empty):
-        # the one live term, e^(-y^2), is below 1e-300: a window cannot
-        # anchor the log-domain sum on the global top, so the full horizon
-        # is evaluated; e^(-702.25) survives it, e^(-900) does not
-        e = build_raw(3000)
-        w = e.term_window(0.0, y)
-        assert w.start == 0 and (w.stop == 0) == empty
-        value = series_kernel(e, 0.0, y)
-        assert _bits(value) == _bits(_Full(e).sum(0.0, y))
-        assert value == pytest.approx(math.exp(-y * y), rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("x,y,empty", [(0.0, 40.0, True), (0.0, 30.0, False)])
+    def test_all_tiny_pair_falls_back_to_full_horizon(self, x, y, empty):
+        # no term reaches 1e-300: a window cannot anchor the log-domain sum
+        # on the global top, so the full horizon is evaluated.  At (0, 40)
+        # the two windows do not meet; at (0, 30) they share block 1
+        e = build_combo(4)
+        wx, wy = e.term_window(x), e.term_window(y)
+        assert (max(wx.start, wy.start) >= min(wx.stop, wy.stop)) == empty
+        parts = (wx, e.basis_log_values(x, wx)), (wy, e.basis_log_values(y, wy))
+        assert _windowed_sum(e, *parts) is None
+        assert _bits(series_kernel(e, x, y)) == _bits(_Full(e).sum(x, y))
 
-    def test_zero_point_keeps_the_constant_term(self):
-        # psi_k(0) = 0 for k >= 1; the bisection stops within 16 of the edge
-        e = build_raw(200)
-        for w in (e.term_window(0.0, 1.5), e.term_window(-0.0)):
-            assert w.start == 0 and 1 <= w.stop <= 17
+    def test_zero_point_keeps_block_1(self):
+        # psi_k(0) = 0 for k >= 1, so only the block holding psi_0 counts
+        e = build_combo(7)
+        for x in (0.0, -0.0):
+            assert e.term_window(x) == e.block_slice(1)
 
-    def test_raw_window_follows_poisson_mode(self):
-        e = build_raw(3000)
-        w = e.term_window(10.0, 10.0)
-        assert w.start < 200 < w.stop
-        assert w.stop - w.start < 1200
+    @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300).normalize()])
+    def test_raw_and_bounded_are_not_windowed(self, e):
+        for x in (0.0, 1.5, 3.0):
+            assert e.term_window(x) == slice(0, len(e))
 
     def test_combo7_small_points_touch_blocks_1_and_2(self, monkeypatch):
         e = build_combo(7)
@@ -141,8 +127,8 @@ class TestWindowShape:
         for x in (-3.0, -1.1, 0.0, 2.4, 3.0):
             for y in (-3.0, 0.3, 3.0):
                 series_kernel(e, x, y)
-                w = e.term_window(x, y)
-                assert w.start == 0 and w.stop in (135, 675)
+            w = e.term_window(x)
+            assert w.start == 0 and w.stop in (135, 675)
         assert sorted(set(seen)) == [1, 2]
         assert len(seen) <= 2 * 2 * 15
 
@@ -150,16 +136,15 @@ class TestWindowShape:
         e = build_combo(6)
         starts = {e.block_slice(n).start for n in range(1, 7)} | {len(e)}
         for x in COMBO_POINTS:
-            for y in COMBO_POINTS:
-                w = e.term_window(x, y)
-                assert w.start == w.stop == 0 or {w.start, w.stop} <= starts
+            w = e.term_window(x)
+            assert w.start == w.stop == 0 or {w.start, w.stop} <= starts
 
     def test_non_finite_point_rejected(self):
         for e in (build_raw(20), build_combo(2)):
             with pytest.raises(DomainError):
                 e.term_window(math.nan)
             with pytest.raises(DomainError):
-                e.term_window(1.0, math.inf)
+                e.term_window(math.inf)
 
     def test_non_contiguous_slice_rejected(self):
         with pytest.raises(RangeError):
@@ -167,8 +152,8 @@ class TestWindowShape:
 
 
 class TestGridWindows:
-    def test_grid_rows_bit_equal_to_full_horizon(self):
-        # spans the all-tiny fallback: (0, 30) and (30, 0) are below 1e-300
+    def test_raw_grid_bit_equal_to_full_horizon(self):
+        # spans the all-tiny regime: (0, 30) and (30, 0) are below 1e-300
         e = build_raw(3000)
         full = _Full(e)
         rep = grid_report(e, (0.0, 30.0), (0.0, 30.0), 7.5)

@@ -23,10 +23,8 @@ that slice.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Union
 
 import numpy as np
@@ -44,14 +42,11 @@ __all__ = [
     "build_bounded",
     "build_combo",
     "DEFAULT_BLOCK_CAP",
-    "SCHEMA_VERSION",
 ]
 
 # Deepest block built by default; raw indices then reach ~2.95e6, which is
 # where the asymptotic constants have long stabilised.
 DEFAULT_BLOCK_CAP = 8
-
-SCHEMA_VERSION = 1
 
 # Terms whose log magnitude is provably below this are skipped.  exp()
 # returns exactly 0.0 below -745.13, so the 20-unit margin covers the
@@ -262,79 +257,6 @@ class Expansion:
 
         kept = [spec for spec in self._specs if log_block_bound(spec) >= _LOG_NEGLIGIBLE]
         return slice(kept[0].y, kept[-1].next_start) if kept else slice(0, 0)
-
-    # ------------------------------------------------------------------
-    # Serialisation
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {
-            "schema_version": SCHEMA_VERSION,
-            "scheme": self.scheme,
-            "normalized": self.normalized,
-            "horizon": self.horizon,
-        }
-        if self.domain_edge is not None:
-            doc["domain_edge"] = self.domain_edge
-        if self.max_block is not None:
-            doc["max_block"] = self.max_block
-        terms = []
-        for i in range(self.horizon):
-            rec: dict = {"lam": float(self.weights[i]), "log_lam": float(self.log_weights[i])}
-            if self.scheme == "combo":
-                n, h, j = self._combo_position(i)
-                rec.update(block=n, row=h, slot=j)
-            else:
-                rec["k"] = i
-            terms.append(rec)
-        doc["terms"] = terms
-        return doc
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=1) + "\n", encoding="utf-8"
-        )
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Expansion":
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise DomainError(f"unsupported schema version {doc.get('schema_version')!r}")
-        scheme = doc["scheme"]
-        if scheme == "combo" and not doc.get("normalized", False):
-            raise DomainError("combo expansions are always stored normalised")
-        log_w = np.array([t["log_lam"] for t in doc["terms"]], dtype=np.float64)
-        if np.any(np.isnan(log_w)):
-            raise DomainError("corrupt weight record")
-        ref = _rebuild_like(scheme, doc)
-        if ref.horizon != len(log_w):
-            raise DomainError(
-                f"term count {len(log_w)} does not match scheme parameters ({ref.horizon})"
-            )
-        return Expansion(
-            scheme,
-            bool(doc["normalized"]),
-            log_w,
-            domain_edge=doc.get("domain_edge"),
-            max_block=doc.get("max_block"),
-            log_sups=ref._log_sups,
-        )
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "Expansion":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def _rebuild_like(scheme: str, doc: dict) -> "Expansion":
-    """Rebuild an expansion with the document's parameters to recover the
-    derived arrays (sup-norms) that are not serialised."""
-    if scheme == "raw":
-        e = build_raw(doc["horizon"])
-    elif scheme == "bounded":
-        e = build_bounded(doc["domain_edge"], doc["horizon"])
-    elif scheme == "combo":
-        return build_combo(doc["max_block"], cap=doc["max_block"])
-    else:
-        raise DomainError(f"unknown scheme {scheme!r}")
-    return e.normalize() if doc["normalized"] else e
 
 
 def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarray, np.ndarray]:

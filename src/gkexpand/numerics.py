@@ -64,10 +64,6 @@ class SignedLogValue:
         if self.sign != 0 and not math.isfinite(self.log_mag):
             raise DomainError("log magnitude of a nonzero value must be finite")
 
-    @classmethod
-    def from_real(cls, v: float) -> "SignedLogValue":
-        return from_real(v)
-
     def to_real(self) -> float:
         """Back to an ordinary float; saturates to +/-inf or 0.0 outside
         the representable range of doubles."""
@@ -78,12 +74,6 @@ class SignedLogValue:
         if self.log_mag < -745.2:
             return 0.0
         return self.sign * math.exp(self.log_mag)
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        return slv_product(self, other)
 
     def scaled(self, log_factor: float) -> "SignedLogValue":
         """Multiply by exp(log_factor) without leaving the log domain."""

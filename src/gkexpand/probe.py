@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -335,17 +335,33 @@ def certificate_to_json(cert: ProbeCertificate, path: str | Path) -> None:
 
 
 def certificate_from_json(path: str | Path) -> ProbeCertificate:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a stored certificate; a malformed file raises DomainError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON or text
+        raise DomainError(f"certificate {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DomainError(f"certificate {path} must hold a JSON object")
     if doc.get("schema_version") != 1:
         raise DomainError(f"unsupported certificate schema {doc.get('schema_version')!r}")
-    return ProbeCertificate(
-        kernel=doc["kernel"],
-        template=doc["template"],
-        epsilon=float(doc["epsilon"]),
-        delta=float(doc["delta"]),
-        n=int(doc["n"]),
-        points=tuple(float(v) for v in doc["points"]),
-        coefficients=tuple(float(v) for v in doc["coefficients"]),
-        quad_form=float(doc["quad_form"]),
-        lin_form_sq=float(doc["lin_form_sq"]),
-    )
+    missing = [f.name for f in fields(ProbeCertificate) if f.name not in doc]
+    if missing:
+        raise DomainError(f"certificate {path} lacks {', '.join(missing)}")
+    if doc["kernel"] not in PROFILES:
+        raise DomainError(f"certificate {path} names unknown kernel {doc['kernel']!r}")
+    if doc["template"] not in TEMPLATES:
+        raise DomainError(f"certificate {path} names unknown template {doc['template']!r}")
+    try:
+        return ProbeCertificate(
+            kernel=doc["kernel"],
+            template=doc["template"],
+            epsilon=float(doc["epsilon"]),
+            delta=float(doc["delta"]),
+            n=int(doc["n"]),
+            points=tuple(float(v) for v in doc["points"]),
+            coefficients=tuple(float(v) for v in doc["coefficients"]),
+            quad_form=float(doc["quad_form"]),
+            lin_form_sq=float(doc["lin_form_sq"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"certificate {path} holds a malformed value: {exc}") from exc

@@ -18,15 +18,13 @@ bits of the full-horizon sum.  Only combo expansions are windowed.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .expansion import Expansion
 from .numerics import log_factorial
 
@@ -36,8 +34,8 @@ __all__ = [
     "series_kernel",
     "tail_bound",
     "grid_report",
-    "write_report_summary",
     "EVAL_SLACK",
+    "MAX_GRID_PAIRS",
 ]
 
 # Allowance for accumulated double rounding when comparing a float series
@@ -48,6 +46,9 @@ EVAL_SLACK = 1e-13
 # Linear accumulation is used while any term magnitude stays above this;
 # below it the signed log-domain reduction takes over.
 _LINEAR_FLOOR_LOG = math.log(1e-300)
+
+# Most (x, y) pairs a grid report evaluates; the CLI's default grid has 625.
+MAX_GRID_PAIRS = 10**6
 
 
 def exact_kernel(x: float, y: float, eta: float = 1.0) -> float:
@@ -200,15 +201,22 @@ class ReconstructionReport:
         }
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    """Number of points lo, lo + step, ... up to hi.  The count is checked
+    in floating point, where a step too fine for the range gives a huge or
+    infinite value rather than a huge list."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid bounds must be finite, got {lo!r}:{hi!r}")
     if not step > 0.0:
         raise DomainError("grid step must be positive")
     if hi < lo:
         raise DomainError("empty grid range")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_PAIRS:
+        raise RangeError(
+            f"grid {lo!r}:{hi!r} at step {step!r} exceeds {MAX_GRID_PAIRS} pairs"
+        )
+    return int(math.floor(span)) + 1
 
 
 def grid_report(
@@ -223,12 +231,16 @@ def grid_report(
 
     For eta != 1 inputs are rescaled by 1/sqrt(eta) at this edge; the
     expansion itself always lives at unit width.  Rows are produced in a
-    fixed order regardless of the thread count.
+    fixed order regardless of the thread count.  A grid of more than
+    MAX_GRID_PAIRS pairs raises RangeError before any point is built.
     """
     if not eta > 0.0:
         raise DomainError("kernel width eta must be positive")
-    xs = _grid(*x_range, step)
-    ys = _grid(*y_range, step)
+    nx, ny = _grid_count(*x_range, step), _grid_count(*y_range, step)
+    if nx * ny > MAX_GRID_PAIRS:
+        raise RangeError(f"grid of {nx} x {ny} points exceeds {MAX_GRID_PAIRS} pairs")
+    xs = [x_range[0] + i * step for i in range(nx)]
+    ys = [y_range[0] + i * step for i in range(ny)]
     scale = 1.0 / math.sqrt(eta)
     for v in (xs[0], xs[-1], ys[0], ys[-1]):
         _check_domain(e, v * scale)
@@ -290,8 +302,3 @@ def grid_report(
         bound_satisfied=ok,
     )
 
-
-def write_report_summary(report: ReconstructionReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.summary_dict(), indent=2) + "\n", encoding="utf-8"
-    )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,20 @@ def _dir_bytes(d: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
 
+def _src_env(**extra: str) -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _one_error_line(capsys) -> str:
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 class TestExitCodes:
     def test_reconstruct_raw_passes(self, tmp_path):
         assert main(["reconstruct", "--scheme", "raw", "--horizon", "80",
@@ -48,6 +63,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize("span, step", [("0:1", "1e-300"), ("0:1e10", "1e-300"), ("0:1000", "0.5")])
+    def test_oversized_grid_is_range_error(self, tmp_path, span, step):
+        # 0:1 built a 10^300-entry list until killed, 0:1e10 ended in an
+        # OverflowError traceback.  A child capped at 1 GiB of address space
+        # turns a regression into a quick MemoryError, not a full machine.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "gkexpand.cli", "reconstruct", "--range", span,
+             "--step", step, "--out-dir", str(tmp_path)],
+            env=_src_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+            timeout=60, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "1000000 pairs" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norms", "--scheme", "combo", "--rows", "0"],
+            ["norms", "--scheme", "combo", "--slots", "0"],
+            ["norms", "--scheme", "combo", "--max-block", "0"],
+            ["norms", "--scheme", "raw", "--horizon", "0"],
+            ["norms", "--scheme", "combo", "--rows", "-1"],
+        ],
+        ids=["rows", "slots", "max-block", "horizon", "negative-rows"],
+    )
+    def test_norms_empty_table_is_domain_error(self, tmp_path, capsys, argv):
+        # each zero count wrote a header-only table and passed its gate
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert "must be >= 1" in _one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bumpcheck_non_integer_index_is_domain_error(self, tmp_path, capsys):
+        # was a ValueError traceback
+        assert main(["bumpcheck", "--indices", "a,b", "--out-dir", str(tmp_path)]) == 1
+        assert "'a,b'" in _one_error_line(capsys)
 
     def test_bad_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -122,6 +179,12 @@ class TestSigns:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _built_certificate(tmp_path: Path, capsys) -> Path:
+    assert main(["probe", "--n", "20", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    return tmp_path / "probe_gaussian_cos_n20.json"
+
+
 class TestProbeCommand:
     def test_build_then_verify_file(self, tmp_path):
         assert main(["probe", "--kernel", "laplace", "--psi", "cos",
@@ -133,6 +196,42 @@ class TestProbeCommand:
 
     def test_verify_missing_file(self, capsys):
         assert main(["probe", "--verify", "/nonexistent/cert.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {"schema_version": 1}, "lacks kernel, template"),
+            (lambda doc: {**doc, "kernel": "sinc"}, "unknown kernel 'sinc'"),
+            (lambda doc: {**doc, "template": "saw"}, "unknown template 'saw'"),
+            (lambda doc: {**doc, "points": ["x"] * doc["n"]}, "malformed value"),
+            (lambda doc: [doc], "JSON object"),
+        ],
+        ids=["only-schema", "unknown-kernel", "unknown-template", "bad-point", "not-an-object"],
+    )
+    def test_verify_malformed_certificate_is_domain_error(self, tmp_path, capsys, edit, message):
+        # the first three ended in KeyError tracebacks
+        cert = _built_certificate(tmp_path, capsys)
+        cert.write_text(json.dumps(edit(json.loads(cert.read_text()))))
+        assert main(["probe", "--verify", str(cert)]) == 1
+        assert message in _one_error_line(capsys)
+
+    def test_verify_invalid_json_is_domain_error(self, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"schema_version": 1,')
+        assert main(["probe", "--verify", str(cert)]) == 1
+        assert "not valid JSON" in _one_error_line(capsys)
+
+    def test_verify_too_few_points_fails_without_row_sums(self, tmp_path, capsys):
+        # verification reported size_mismatch, then the row sums raised
+        # IndexError on the missing points
+        cert = _built_certificate(tmp_path, capsys)
+        doc = json.loads(cert.read_text())
+        doc["points"] = doc["points"][:5]
+        cert.write_text(json.dumps(doc))
+        assert main(["probe", "--verify", str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == f"probe: FAIL verify {cert}: inequalities=size_mismatch row_bounds=skipped\n"
 
 
 class TestOutputs:
@@ -183,6 +282,19 @@ class TestConfigFile:
         doc = json.loads((tmp_path / "reconstruct_summary.json").read_text())
         assert doc["horizon"] == 90
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{\"horizon\": 60", "not valid JSON"), ('{"horizon": "abc"}', "horizon='abc'")],
+        ids=["malformed-json", "bad-value"],
+    )
+    def test_bad_config_is_domain_error(self, tmp_path, capsys, text, message):
+        # JSONDecodeError and ValueError tracebacks before
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert message in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -218,12 +330,10 @@ class TestDeterminism:
     def test_blas_thread_count_invariance(self, tmp_path, argv):
         # OpenBLAS reads its thread count once, when numpy loads, so each
         # setting needs a fresh interpreter
-        src = str(Path(__file__).resolve().parents[1] / "src")
         outs = []
         for threads in ("1", "2"):
             d = tmp_path / f"blas{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = _src_env(OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "gkexpand.cli", *argv, "--out-dir", str(d)],
                 env=env, capture_output=True, timeout=300,

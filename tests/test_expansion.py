@@ -1,6 +1,5 @@
-"""Expansion assembly, normalisation, equivalence and serialisation."""
+"""Expansion assembly, normalisation and equivalence."""
 
-import json
 import math
 
 import numpy as np
@@ -8,10 +7,9 @@ import pytest
 
 from gkexpand.basis import eval_psi, peak
 from gkexpand.blocks import combo_descriptor, eval_combo
-from gkexpand.errors import DomainError, RangeError
+from gkexpand.errors import RangeError
 from gkexpand.expansion import (
     Combo,
-    Expansion,
     RawPsi,
     ScaledH,
     build_bounded,
@@ -153,43 +151,6 @@ class TestDiagonalSandwich:
             val = series_kernel(eb, x, x)
             bound = tail_bound(300, x, x)
             assert abs(val - 1.0) <= bound + 1e-13
-
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "build", [lambda: build_raw(40), lambda: build_raw(40).normalize(),
-                  lambda: build_bounded(3.0, 40), lambda: build_combo(2)]
-    )
-    def test_round_trip_bit_faithful(self, build, tmp_path):
-        e = build()
-        path = tmp_path / "e.json"
-        e.to_json(path)
-        back = Expansion.from_json(path)
-        assert back.scheme == e.scheme
-        assert back.normalized == e.normalized
-        assert np.array_equal(back.log_weights, e.log_weights)
-        assert np.array_equal(back.weights, e.weights)
-        # a second dump is byte-identical
-        path2 = tmp_path / "e2.json"
-        back.to_json(path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    def test_rejects_unknown_schema(self, tmp_path):
-        e = build_raw(5)
-        doc = e.to_json_dict()
-        doc["schema_version"] = 99
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
-            Expansion.from_json(p)
-
-    def test_rejects_truncated_terms(self, tmp_path):
-        doc = build_raw(5).to_json_dict()
-        doc["terms"] = doc["terms"][:3]
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(DomainError):
-            Expansion.from_json(p)
 
 
 class TestTermAccess:

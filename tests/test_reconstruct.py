@@ -6,10 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gkexpand.errors import DomainError
+from gkexpand.errors import DomainError, RangeError
 from gkexpand.expansion import build_bounded, build_combo, build_raw
 from gkexpand.reconstruct import (
     EVAL_SLACK,
+    MAX_GRID_PAIRS,
     exact_kernel,
     grid_report,
     series_kernel,
@@ -157,6 +158,12 @@ class TestGridReport:
             grid_report(raw200, (lo, hi), (0.0, 1.0), 0.5)
         with pytest.raises(DomainError):
             grid_report(raw200, (0.0, 1.0), (lo, hi), 0.5)
+
+    def test_pair_cap(self, raw200):
+        # 1000 x 1001 points is one row past MAX_GRID_PAIRS
+        assert MAX_GRID_PAIRS == 1000 * 1000
+        with pytest.raises(RangeError, match="1000 x 1001"):
+            grid_report(raw200, (0.0, 999.0), (0.0, 1000.0), 1.0)
 
     def test_threads_do_not_change_rows(self, raw200):
         a = grid_report(raw200, (-2.0, 2.0), (-2.0, 2.0), 0.5, threads=1)

@@ -454,20 +454,24 @@ def _apply_config(
         raise DomainError(f"config file {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DomainError("config file must contain a JSON object")
-    types = {a.dest: a.type for a in parser._actions}
+    actions = {a.dest: a for a in parser._actions}
     for key, val in cfg.items():
         dest = key.replace("-", "_")
         flag = "--" + key.replace("_", "-")
         if any(a == flag or a.startswith(flag + "=") for a in argv):
             continue  # explicit flag wins
-        if hasattr(args, dest):
-            conv = types.get(dest)
-            if conv is not None and isinstance(val, str):
-                try:
-                    val = conv(val)
-                except ValueError as exc:
-                    raise DomainError(f"config value {key}={val!r} is not valid for {flag}") from exc
-            setattr(args, dest, val)
+        action = actions.get(dest)
+        if action is None:
+            continue
+        # the value's text goes through the flag's own checks, so a config
+        # value gives the same bytes as the same text given as the flag
+        try:
+            value = str(val) if action.type is None else action.type(str(val))
+        except ValueError as exc:
+            raise DomainError(f"config value {key}={val!r} is not valid for {flag}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise DomainError(f"config value {key}={val!r} is not one of {flag} {sorted(action.choices)}")
+        setattr(args, dest, value)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -492,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         _apply_config(args, argv, _SUBPARSERS[args.command])
+        if args.threads < 1:
+            raise DomainError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (DomainError, RangeError, ConstructionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,6 +52,15 @@ DEFAULT_BLOCK_CAP = 8
 # returns exactly 0.0 below -745.13, so the 20-unit margin covers the
 # rounding of every computed log term (and of the scalar bound itself).
 _LOG_NEGLIGIBLE = -765.0
+# Floor of the wide window, summed when no term of a pair reaches 1e-300.
+# It keeps every bit of the full-horizon sum, anchored on its top term T:
+# - every term outside a window is below e^floor, for any partner point;
+# - if T >= e^-765, T lies inside both narrow windows and anchors the sum;
+#   a term outside the wide windows rescales to exp(< -765), exactly 0.0;
+# - if T < e^-765, as with disjoint narrow windows, both sums are +0.0:
+#   T + ln(horizon) < -745 for a horizon below e^20 ~ 4.8e8 terms (block 11;
+#   build_combo stops at block 8 by default).
+_LOG_WIDE = 2 * _LOG_NEGLIGIBLE
 
 _LN2 = math.log(2.0)
 
@@ -232,12 +241,12 @@ class Expansion:
         cut = slice(start - base, stop - base)
         return signs[cut], logs[cut]
 
-    def term_window(self, x: float) -> slice:
+    def term_window(self, x: float, *, _floor: float = _LOG_NEGLIGIBLE) -> slice:
         """The contiguous terms outside which every term
         lambda_i b_i(x) b_i(y) is provably below e^_LOG_NEGLIGIBLE for any
         y, so that it evaluates to exactly 0.0.  The slice is empty if every
         term is.  Raw and bounded expansions are not windowed: their window
-        is the full horizon.
+        is the full horizon.  The private ``_floor`` gives the wide window.
 
         psi_k(x)^2 is the Poisson(2 x^2) probability of k, unimodal in k
         with its mode at floor(2 x^2).  A combo term of block n is at most
@@ -255,7 +264,7 @@ class Expansion:
             mode = int(min(max(2.0 * x * x, spec.y), spec.next_start - 1))
             return math.log(spec.c) + _log_abs_psi(mode, x)
 
-        kept = [spec for spec in self._specs if log_block_bound(spec) >= _LOG_NEGLIGIBLE]
+        kept = [spec for spec in self._specs if log_block_bound(spec) >= _floor]
         return slice(kept[0].y, kept[-1].next_start) if kept else slice(0, 0)
 
 

@@ -10,10 +10,11 @@ comparison would be meaningless.  The mathematical soundness of the bound
 itself is established separately against a high-precision oracle in the
 test suite.
 
-Evaluation follows :meth:`Expansion.term_window`: only the terms of a
-point pair that can leave a nonzero double are evaluated and summed, and
-every skipped term would have been exactly 0.0, so each result keeps the
-bits of the full-horizon sum.  Only combo expansions are windowed.
+Evaluation follows :meth:`Expansion.term_window`: a combo pair sums the
+terms inside both points' windows, or inside their wide windows when no
+term reaches 1e-300, so no combo pair evaluates the full horizon and each
+result keeps its bits (proof at ``expansion._LOG_WIDE``).  Raw and
+bounded expansions are not windowed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .expansion import Expansion
+from .expansion import _LOG_WIDE, Expansion
 from .numerics import log_factorial
 
 __all__ = [
@@ -78,7 +79,7 @@ def _accumulate(
     Linear compensated summation while any term is representable; a signed
     log-domain reduction covers the regime where every term underflows.
     With ``linear_only`` that regime returns None instead: its anchor is
-    the top term of the whole horizon, which a term window need not hold.
+    the top term of the whole horizon, which only a wide window must hold.
     """
     log_terms = log_weights + lx + ly
     signs = sx * sy
@@ -103,40 +104,49 @@ def _accumulate(
     return math.copysign(math.exp(log_res), acc)
 
 
-def _windowed_sum(e: Expansion, x_part, y_part) -> float | None:
-    """sum_i lambda_i b_i(x) b_i(y) over the intersection of two point
-    windows, each part being (window, (signs, log magnitudes) over it).
+class _Point:
+    """A point's narrow (window, (signs, log magnitudes)) part, and its wide
+    part, made on first use (grid threads may both make it: equal tuples)."""
 
-    None if the intersection is empty, or if it is short of the full
-    horizon and holds only all-tiny terms: that regime anchors on the top
-    term of the whole horizon, so the caller evaluates the full horizon.
-    """
+    def __init__(self, e: Expansion, x: float) -> None:
+        w = e.term_window(x)
+        self.e, self.x, self.part, self._wide = e, x, (w, e.basis_log_values(x, w)), None
+
+    def wide(self):
+        if self._wide is None:
+            w = self.e.term_window(self.x, _floor=_LOG_WIDE)
+            self._wide = w, self.e.basis_log_values(self.x, w)
+        return self._wide
+
+
+def _overlap_sum(e: Expansion, x_part, y_part, linear_only: bool) -> float | None:
+    """_accumulate over two parts' overlap: +0.0 if empty, one pass if full-horizon."""
     (wx, (sx, lx)), (wy, (sy, ly)) = x_part, y_part
     start, stop = max(wx.start, wy.start), min(wx.stop, wy.stop)
     if start >= stop:
-        return None
-    cx = slice(start - wx.start, stop - wx.start)
-    cy = slice(start - wy.start, stop - wy.start)
-    return _accumulate(
-        e.log_weights[start:stop], sx[cx], lx[cx], sy[cy], ly[cy],
-        linear_only=stop - start < len(e),
-    )
+        return 0.0
+    cx, cy = slice(start - wx.start, stop - wx.start), slice(start - wy.start, stop - wy.start)
+    return _accumulate(e.log_weights[start:stop], sx[cx], lx[cx], sy[cy], ly[cy],
+                       linear_only and stop - start < len(e))
+
+
+def _pair_sum(e: Expansion, px: _Point, py: _Point) -> float:
+    """sum_i lambda_i b_i(x) b_i(y): +0.0 for disjoint windows, else the linear
+    sum over the narrow intersection, else the log-domain sum over the wide."""
+    value = _overlap_sum(e, px.part, py.part, linear_only=True)
+    return _overlap_sum(e, px.wide(), py.wide(), linear_only=False) if value is None else value
 
 
 def series_kernel(e: Expansion, x: float, y: float) -> float:
     """sum_i lambda_i b_i(x) b_i(y) in a deterministic order.
 
-    A combo expansion evaluates only the terms inside both points'
-    windows; the all-tiny regime (|x - y| beyond about 26) falls back to
-    the full horizon, which raw and bounded expansions always evaluate.
+    A combo expansion sums only the terms inside both points' windows
+    (:func:`_pair_sum`); raw and bounded expansions sum the full horizon.
     """
     _check_domain(e, x)
     _check_domain(e, y)
     if e.scheme == "combo":
-        wx, wy = e.term_window(x), e.term_window(y)
-        value = _windowed_sum(e, (wx, e.basis_log_values(x, wx)), (wy, e.basis_log_values(y, wy)))
-        if value is not None:
-            return value
+        return _pair_sum(e, _Point(e, x), _Point(e, y))
     return _accumulate(e.log_weights, *e.basis_log_values(x), *e.basis_log_values(y))
 
 
@@ -233,6 +243,8 @@ def grid_report(
     expansion itself always lives at unit width.  Rows are produced in a
     fixed order regardless of the thread count.  A grid of more than
     MAX_GRID_PAIRS pairs raises RangeError before any point is built.
+    Every pair goes through :func:`_pair_sum`, so no combo pair evaluates
+    the full horizon; a grid point keeps its wide values once made.
     """
     if not eta > 0.0:
         raise DomainError("kernel width eta must be positive")
@@ -245,34 +257,15 @@ def grid_report(
     for v in (xs[0], xs[-1], ys[0], ys[-1]):
         _check_domain(e, v * scale)
     horizon = len(e)
-
-    def point_values(p: float):
-        w = e.term_window(p)
-        return w, e.basis_log_values(p, w)
-
-    # each grid point holds its own window.  Full-horizon values are made
-    # only for the all-tiny fallback, once per point (two threads may both
-    # fill an entry of full_y; they write equal arrays, so no lock is
-    # needed).
-    ys_core = [y * scale for y in ys]
-    by = [point_values(y) for y in ys_core]
-    full_y: list = [None] * len(ys)
+    by = [_Point(e, y * scale) for y in ys]
 
     def do_row(x: float) -> list[tuple[float, float, float, float, float, float | None]]:
-        xc = x * scale
-        x_part = point_values(xc)
-        full_x = None
+        px = _Point(e, x * scale)
         out = []
-        for j, (y, yc, y_part) in enumerate(zip(ys, ys_core, by)):
-            series = _windowed_sum(e, x_part, y_part)
-            if series is None:
-                if full_x is None:
-                    full_x = e.basis_log_values(xc)
-                if full_y[j] is None:
-                    full_y[j] = e.basis_log_values(yc)
-                series = _accumulate(e.log_weights, *full_x, *full_y[j])
+        for y, py in zip(ys, by):
+            series = _pair_sum(e, px, py)
             exact = exact_kernel(x, y, eta)
-            bound = tail_bound(horizon, xc, yc)
+            bound = tail_bound(horizon, px.x, py.x)
             out.append((x, y, exact, series, abs(exact - series), bound))
         return out
 
@@ -284,11 +277,8 @@ def grid_report(
 
     rows = tuple(r for chunk in chunks for r in chunk)
     max_err = max(r[4] for r in rows)
-    bounds = [r[5] for r in rows]
-    max_bound = max((b for b in bounds if b is not None), default=0.0)
-    ok = all(
-        b is not None and r[4] <= b + EVAL_SLACK for r, b in zip(rows, bounds)
-    )
+    max_bound = max((r[5] for r in rows if r[5] is not None), default=0.0)
+    ok = all(r[5] is not None and r[4] <= r[5] + EVAL_SLACK for r in rows)
     return ReconstructionReport(
         scheme=e.scheme,
         horizon=horizon,

@@ -295,6 +295,48 @@ class TestConfigFile:
         assert message in _one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, cfg_doc, message",
+        [
+            (["reconstruct"], {"scheme": "foo"}, "scheme='foo' is not one of --scheme"),
+            (["reconstruct"], {"horizon": 1.5}, "horizon=1.5 is not valid for --horizon"),
+            (["norms", "--scheme", "raw"], {"horizon": [3]}, "horizon=[3] is not valid"),
+            (["reconstruct"], {"threads": 0}, "--threads must be >= 1, got 0"),
+        ],
+        ids=["bad-choice", "float-for-int", "list-for-int", "zero-threads"],
+    )
+    def test_config_value_meets_its_flag_checks(self, tmp_path, capsys, command, cfg_doc, message):
+        # {"scheme": "foo"} passed as combo; the others were TypeError tracebacks
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_doc))
+        assert main(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert message in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_value_gives_the_flag_bytes(self, tmp_path):
+        # the integer step is converted as the text "1" would be: 1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"horizon": 60, "step": 1, "scheme": "raw"}))
+        base = ["reconstruct", "--range", "-1:1"]
+        assert main(base + ["--config", str(cfg), "--out-dir", str(tmp_path / "cfg")]) == 0
+        assert main(base + ["--horizon", "60", "--step", "1", "--scheme", "raw",
+                            "--out-dir", str(tmp_path / "flag")]) == 0
+        assert _dir_bytes(tmp_path / "cfg") == _dir_bytes(tmp_path / "flag")
+        assert '"step": 1.0' in (tmp_path / "cfg" / "reconstruct_summary.json").read_text()
+
+
+class TestThreads:
+    @pytest.mark.parametrize(
+        "argv",
+        [["reconstruct", "--threads", "0"], ["norms", "--scheme", "combo", "--threads", "-3"]],
+        ids=["reconstruct-0", "norms-minus-3"],
+    )
+    def test_threads_below_one_rejected(self, tmp_path, capsys, argv):
+        # both ran serially and exited 0
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+        assert "--threads must be >= 1" in _one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

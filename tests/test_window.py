@@ -1,17 +1,20 @@
 """Localised evaluation: combo term windows skip only terms that are
-exactly 0.0, so every windowed sum keeps the bits of the full-horizon sum;
-raw and bounded expansions are not windowed."""
+exactly 0.0, so every windowed sum keeps the bits of the full-horizon sum,
+and no combo pair evaluates the full horizon; raw and bounded expansions
+are not windowed."""
 
 import math
 import struct
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from gkexpand import expansion
 from gkexpand.errors import DomainError, RangeError
-from gkexpand.expansion import _LOG_NEGLIGIBLE, build_bounded, build_combo, build_raw
-from gkexpand.reconstruct import _accumulate, _windowed_sum, grid_report, series_kernel
+from gkexpand.expansion import _LOG_NEGLIGIBLE, _LOG_WIDE, Expansion, build_bounded, build_combo, build_raw
+from gkexpand.reconstruct import _accumulate, _overlap_sum, _pair_sum, _Point, grid_report, series_kernel
 
 LINE_POINTS = (0.0, -0.0, 0.4, -1.3, 2.9, -3.0, 7.5, -11.0, 26.0)
 # (4, -16): a block bound of 4 sits within 150 of the threshold while -16
@@ -92,15 +95,23 @@ class TestWindowedSum:
 
 class TestWindowShape:
     @pytest.mark.parametrize("x,y,empty", [(0.0, 40.0, True), (0.0, 30.0, False)])
-    def test_all_tiny_pair_falls_back_to_full_horizon(self, x, y, empty):
-        # no term reaches 1e-300: a window cannot anchor the log-domain sum
-        # on the global top, so the full horizon is evaluated.  At (0, 40)
-        # the two windows do not meet; at (0, 30) they share block 1
+    def test_all_tiny_pair_sums_the_wide_window(self, x, y, empty):
+        # no term reaches 1e-300, so the narrow windows cannot anchor the
+        # log-domain sum.  At (0, 40) they do not meet and the pair is +0.0
+        # at once; at (0, 30) they share block 1 and the wide windows are
+        # summed
         e = build_combo(4)
-        wx, wy = e.term_window(x), e.term_window(y)
+        px, py = _Point(e, x), _Point(e, y)
+        (wx, _), (wy, _) = px.part, py.part
         assert (max(wx.start, wy.start) >= min(wx.stop, wy.stop)) == empty
-        parts = (wx, e.basis_log_values(x, wx)), (wy, e.basis_log_values(y, wy))
-        assert _windowed_sum(e, *parts) is None
+        narrow = _overlap_sum(e, px.part, py.part, linear_only=True)
+        if empty:
+            assert _bits(narrow) == _bits(0.0)
+        else:
+            assert narrow is None
+        value = _pair_sum(e, px, py)
+        assert (px._wide is None and py._wide is None) == empty
+        assert _bits(value) == _bits(_Full(e).sum(x, y))
         assert _bits(series_kernel(e, x, y)) == _bits(_Full(e).sum(x, y))
 
     def test_zero_point_keeps_block_1(self):
@@ -165,5 +176,102 @@ class TestGridWindows:
         e = build_combo(4)
         full = _Full(e)
         rep = grid_report(e, (-36.0, 36.0), (-36.0, 36.0), 12.0, threads=4)
+        for x, y, _exact, series, _err, _bound in rep.rows:
+            assert _bits(series) == _bits(full.sum(x, y)), (x, y)
+
+    def test_threads_sharing_column_points_keep_every_bit(self):
+        # rows on more threads than cores fill the shared column points'
+        # wide values, with the interpreter switching threads very often
+        e = build_combo(5)
+        args = (e, (26.5, 28.0), (-0.25, 0.25), 0.25)
+        serial = grid_report(*args)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = grid_report(*args, threads=8)
+        finally:
+            sys.setswitchinterval(old)
+        full = _Full(e)
+        assert len(threaded.rows) == 21
+        for r, t in zip(serial.rows, threaded.rows):
+            assert _bits(t[3]) == _bits(r[3]) == _bits(full.sum(r[0], r[1])), r[:2]
+
+
+@pytest.fixture
+def sliced_calls(monkeypatch):
+    """The term slice of every Expansion.basis_log_values call."""
+    seen = []
+    real = Expansion.basis_log_values
+
+    def spy(self, x, terms=None):
+        seen.append(terms)
+        return real(self, x, terms)
+
+    monkeypatch.setattr(Expansion, "basis_log_values", spy)
+    return seen
+
+
+class TestWideWindow:
+    @pytest.mark.parametrize(
+        "y,expected", [(26.5, 1.0392022621430825e-305), (27.0, 2.507972e-317)]
+    )
+    def test_subnormal_pair_bit_equal_without_full_horizon(self, sliced_calls, y, expected):
+        # the log-domain regime with a nonzero result: the wide windows hold
+        # the top term, and stop at 11,475 of 46,035 terms
+        e = build_combo(5)
+        value = series_kernel(e, 0.0, y)
+        assert _bits(value) == _bits(expected)
+        assert len(e) == 46035
+        assert e.term_window(0.0, _floor=_LOG_WIDE).stop <= 11475
+        assert e.term_window(y, _floor=_LOG_WIDE) == slice(0, 11475)
+        assert None not in sliced_calls
+        assert _bits(_Full(e).sum(0.0, y)) == _bits(expected)
+
+    @pytest.mark.parametrize("n,x,y", [(5, -42.52, -4.64), (5, -39.39, 4.46), (6, -43.21, -4.79)])
+    def test_wide_windows_hold_the_log_domain_anchor(self, n, x, y):
+        # the top term lies in [e^-765, 1e-300): a term outside the narrow
+        # windows can still rescale to a nonzero double, but every term
+        # outside the wide windows rescales to exactly 0.0
+        e = build_combo(n)
+        signs, log_terms = _Full(e).log_terms(x, y)
+        alive = signs != 0.0
+        top = float(np.max(log_terms[alive]))
+        assert _LOG_NEGLIGIBLE <= top < math.log(1e-300)
+        rescaled = []
+        for floor in (_LOG_NEGLIGIBLE, _LOG_WIDE):
+            wx, wy = e.term_window(x, _floor=floor), e.term_window(y, _floor=floor)
+            outside = alive.copy()
+            outside[max(wx.start, wy.start):min(wx.stop, wy.stop)] = False
+            with np.errstate(under="ignore"):
+                rescaled.append(np.exp(log_terms[outside] - top))
+        assert np.any(rescaled[0]) and not np.any(rescaled[1])
+        assert _bits(series_kernel(e, x, y)) == _bits(_Full(e).sum(x, y))
+
+    def test_block8_disjoint_pair_is_positive_zero(self, combo8, sliced_calls):
+        value = series_kernel(combo8, 0.0, 40.0)
+        assert _bits(value) == _bits(0.0)
+        assert sliced_calls
+        for terms in sliced_calls:
+            assert terms is not None and terms.stop - terms.start < len(combo8)
+
+    def test_grid_makes_each_wide_window_once(self, monkeypatch):
+        # every pair is all-tiny with meeting windows, so every point needs
+        # its wide window; a threads=1 grid makes it once per point
+        e = build_combo(5)
+        made = Counter()
+        real = Expansion.term_window
+
+        def spy(self, x, **floor):
+            if floor:
+                made[x] += 1
+            return real(self, x, **floor)
+
+        monkeypatch.setattr(Expansion, "term_window", spy)
+        rep = grid_report(e, (0.0, 0.25), (27.0, 28.0), 0.25, threads=1)
+        monkeypatch.undo()
+        full = _Full(e)
+        assert len(rep.rows) == 10
+        assert set(made) == {0.0, 0.25, 27.0, 27.25, 27.5, 27.75, 28.0}
+        assert set(made.values()) == {1}
         for x, y, _exact, series, _err, _bound in rep.rows:
             assert _bits(series) == _bits(full.sum(x, y)), (x, y)

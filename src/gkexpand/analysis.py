@@ -22,6 +22,7 @@ import numpy as np
 from . import blocks
 from .errors import DomainError, RangeError
 from .expansion import Expansion
+from .numerics import log_factorial
 
 __all__ = [
     "WeightStats",
@@ -124,7 +125,7 @@ def block_mass_bounds(n: int, p: float) -> tuple[float, float]:
     lo = scale * math.exp(-p / (12.0 * y)) * _power_integral(y, y + r, p)
     hi = scale * _power_integral(y - 1, y + r - 1, p)
     # ln k! at the block's largest k; the + 1 covers exp, power and fsum
-    slack = 4.0 * sys.float_info.epsilon * p * (math.lgamma(y + r) + 1.0)
+    slack = 4.0 * sys.float_info.epsilon * p * (log_factorial(y + r - 1) + 1.0)
     return lo * (1.0 - slack), hi * (1.0 + slack)
 
 

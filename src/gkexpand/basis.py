@@ -276,12 +276,13 @@ def fit_h_envelope(domain_edge: float, k_max: int = 5000) -> HEnvelope:
     log ratio at k0, and A is anchored so the envelope touches h_k0.  The
     fit is then checked against every k in [k0, k_max].
     """
-    if not domain_edge > 0.0:
-        raise DomainError("domain edge must be positive")
+    if not 0.0 < domain_edge < math.inf:
+        raise DomainError(f"domain edge must be positive and finite, got {domain_edge!r}")
     crit = 2.0 * math.e * domain_edge * domain_edge
-    k0 = int(math.floor(crit)) + 1
-    if k_max <= k0:
-        raise DomainError(f"k_max must exceed k0={k0}")
+    # k_max <= floor(crit) + 1, compared in floats: crit is inf for huge N
+    if k_max - 1 <= crit:
+        raise DomainError(f"k_max must exceed k0 = floor(2 e N^2) + 1, with 2 e N^2 = {crit:.6g}")
+    k0 = int(crit) + 1
     B = 0.5 * math.log(k0 / crit)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     logh = log_h_sup_many(ks, domain_edge)

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import basis, blocks
 from .errors import DomainError, RangeError
+from .numerics import CANCELLATION_FLUSH, log_factorial
 
 __all__ = [
     "RawPsi",
@@ -283,9 +284,8 @@ def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarra
         scaled = sv * np.exp(lv - safe_anchor[None, :])  # (c, r)
     sums = s @ scaled  # (c_slots, r)
     mags = np.abs(sums)
-    # Flush cancellations below 1e-14 of the dominant term to exact zero,
-    # matching the scalar signed log-sum semantics.
-    alive = (mags >= 1e-14) & ~dead[None, :]
+    # cancellations flush to exact zero, as in numerics.slv_sum
+    alive = (mags >= CANCELLATION_FLUSH) & ~dead[None, :]
     with np.errstate(divide="ignore"):
         logs = np.where(
             alive,
@@ -300,12 +300,12 @@ def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarra
 
 def _log_abs_psi(k: int, x: float) -> float:
     """log |psi_k(x)| = (k ln(2 x^2) - ln k!) / 2 - x^2.  Scalar arithmetic
-    with math.lgamma, so not bit-equal to basis.log_psi: it feeds only the
+    in another order, so not bit-equal to basis.log_psi: it feeds only the
     skip rule, whose threshold leaves a 20-unit margin, and a numpy call on
     one index costs ten times more."""
     if x == 0.0:  # psi_k(0) = 0 for every k >= 1
         return 0.0 if k == 0 else -math.inf
-    return 0.5 * (k * (_LN2 + 2.0 * math.log(abs(x))) - math.lgamma(k + 1.0)) - x * x
+    return 0.5 * (k * (_LN2 + 2.0 * math.log(abs(x))) - log_factorial(k)) - x * x
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +325,8 @@ def build_bounded(domain_edge: float, horizon: int) -> Expansion:
     Weight mass is summable (1 + pi^2/6 at most); the k = 0 term keeps the
     plain psi_0 with weight 1.
     """
-    if not domain_edge > 0.0:
-        raise DomainError("domain edge must be positive")
+    if not 0.0 < domain_edge < math.inf:
+        raise DomainError(f"domain edge must be positive and finite, got {domain_edge!r}")
     if horizon < 1:
         raise RangeError("horizon must be >= 1")
     ks = np.arange(horizon, dtype=np.float64)

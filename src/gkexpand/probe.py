@@ -352,7 +352,7 @@ def certificate_from_json(path: str | Path) -> ProbeCertificate:
     if doc["template"] not in TEMPLATES:
         raise DomainError(f"certificate {path} names unknown template {doc['template']!r}")
     try:
-        return ProbeCertificate(
+        cert = ProbeCertificate(
             kernel=doc["kernel"],
             template=doc["template"],
             epsilon=float(doc["epsilon"]),
@@ -365,3 +365,6 @@ def certificate_from_json(path: str | Path) -> ProbeCertificate:
         )
     except (TypeError, ValueError) as exc:
         raise DomainError(f"certificate {path} holds a malformed value: {exc}") from exc
+    if cert.n < 1:  # build_certificate's rule; the verifier divides by sqrt(n)
+        raise DomainError(f"certificate {path} has n={cert.n}; n must be >= 1")
+    return cert

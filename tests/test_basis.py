@@ -278,6 +278,12 @@ class TestEnvelope:
         assert env.sup_argmax == 19
         assert math.exp(env.sup_log_value) == pytest.approx(5.65776300662514, rel=1e-10)
 
+    @pytest.mark.parametrize("edge", [math.inf, math.nan, 1e200, 1e150])
+    def test_huge_or_non_finite_edge_rejected(self, edge):
+        # 2 e N^2 overflowed to inf and int(floor(inf)) raised OverflowError
+        with pytest.raises(DomainError):
+            fit_h_envelope(edge, k_max=5000)
+
     def test_envelope_dominates_tail(self):
         env = fit_h_envelope(3.0, k_max=5000)
         for k in (49, 100, 1234, 5000):

@@ -101,6 +101,22 @@ class TestExitCodes:
         assert "must be >= 1" in _one_error_line(capsys)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norms", "--scheme", "bounded", "--domain-edge", "inf"], "positive and finite"),
+            (["norms", "--scheme", "bounded", "--domain-edge", "1e200"], "k_max must exceed"),
+            (["reconstruct", "--scheme", "bounded", "--domain-edge", "inf"], "positive and finite"),
+        ],
+        ids=["norms-inf", "norms-1e200", "reconstruct-inf"],
+    )
+    def test_non_finite_domain_edge_is_domain_error(self, tmp_path, capsys, argv, message):
+        # norms ended in an OverflowError traceback at int(floor(2 e N^2));
+        # reconstruct passed on [0, inf]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert message in _one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bumpcheck_non_integer_index_is_domain_error(self, tmp_path, capsys):
         # was a ValueError traceback
         assert main(["bumpcheck", "--indices", "a,b", "--out-dir", str(tmp_path)]) == 1
@@ -205,8 +221,10 @@ class TestProbeCommand:
             (lambda doc: {**doc, "template": "saw"}, "unknown template 'saw'"),
             (lambda doc: {**doc, "points": ["x"] * doc["n"]}, "malformed value"),
             (lambda doc: [doc], "JSON object"),
+            (lambda doc: {**doc, "n": 0, "points": [], "coefficients": []}, "n must be >= 1"),
         ],
-        ids=["only-schema", "unknown-kernel", "unknown-template", "bad-point", "not-an-object"],
+        ids=["only-schema", "unknown-kernel", "unknown-template", "bad-point", "not-an-object",
+             "no-points"],
     )
     def test_verify_malformed_certificate_is_domain_error(self, tmp_path, capsys, edit, message):
         # the first three ended in KeyError tracebacks

@@ -7,7 +7,7 @@ import pytest
 
 from gkexpand.basis import eval_psi, peak
 from gkexpand.blocks import combo_descriptor, eval_combo
-from gkexpand.errors import RangeError
+from gkexpand.errors import DomainError, RangeError
 from gkexpand.expansion import (
     Combo,
     RawPsi,
@@ -80,6 +80,11 @@ class TestBuildBounded:
         sups = e._log_sups
         assert int(np.argmax(sups)) == 19
         assert math.exp(float(np.max(sups))) == pytest.approx(5.65776300662514, rel=1e-10)
+
+    @pytest.mark.parametrize("edge", [math.inf, math.nan, 0.0, -1.0])
+    def test_edge_must_be_positive_and_finite(self, edge):
+        with pytest.raises(DomainError):
+            build_bounded(edge, 50)
 
     def test_term_identity_with_raw(self):
         # lambda_k * h_k(x) h_k(t) telescopes back to psi_k(x) psi_k(t)

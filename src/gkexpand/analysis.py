@@ -85,7 +85,8 @@ def block_mass(e: Expansion, n: int, p: float) -> float:
         raise DomainError("p must be >= 1")
     if not 1 <= n <= int(e.max_block):
         raise RangeError(f"block {n} not present (max {e.max_block})")
-    lam = e.weights[e.block_slice(n)]
+    with np.errstate(under="ignore"):
+        lam = np.exp(e.log_weights[e.block_slice(n)])
     return math.fsum(np.power(lam, p).tolist())
 
 

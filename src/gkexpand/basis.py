@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .numerics import SLV_ZERO, SignedLogValue, log_factorial_array
 
 __all__ = [
@@ -48,6 +48,9 @@ _LN2 = math.log(2.0)
 # Grid pitch for empirical extremum scans.  The bumps have standard
 # deviation 1/2, so a 1e-3 pitch cannot skip a peak.
 GRID_STEP = 1e-3
+
+MAX_INDICES = 10**7  # k_max or horizon: 80 MB per array, 3.4x block 8's 2,949,075 terms
+MAX_BUMP_HALFWIDTH = 1000.0  # 2 * 10^6 grid points, 2,000 bump standard deviations
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +188,8 @@ def bump_error(k: PsiIndex, window_halfwidth: float) -> float:
         raise DomainError("bump error needs k >= 1")
     if not window_halfwidth > 0.0:
         raise DomainError("window halfwidth must be positive")
+    if window_halfwidth > MAX_BUMP_HALFWIDTH:
+        raise RangeError(f"window halfwidth {window_halfwidth!r} exceeds {MAX_BUMP_HALFWIDTH!r}")
     info = peak(k)
     steps = int(round(window_halfwidth / GRID_STEP))
     xs = info.x_peak + np.arange(-steps, steps + 1, dtype=np.float64) * GRID_STEP
@@ -278,6 +283,8 @@ def fit_h_envelope(domain_edge: float, k_max: int = 5000) -> HEnvelope:
     """
     if not 0.0 < domain_edge < math.inf:
         raise DomainError(f"domain edge must be positive and finite, got {domain_edge!r}")
+    if k_max > MAX_INDICES:
+        raise RangeError(f"k_max {k_max} exceeds {MAX_INDICES}")
     crit = 2.0 * math.e * domain_edge * domain_edge
     # k_max <= floor(crit) + 1, compared in floats: crit is inf for huge N
     if k_max - 1 <= crit:

@@ -30,6 +30,7 @@ RAW_NORM_TOL = 1e-3          # |m_k^2 sqrt(2 pi k) - 1| gate for k >= 1000
 COMBO_NORM_WINDOW = (0.95, 1.05)   # value^2 c sqrt(2 pi (y+h)) gate, n >= 3
 WEIGHT_MASS_WINDOW = (7.2, 8.8)    # G(n, 1) gate for n >= 4
 SLOPE_TOL = 0.15             # divergence fit vs 135/(sqrt(90 pi) ln 4)
+MAX_NORM_ROWS = 10**6        # raw and bounded norms: 10^6 rows take ~0.5 GB
 
 
 def _fmt(v: float) -> str:
@@ -133,7 +134,7 @@ def _norms_combo(args) -> tuple[list[list], bool, str]:
     jobs = []
     for n in range(1, args.max_block + 1):
         spec = blocks.block_spec(n)
-        hs = sorted(set(int(v) for v in np.linspace(0, spec.r - 1, args.rows)))
+        hs = sorted(set(int(v) for v in np.linspace(0, spec.r - 1, min(args.rows, spec.r))))
         slots = sorted(set(int(v) for v in np.linspace(0, spec.c - 1, min(args.slots, spec.c))))
         for h in hs:
             jobs.append((n, h, slots, spec))
@@ -187,6 +188,9 @@ def cmd_norms(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value < 1:
             raise DomainError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+    flag = {"raw": "horizon", "bounded": "k_max"}.get(args.scheme)  # one row per index
+    if flag and getattr(args, flag) > MAX_NORM_ROWS:
+        raise RangeError(f"--{flag.replace('_', '-')} {getattr(args, flag)} exceeds {MAX_NORM_ROWS} table rows")
     if args.scheme == "raw":
         rows, ok, detail = _norms_raw(args)
     elif args.scheme == "combo":

@@ -11,8 +11,11 @@ The three builders produce:
 * ``combo``    -- sign-recombined rows of the integer blocks, normalised,
                   with lambda = (sup-norm)^2.
 
-Term storage is array-backed; descriptors are materialised on demand so a
-deep combo expansion (block 8 has ~2.9 million terms) stays cheap.
+An expansion stores one per-term array, its log weights (a normalised raw
+or bounded one keeps its log sup-norms too): the linear weights are their
+exponentials, and a combo's log sup-norm is half its log weight.
+Descriptors are materialised on demand, so a deep combo expansion (block 8
+has ~2.9 million terms) stays cheap.
 
 psi_k(x)^2 = e^(-2 x^2) (2 x^2)^k / k! is the Poisson(2 x^2) probability of
 k, so at a point only a window of indices around 2 x^2 is above double
@@ -91,7 +94,6 @@ class Expansion:
     def __init__(
         self,
         scheme: str,
-        normalized: bool,
         log_weights: np.ndarray,
         *,
         domain_edge: float | None = None,
@@ -101,18 +103,13 @@ class Expansion:
         if scheme not in ("raw", "bounded", "combo"):
             raise DomainError(f"unknown scheme {scheme!r}")
         self.scheme = scheme
-        self.normalized = normalized
         self.domain_edge = domain_edge
         self.max_block = max_block
         self.log_weights = np.asarray(log_weights, dtype=np.float64)
-        # Linear mirror; underflows to 0.0 when ln(lambda) < -745.
-        with np.errstate(under="ignore"):
-            self.weights = np.exp(self.log_weights)
-        # log sup-norm of each (unnormalised) basis function; used to
-        # normalise evaluations.  None means "not needed" (already raw).
+        self.log_weights.flags.writeable = False
+        # log sup-norm of each raw or bounded basis function, given when the
+        # weights have absorbed it; a combo's is 0.5 * log_weights
         self._log_sups = None if log_sups is None else np.asarray(log_sups, np.float64)
-        for arr in (self.log_weights, self.weights):
-            arr.flags.writeable = False
         if self._log_sups is not None:
             self._log_sups.flags.writeable = False
         if self.scheme == "combo":
@@ -121,6 +118,17 @@ class Expansion:
             self._specs = [blocks.block_spec(n) for n in range(1, max_block + 1)]
         elif self.scheme == "bounded" and domain_edge is None:
             raise DomainError("bounded expansion needs a domain edge")
+
+    @property
+    def normalized(self) -> bool:
+        """Unit-sup-norm form: combo, or raw and bounded after normalize()."""
+        return self.scheme == "combo" or self._log_sups is not None
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Linear weights, exp(log_weights); 0.0 where ln(lambda) < -745."""
+        with np.errstate(under="ignore"):
+            return np.exp(self.log_weights)
 
     # ------------------------------------------------------------------
     # Term access
@@ -134,7 +142,10 @@ class Expansion:
         return self.horizon
 
     def weight(self, i: int) -> float:
-        return float(self.weights[i])
+        if not 0 <= i < self.horizon:
+            raise RangeError(f"term {i} outside [0, {self.horizon})")
+        with np.errstate(under="ignore"):
+            return float(np.exp(self.log_weights[i]))
 
     def descriptor(self, i: int) -> BasisDescriptor:
         if not 0 <= i < self.horizon:
@@ -179,14 +190,11 @@ class Expansion:
         if self.scheme == "raw":
             ks = np.arange(self.horizon, dtype=np.float64)
             log_m2 = basis.log_m_squared_many(ks)
-            return Expansion(
-                "raw", True, self.log_weights + log_m2, log_sups=0.5 * log_m2
-            )
+            return Expansion("raw", self.log_weights + log_m2, log_sups=0.5 * log_m2)
         # bounded: sup of h_k on [0, N]
         log_sups = basis.log_h_sup_many(np.arange(self.horizon), float(self.domain_edge))
         return Expansion(
             "bounded",
-            True,
             self.log_weights + 2.0 * log_sups,
             domain_edge=self.domain_edge,
             log_sups=log_sups,
@@ -220,7 +228,7 @@ class Expansion:
         signs, logs = basis.log_psi(ks, x)
         if self.scheme == "bounded":  # h_k = k psi_k, h_0 = psi_0
             logs = logs + np.log(np.maximum(ks, 1.0))
-        if self.normalized and self._log_sups is not None:
+        if self._log_sups is not None:
             logs = logs - self._log_sups[start:stop]
         return signs, logs
 
@@ -234,9 +242,7 @@ class Expansion:
         logs = np.empty(size)
         for spec in specs:
             s, l = _combo_block_log_values(spec, x)
-            sl = slice(spec.y, spec.next_start)
-            if self._log_sups is not None:
-                l = l - self._log_sups[sl]
+            l = l - 0.5 * self.log_weights[spec.y : spec.next_start]  # ln sup = ln(lambda) / 2
             signs[spec.y - base : spec.next_start - base] = s
             logs[spec.y - base : spec.next_start - base] = l
         cut = slice(start - base, stop - base)
@@ -312,11 +318,17 @@ def _log_abs_psi(k: int, x: float) -> float:
 # Builders
 
 
-def build_raw(horizon: int) -> Expansion:
-    """Plain truncation of the kernel power series: unit weights on psi_k."""
+def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise RangeError("horizon must be >= 1")
-    return Expansion("raw", False, np.zeros(horizon))
+    if horizon > basis.MAX_INDICES:
+        raise RangeError(f"horizon {horizon} exceeds {basis.MAX_INDICES} terms")
+
+
+def build_raw(horizon: int) -> Expansion:
+    """Plain truncation of the kernel power series: unit weights on psi_k."""
+    _check_horizon(horizon)
+    return Expansion("raw", np.zeros(horizon))
 
 
 def build_bounded(domain_edge: float, horizon: int) -> Expansion:
@@ -327,11 +339,10 @@ def build_bounded(domain_edge: float, horizon: int) -> Expansion:
     """
     if not 0.0 < domain_edge < math.inf:
         raise DomainError(f"domain edge must be positive and finite, got {domain_edge!r}")
-    if horizon < 1:
-        raise RangeError("horizon must be >= 1")
+    _check_horizon(horizon)
     ks = np.arange(horizon, dtype=np.float64)
     log_w = np.where(ks > 0, -2.0 * np.log(np.where(ks > 0, ks, 1.0)), 0.0)
-    return Expansion("bounded", False, log_w, domain_edge=float(domain_edge))
+    return Expansion("bounded", log_w, domain_edge=float(domain_edge))
 
 
 def build_combo(max_block: int, cap: int = DEFAULT_BLOCK_CAP) -> Expansion:
@@ -348,18 +359,9 @@ def build_combo(max_block: int, cap: int = DEFAULT_BLOCK_CAP) -> Expansion:
     if max_block > cap:
         raise RangeError(f"max_block {max_block} exceeds cap {cap}")
     parts = []
-    sup_parts = []
     for n in range(1, max_block + 1):
         spec = blocks.block_spec(n)
         lm2 = basis.log_m_squared_many(spec.y + np.arange(spec.r, dtype=np.float64))
         log_lam_rows = lm2 - math.log(spec.c)  # ln(m^2 / c) per row
         parts.append(np.repeat(log_lam_rows, spec.c))
-        sup_parts.append(np.repeat(0.5 * log_lam_rows, spec.c))
-    log_w = np.concatenate(parts)
-    return Expansion(
-        "combo",
-        True,
-        log_w,
-        max_block=max_block,
-        log_sups=np.concatenate(sup_parts),
-    )
+    return Expansion("combo", np.concatenate(parts), max_block=max_block)

@@ -131,6 +131,24 @@ class TestRatios:
         assert abs(ratio / 0.25 - 1.0) <= 0.10
 
 
+class TestSliceExponentiation:
+    """block_mass and lp_norm_check exponentiate only the log weights they
+    sum, with the bits of slicing the full linear array."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_block_mass_bits(self, combo8, p):
+        lam = np.exp(combo8.log_weights)
+        for n in range(1, 9):
+            expected = math.fsum(np.power(lam[combo8.block_slice(n)], p).tolist())
+            assert block_mass(combo8, n, p) == expected
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_lp_norm_bits(self, combo8, p):
+        direct = math.fsum(np.power(np.exp(combo8.log_weights), p).tolist())
+        tail = predicted_block_mass(9, p) / (1.0 - 4.0 ** (1.0 - p))
+        assert lp_norm_check(combo8, p)[0] == direct + tail
+
+
 class TestLpNorm:
     def test_total_matches_direct_oracle(self, combo8):
         total, converged = lp_norm_check(combo8, 2.0)

@@ -36,6 +36,20 @@ def _src_env(**extra: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def _run_capped(argv: list[str], out_dir: Path) -> subprocess.CompletedProcess:
+    """Run the CLI in a child capped at 1 GiB of address space, with a
+    timeout: an oversized request then ends quickly in a MemoryError or a
+    timeout, not in taking the machine's memory."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "gkexpand.cli", *argv, "--out-dir", str(out_dir)],
+        env=_src_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+        timeout=60, preexec_fn=cap_memory,
+    )
+
+
 def _one_error_line(capsys) -> str:
     out, err = capsys.readouterr()
     assert out == ""
@@ -67,22 +81,44 @@ class TestExitCodes:
     @pytest.mark.parametrize("span, step", [("0:1", "1e-300"), ("0:1e10", "1e-300"), ("0:1000", "0.5")])
     def test_oversized_grid_is_range_error(self, tmp_path, span, step):
         # 0:1 built a 10^300-entry list until killed, 0:1e10 ended in an
-        # OverflowError traceback.  A child capped at 1 GiB of address space
-        # turns a regression into a quick MemoryError, not a full machine.
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "gkexpand.cli", "reconstruct", "--range", span,
-             "--step", step, "--out-dir", str(tmp_path)],
-            env=_src_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
-            timeout=60, preexec_fn=cap_memory,
-        )
+        # OverflowError traceback
+        proc = _run_capped(["reconstruct", "--range", span, "--step", step], tmp_path)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "1000000 pairs" in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norms", "--scheme", "bounded", "--k-max", "10000000000"], "--k-max 10000000000 exceeds 1000000 table rows"),
+            (["norms", "--scheme", "bounded", "--k-max", "100000000"], "--k-max 100000000 exceeds 1000000 table rows"),
+            (["norms", "--scheme", "raw", "--horizon", "10000000000"], "--horizon 10000000000 exceeds 1000000 table rows"),
+            (["reconstruct", "--scheme", "raw", "--horizon", "10000000000"], "horizon 10000000000 exceeds 10000000 terms"),
+            (["reconstruct", "--scheme", "bounded", "--horizon", "10000000000"], "horizon 10000000000 exceeds 10000000 terms"),
+            (["bumpcheck", "--window", "1e12"], "window halfwidth 1000000000000.0 exceeds 1000.0"),
+            (["bumpcheck", "--window", "inf"], "window halfwidth inf exceeds 1000.0"),
+        ],
+        ids=["norms-k-max-1e10", "norms-k-max-1e8", "norms-raw-horizon", "reconstruct-raw",
+             "reconstruct-bounded", "bumpcheck-window", "bumpcheck-inf-window"],
+    )
+    def test_oversized_count_is_range_error(self, tmp_path, argv, message):
+        # each ended in a MemoryError traceback under the 1 GiB cap (the raw
+        # norms table after a minute of looping); window inf in an OverflowError
+        proc = _run_capped(argv, tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_norms_rows_clamped_to_block(self, tmp_path):
+        # --rows 10^10 asked np.linspace for 74.5 GiB; from rows = r on,
+        # every row of a block is sampled once, so the clamp moves no byte
+        proc = _run_capped(["norms", "--scheme", "combo", "--max-block", "2",
+                            "--rows", "10000000000"], tmp_path / "huge")
+        assert proc.returncode == 0, proc.stderr
+        assert main(["norms", "--scheme", "combo", "--max-block", "2", "--rows", "270",
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        assert _dir_bytes(tmp_path / "huge") == _dir_bytes(tmp_path / "r")
 
     @pytest.mark.parametrize(
         "argv",

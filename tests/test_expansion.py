@@ -169,3 +169,37 @@ class TestTermAccess:
     def test_out_of_range(self, combo4):
         with pytest.raises(RangeError):
             combo4.descriptor(len(combo4))
+
+    @pytest.mark.parametrize("i", [-1, 11475])
+    def test_weight_out_of_range(self, combo4, i):
+        # weight(-1) returned the last weight, weight(horizon) an IndexError
+        with pytest.raises(RangeError):
+            combo4.weight(i)
+
+    def test_weight_at_both_ends(self, combo4):
+        weights = combo4.weights
+        assert combo4.weight(0) == weights[0]
+        assert combo4.weight(len(combo4) - 1) == weights[-1]
+
+
+class TestOnePerTermArray:
+    """A combo expansion keeps only its log weights; the linear weights, the
+    combo sup-norms and the normalised flag derive from them."""
+
+    def test_block8_holds_one_horizon_array(self, combo8):
+        held = [name for name, v in vars(combo8).items()
+                if isinstance(v, np.ndarray) and v.shape[:1] == (len(combo8),)]
+        assert held == ["log_weights"]
+
+    def test_weight_has_the_bits_of_weights(self, combo8):
+        weights = combo8.weights
+        # np.exp of one element has the array's bits; math.exp does not
+        for i in range(0, len(combo8), 997):
+            assert combo8.weight(i) == weights[i]
+
+    def test_normalized_flag(self):
+        raw, bounded, combo = build_raw(50), build_bounded(3.0, 50), build_combo(2)
+        assert (raw.normalized, bounded.normalized, combo.normalized) == (False, False, True)
+        assert raw.normalize().normalized and bounded.normalize().normalized
+        assert combo.normalize() is combo
+

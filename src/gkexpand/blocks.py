@@ -58,10 +58,27 @@ _MAX_BLOCK_64BIT = 28
 
 # Sup-norm searches look at +-2 around each peak: contributions from
 # outside a window are below 1e-11 of the peak, far under every tolerance.
+# A window's grid scan sums only its nearby columns (`_SCAN_NEIGHBOURS`).
 WINDOW_HALFWIDTH = 2.0
 
 # Limiting value of the in-row peak separation, 135 / (4 sqrt(90)).
 SEPARATION_LIMIT = 135.0 / (4.0 * math.sqrt(90.0))
+
+# The grid scan of window k sums columns k-1..k+1 only, and no bit moves:
+# - the peaks of a row are at least min_row_separation(n) >= SEPARATION_LIMIT
+#   (3.557) apart, so every grid point of window k lies at least
+#   2 * 3.557 - WINDOW_HALFWIDTH ~ 5.1 from the peak of any column two or
+#   more away;
+# - those columns sum to less than 2^-58 of the row's sup-norm through
+#   block 12 (each psi_j is monotone from a window's edge to its own peak,
+#   and the edge values bound the sum by 1.2e-23 at block 8 and 2.5e-23 at
+#   block 12 on the first, middle and last rows);
+# - half an ulp of the winning grid value is at least 2^-54 of it, so
+#   neither the argmax nor its value can change.
+# Not proved: BLAS sums 3 columns instead of c, in an order of its own.  The
+# bit-equality tests against the full-row scan in tests/test_blocks.py
+# cover that.
+_SCAN_NEIGHBOURS = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,14 +203,16 @@ def eval_combo(d: ComboDescriptor, x: float) -> SignedLogValue:
     return slv_sum(terms).scaled(-0.5 * math.log(d.block.c))
 
 
-def row_values(spec: BlockSpec, h: int, xs: np.ndarray) -> np.ndarray:
+def row_values(
+    spec: BlockSpec, h: int, xs: np.ndarray, cols: slice = slice(None)
+) -> np.ndarray:
     """Signed linear psi values of one row's raw indices over a grid.
 
-    Returns shape (c, len(xs)); entries below the double underflow limit
-    come out as 0, which is harmless for the absolute comparisons these
-    matrices feed.
+    Returns shape (len(columns), len(xs)) for the row's columns ``cols``
+    (default all c); entries below the double underflow limit come out as
+    0, which is harmless for the absolute comparisons these matrices feed.
     """
-    idx = np.asarray(row_indices(spec, h), dtype=np.float64)
+    idx = np.asarray(row_indices(spec, h)[cols], dtype=np.float64)
     signs, logs = basis.log_psi(idx[:, None], np.asarray(xs, dtype=np.float64))
     with np.errstate(under="ignore"):
         vals = np.exp(logs, out=logs)
@@ -227,8 +246,9 @@ def row_sup_norms(
     """Sup-norms of several slots of one row, sharing the grid evaluations.
 
     Returns [(slot, x_star, value), ...] in the order requested.  All slots
-    of a row share the same peak windows, so the psi grid is computed once
-    per window and reused.
+    of a row share the same peak windows.  The grid scan of window k
+    evaluates only columns k-1, k and k+1 (see `_SCAN_NEIGHBOURS`), once
+    for all slots; the golden-section refinement then sums the whole row.
     """
     spec = block_spec(n)
     slots = range(spec.c) if slots is None else list(slots)
@@ -244,11 +264,12 @@ def row_sup_norms(
     best_v = {s: -1.0 for s in slots}
     steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
     offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
-    for pk in idx:
+    for k, pk in enumerate(idx):
         center = math.sqrt(pk / 2.0)
         xs = center + offsets
-        vals = row_values(spec, h, xs)  # (c, nx)
-        combos = np.abs(srows @ vals) * scale  # (len(slots), nx)
+        lo, hi = max(k - _SCAN_NEIGHBOURS, 0), k + _SCAN_NEIGHBOURS + 1
+        vals = row_values(spec, h, xs, slice(lo, hi))  # (<= 3, nx)
+        combos = np.abs(srows[:, lo:hi] @ vals) * scale  # (len(slots), nx)
         arg = np.argmax(combos, axis=1)
         for si, s in enumerate(slots):
             v = float(combos[si, arg[si]])

@@ -37,6 +37,7 @@ __all__ = [
     "grid_report",
     "EVAL_SLACK",
     "MAX_GRID_PAIRS",
+    "MAX_COLUMN_BYTES",
 ]
 
 # Allowance for accumulated double rounding when comparing a float series
@@ -50,6 +51,11 @@ _LINEAR_FLOOR_LOG = math.log(1e-300)
 
 # Most (x, y) pairs a grid report evaluates; the CLI's default grid has 625.
 MAX_GRID_PAIRS = 10**6
+
+# Most bytes a raw or bounded grid report holds in its columns: each grid
+# column keeps full-horizon (signs, logs), 16 bytes per term.  Combo columns
+# hold term windows, not the horizon, and are not counted against it.
+MAX_COLUMN_BYTES = 2**29
 
 
 def exact_kernel(x: float, y: float, eta: float = 1.0) -> float:
@@ -242,7 +248,8 @@ def grid_report(
     For eta != 1 inputs are rescaled by 1/sqrt(eta) at this edge; the
     expansion itself always lives at unit width.  Rows are produced in a
     fixed order regardless of the thread count.  A grid of more than
-    MAX_GRID_PAIRS pairs raises RangeError before any point is built.
+    MAX_GRID_PAIRS pairs, or raw or bounded columns of more than
+    MAX_COLUMN_BYTES, raises RangeError before any point is built.
     Every pair goes through :func:`_pair_sum`, so no combo pair evaluates
     the full horizon; a grid point keeps its wide values once made.
     """
@@ -257,6 +264,10 @@ def grid_report(
     for v in (xs[0], xs[-1], ys[0], ys[-1]):
         _check_domain(e, v * scale)
     horizon = len(e)
+    if e.scheme != "combo" and ny * horizon * 16 > MAX_COLUMN_BYTES:
+        raise RangeError(
+            f"{ny} grid columns of {horizon} terms exceed {MAX_COLUMN_BYTES} bytes"
+        )
     by = [_Point(e, y * scale) for y in ys]
 
     def do_row(x: float) -> list[tuple[float, float, float, float, float, float | None]]:

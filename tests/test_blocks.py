@@ -6,9 +6,12 @@ import time
 import numpy as np
 import pytest
 
+from gkexpand import basis, blocks
 from gkexpand.basis import eval_psi, peak
 from gkexpand.blocks import (
     SEPARATION_LIMIT,
+    WINDOW_HALFWIDTH,
+    _combo_abs_at,
     block_spec,
     combo_descriptor,
     combo_sup_norm,
@@ -20,7 +23,9 @@ from gkexpand.blocks import (
     sign_matrix,
     sign_rows,
 )
+from gkexpand.cli import COMBO_NORM_WINDOW
 from gkexpand.errors import RangeError
+from gkexpand.optimize import golden_max
 
 # The worked 8x8 recombination table (block 4).
 TABLE_N4 = np.array(
@@ -272,6 +277,117 @@ class TestComboSupNorm:
         x1, v1 = combo_sup_norm(d)
         (_, x2, v2), = row_sup_norms(3, 7, slots=(2,))
         assert (x1, v1) == (x2, v2)
+
+
+def full_row_scan_sup_norms(n, h, slots):
+    """The earlier `row_sup_norms`: every grid window sums all c columns.
+
+    Kept as the reference the local scan must match bit for bit.
+    """
+    spec = block_spec(n)
+    srows = sign_rows(n, slots).astype(np.float64)
+    idx = np.asarray(row_indices(spec, h), dtype=np.float64)
+    scale = spec.c**-0.5
+    best_x = {s: 0.0 for s in slots}
+    best_v = {s: -1.0 for s in slots}
+    steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
+    offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
+    for pk in idx:
+        xs = math.sqrt(pk / 2.0) + offsets
+        combos = np.abs(srows @ row_values(spec, h, xs)) * scale
+        arg = np.argmax(combos, axis=1)
+        for si, s in enumerate(slots):
+            v = float(combos[si, arg[si]])
+            if v > best_v[s]:
+                best_v[s] = v
+                best_x[s] = float(xs[arg[si]])
+    out = []
+    for si, s in enumerate(slots):
+        x_star, v_star = golden_max(
+            lambda x, sa=srows[si]: _combo_abs_at(sa, idx, scale, x),
+            best_x[s] - basis.GRID_STEP,
+            best_x[s] + basis.GRID_STEP,
+            xtol=1e-10,
+        )
+        if v_star < best_v[s]:
+            x_star, v_star = best_x[s], best_v[s]
+        out.append((s, x_star, v_star))
+    return out
+
+
+def dropped_column_ratio(n, h):
+    """Largest sum of |psi| over columns two or more from a scan window,
+    over any grid point of that window, relative to a lower bound on the
+    sup-norm of every combo of the row (basis.log_psi only).
+
+    Each psi_j rises up to its own peak and falls after it, so on window k
+    it is largest at the window edge nearer that peak: columns j >= k + 2
+    are bounded at the right edge, columns j <= k - 2 at the left one.  Any
+    combo exceeds psi_0 - sum_{j >= 1} |psi_j| at the first column's centre.
+    """
+    spec = block_spec(n)
+    idx = np.asarray(row_indices(spec, h), dtype=np.float64)
+    steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
+    offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
+    centres = np.sqrt(idx / 2.0)
+    cols = np.arange(spec.c)[:, None]
+    worst = 0.0
+    with np.errstate(under="ignore"):
+        for w0 in range(0, spec.c, 256):
+            win = np.arange(w0, min(w0 + 256, spec.c))[None, :]
+            left = np.exp(basis.log_psi(idx[:, None], centres[win] + offsets[0])[1])
+            right = np.exp(basis.log_psi(idx[:, None], centres[win] + offsets[-1])[1])
+            dropped = np.where(cols <= win - 2, left, 0.0)
+            dropped += np.where(cols >= win + 2, right, 0.0)
+            worst = max(worst, float(dropped.sum(axis=0).max()))
+        at_first = np.exp(basis.log_psi(idx, centres[0])[1])
+    return worst / (at_first[0] - at_first[1:].sum())
+
+
+class TestLocalScan:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_dropped_columns_below_half_ulp(self, n):
+        # the premise of the three-column scan: the columns it leaves out
+        # sum to less than 2^-58 of the row's sup-norm, and half an ulp of
+        # the winning grid value is at least 2^-54 of it
+        spec = block_spec(n)
+        for h in (0, spec.r // 2, spec.r - 1):
+            assert dropped_column_ratio(n, h) < 2.0**-58
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bits_match_full_row_scan(self, n):
+        spec = block_spec(n)
+        slots = (0, 1, spec.c - 2, spec.c - 1)
+        for h in (0, spec.r // 2, spec.r - 1):
+            assert row_sup_norms(n, h, slots) == full_row_scan_sup_norms(n, h, slots)
+
+    def test_bits_match_full_row_scan_whole_row(self):
+        c = block_spec(5).c
+        assert row_sup_norms(5, 1000) == full_row_scan_sup_norms(5, 1000, range(c))
+
+    def test_scan_evaluates_three_columns_per_window(self, monkeypatch):
+        returned = []
+
+        def spy(*args):
+            vals = row_values(*args)
+            returned.append(vals.size)
+            return vals
+
+        monkeypatch.setattr(blocks, "row_values", spy)
+        row_sup_norms(7, 4321, (0, 17, 40, 63))
+        # 2 edge windows of 2 columns and 62 windows of 3, not 64 x 64
+        assert sum(returned) == 190 * 4001
+        assert len(returned) == 64
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_deep_blocks_obey_norm_law(self, n):
+        spec = block_spec(n)
+        h = spec.r - 1
+        lo, hi = COMBO_NORM_WINDOW
+        result = row_sup_norms(n, h, (0, spec.c - 1))
+        assert [s for s, _x, _v in result] == [0, spec.c - 1]
+        for _s, _x, v in result:
+            assert lo <= v * v * spec.c * math.sqrt(2.0 * math.pi * (spec.y + h)) <= hi
 
 
 class TestEnergyInvariance:

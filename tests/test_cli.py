@@ -97,15 +97,19 @@ class TestExitCodes:
             (["norms", "--scheme", "raw", "--horizon", "10000000000"], "--horizon 10000000000 exceeds 1000000 table rows"),
             (["reconstruct", "--scheme", "raw", "--horizon", "10000000000"], "horizon 10000000000 exceeds 10000000 terms"),
             (["reconstruct", "--scheme", "bounded", "--horizon", "10000000000"], "horizon 10000000000 exceeds 10000000 terms"),
+            (["reconstruct", "--scheme", "raw", "--horizon", "3000000"], "25 grid columns of 3000000 terms exceed 536870912 bytes"),
+            (["reconstruct", "--scheme", "bounded", "--horizon", "3000000", "--range", "0:3"], "13 grid columns of 3000000 terms exceed 536870912 bytes"),
             (["bumpcheck", "--window", "1e12"], "window halfwidth 1000000000000.0 exceeds 1000.0"),
             (["bumpcheck", "--window", "inf"], "window halfwidth inf exceeds 1000.0"),
         ],
         ids=["norms-k-max-1e10", "norms-k-max-1e8", "norms-raw-horizon", "reconstruct-raw",
-             "reconstruct-bounded", "bumpcheck-window", "bumpcheck-inf-window"],
+             "reconstruct-bounded", "reconstruct-raw-columns", "reconstruct-bounded-columns",
+             "bumpcheck-window", "bumpcheck-inf-window"],
     )
     def test_oversized_count_is_range_error(self, tmp_path, argv, message):
         # each ended in a MemoryError traceback under the 1 GiB cap (the raw
-        # norms table after a minute of looping); window inf in an OverflowError
+        # norms table after a minute of looping; the reconstruct columns after
+        # building a full-horizon pair per column); window inf in an OverflowError
         proc = _run_capped(argv, tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []

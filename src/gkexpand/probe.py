@@ -49,11 +49,18 @@ _LATTICE_LIMIT = 1e15
 
 @dataclass(frozen=True, slots=True)
 class RadialProfile:
-    """A decaying radial kernel profile F with F(0) = 1."""
+    """A decaying radial kernel profile F with F(0) = 1.
+
+    ``support`` is a declared fact: f(u) == 0.0 for every u >= support.
+    The pair sums skip every pair at or beyond it.  The default, inf,
+    claims only f(inf) == 0.0, the limit of any decaying profile, so every
+    pair of finite points whose difference does not overflow is evaluated.
+    """
 
     name: str
     f: Callable[[float], float]
     closed_form_radius: Callable[[float], float]
+    support: float = math.inf
 
     def __call__(self, u: float) -> float:
         return self.f(u)
@@ -73,9 +80,15 @@ def _cauchy(u: float) -> float:
 
 
 PROFILES: dict[str, RadialProfile] = {
-    "gaussian": RadialProfile("gaussian", _gauss, lambda t: math.sqrt(math.log(1.0 / t))),
-    "laplace": RadialProfile("laplace", _laplace, lambda t: math.log(1.0 / t)),
-    "cauchy": RadialProfile("cauchy", _cauchy, lambda t: math.sqrt(1.0 / t - 1.0)),
+    # the float square of sqrt(745.0) is >= 745.0, _gauss's zero branch
+    "gaussian": RadialProfile(
+        "gaussian", _gauss, lambda t: math.sqrt(math.log(1.0 / t)), math.sqrt(745.0)
+    ),
+    "laplace": RadialProfile("laplace", _laplace, lambda t: math.log(1.0 / t), 745.0),
+    # from 2^512 on, u * u overflows to inf and _cauchy returns 0.0
+    "cauchy": RadialProfile(
+        "cauchy", _cauchy, lambda t: math.sqrt(1.0 / t - 1.0), 2.0**512
+    ),
 }
 
 
@@ -181,7 +194,7 @@ def build_certificate(
     y_1 is the first template point with |psi| > delta; each later point is
     the first template point beyond y_i + decay_radius(F, eps / 2^(i+1)).
     Coefficient signs follow sign(psi(y_i)).  Both certified quantities are
-    computed by the exact O(n^2) pair sum.
+    computed by the exact pair sum over the pairs inside F's support.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -236,16 +249,45 @@ def _certify(
     )
 
 
+def _support_rows(pts: tuple[float, ...], profile: RadialProfile):
+    """Yield, for each row i, (lo, [F(y_i - y_j) for j = lo..i-1]): the
+    pairs j < i inside F's support.
+
+    The points must be finite and strictly increasing.  Then u = y_i - y_j
+    is |y_i - y_j|, and since rounding is monotone it never shrinks as j
+    falls or i grows: the pairs inside the support form a window [lo, i)
+    whose start only moves up, and every F outside it is exactly 0.0.
+    fsum is correctly rounded, so dropping those zeros moves no bit.
+    """
+    f = profile.f
+    support = profile.support
+    lo = 0
+    for i, yi in enumerate(pts):
+        while lo < i and yi - pts[lo] >= support:
+            lo += 1
+        yield lo, [f(yi - yj) for yj in pts[lo:i]]
+
+
 def _quad_form(
     pts: tuple[float, ...], coeffs: tuple[float, ...], profile: RadialProfile
 ) -> float:
-    n = len(pts)
     terms = []
-    for i in range(n):
-        terms.append(coeffs[i] * coeffs[i])  # F(0) = 1
-        for j in range(i):
-            terms.append(2.0 * coeffs[i] * coeffs[j] * profile(abs(pts[i] - pts[j])))
+    for i, (lo, row) in enumerate(_support_rows(pts, profile)):
+        ci = coeffs[i]
+        terms.append(ci * ci)  # F(0) = 1
+        ci2 = 2.0 * ci  # exact, so each term keeps the bits of 2 * ci * cj * F
+        terms.extend([ci2 * cj * fu for cj, fu in zip(coeffs[lo:i], row)])
     return math.fsum(terms)
+
+
+def _points_fault(pts: tuple[float, ...]) -> str | None:
+    """Why the pair sums' support window cannot run on these points, if it
+    cannot: it needs them finite and strictly increasing."""
+    if not all(math.isfinite(y) for y in pts):
+        return "points_not_finite"
+    if any(b <= a for a, b in zip(pts, pts[1:])):
+        return "points_not_increasing"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,10 +317,11 @@ def verify_certificate(
     coeffs = cert.coefficients
     if len(pts) != n or len(coeffs) != n:
         return VerificationResult(False, "size_mismatch", math.nan, math.nan)
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        return VerificationResult(False, "points_not_increasing", math.nan, math.nan)
+    fault = _points_fault(pts)
+    if fault:
+        return VerificationResult(False, fault, math.nan, math.nan)
     inv_sqrt_n = 1.0 / math.sqrt(n)
-    if any(abs(abs(a) - inv_sqrt_n) > 1e-15 for a in coeffs):
+    if not all(abs(abs(a) - inv_sqrt_n) <= 1e-15 for a in coeffs):
         return VerificationResult(False, "bad_coefficient_magnitude", math.nan, math.nan)
     quad = _quad_form(pts, coeffs, profile)
     lin = math.fsum(a * template.value(y) for a, y in zip(coeffs, pts))
@@ -296,15 +339,20 @@ def offdiag_row_sums(
     """Per-row off-diagonal mass against its geometric budget.
 
     Returns (i, sum_{j<i} |F(y_i - y_j)|, (i-1) eps / 2^i) for i = 2..n,
-    1-based as in the gap schedule.
+    1-based as in the gap schedule.  Raises DomainError unless the
+    certificate holds n finite, strictly increasing points.
     """
     pts = cert.points
-    out = []
-    for i in range(2, cert.n + 1):
-        yi = pts[i - 1]
-        s = math.fsum(profile(abs(yi - yj)) for yj in pts[: i - 1])
-        out.append((i, s, (i - 1) * cert.epsilon / 2.0**i))
-    return out
+    if len(pts) != cert.n:
+        raise DomainError(f"certificate holds {len(pts)} points for n={cert.n}")
+    fault = _points_fault(pts)
+    if fault:
+        raise DomainError(f"certificate points fail the row sums: {fault}")
+    return [
+        (i, math.fsum(row), (i - 1) * cert.epsilon / 2.0**i)
+        for i, (_lo, row) in enumerate(_support_rows(pts, profile), start=1)
+        if i >= 2
+    ]
 
 
 def implied_weight_bound(cert: ProbeCertificate) -> float:
@@ -351,20 +399,30 @@ def certificate_from_json(path: str | Path) -> ProbeCertificate:
         raise DomainError(f"certificate {path} names unknown kernel {doc['kernel']!r}")
     if doc["template"] not in TEMPLATES:
         raise DomainError(f"certificate {path} names unknown template {doc['template']!r}")
+    if not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
+        raise DomainError(f"certificate {path} has n={doc['n']!r}; n must be an integer")
     try:
         cert = ProbeCertificate(
             kernel=doc["kernel"],
             template=doc["template"],
             epsilon=float(doc["epsilon"]),
             delta=float(doc["delta"]),
-            n=int(doc["n"]),
+            n=doc["n"],
             points=tuple(float(v) for v in doc["points"]),
             coefficients=tuple(float(v) for v in doc["coefficients"]),
             quad_form=float(doc["quad_form"]),
             lin_form_sq=float(doc["lin_form_sq"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"certificate {path} holds a malformed value: {exc}") from exc
-    if cert.n < 1:  # build_certificate's rule; the verifier divides by sqrt(n)
+    # build_certificate's rules: a certificate outside them is vacuous, and
+    # the pair sums' support window needs finite points
+    if cert.n < 1:
         raise DomainError(f"certificate {path} has n={cert.n}; n must be >= 1")
+    for name in ("epsilon", "delta"):
+        if not 0.0 < getattr(cert, name) < 1.0:
+            raise DomainError(f"certificate {path} has {name}={doc[name]!r}; it must lie in (0, 1)")
+    for name in ("points", "coefficients"):
+        if not all(math.isfinite(v) for v in getattr(cert, name)):
+            raise DomainError(f"certificate {path} holds a non-finite value in {name}")
     return cert

@@ -262,12 +262,20 @@ class TestProbeCommand:
             (lambda doc: {**doc, "points": ["x"] * doc["n"]}, "malformed value"),
             (lambda doc: [doc], "JSON object"),
             (lambda doc: {**doc, "n": 0, "points": [], "coefficients": []}, "n must be >= 1"),
+            (lambda doc: {**doc, "points": [*doc["points"][:-1], float("inf")]}, "non-finite"),
+            (lambda doc: {**doc, "coefficients": [float("nan"), *doc["coefficients"][1:]]},
+             "non-finite"),
+            (lambda doc: {**doc, "delta": 0.0}, "delta=0.0; it must lie in (0, 1)"),
+            (lambda doc: {**doc, "epsilon": 5.0}, "epsilon=5.0; it must lie in (0, 1)"),
+            (lambda doc: {**doc, "n": 5.7}, "n must be an integer"),
         ],
         ids=["only-schema", "unknown-kernel", "unknown-template", "bad-point", "not-an-object",
-             "no-points"],
+             "no-points", "infinite-point", "nan-coefficient", "zero-delta", "large-epsilon",
+             "fractional-n"],
     )
     def test_verify_malformed_certificate_is_domain_error(self, tmp_path, capsys, edit, message):
-        # the first three ended in KeyError tracebacks
+        # the first three ended in KeyError tracebacks, an infinite point in
+        # a math domain error, and the last three in a vacuous PASS
         cert = _built_certificate(tmp_path, capsys)
         cert.write_text(json.dumps(edit(json.loads(cert.read_text()))))
         assert main(["probe", "--verify", str(cert)]) == 1

@@ -1,6 +1,8 @@
 """Impossibility probes: decay radii, certificates, verification."""
 
 import dataclasses
+import functools
+import json
 import math
 
 import pytest
@@ -9,6 +11,8 @@ from gkexpand.errors import ConstructionError, DomainError
 from gkexpand.probe import (
     PROFILES,
     TEMPLATES,
+    RadialProfile,
+    _quad_form,
     build_certificate,
     certificate_from_json,
     certificate_to_json,
@@ -217,10 +221,161 @@ class TestSerialisation:
         cert = build_certificate(PROFILES["gaussian"], TEMPLATES["cos"], 0.1, 5)
         path = tmp_path / "cert.json"
         certificate_to_json(cert, path)
-        import json
-
         doc = json.loads(path.read_text())
         doc["schema_version"] = 0
         path.write_text(json.dumps(doc))
         with pytest.raises(DomainError):
+            certificate_from_json(path)
+
+
+def _full_quad_form(pts, coeffs, profile):
+    """The full O(n^2) double loop the support window replaced, kept as the
+    bit-for-bit reference."""
+    terms = []
+    for i in range(len(pts)):
+        terms.append(coeffs[i] * coeffs[i])
+        for j in range(i):
+            terms.append(2.0 * coeffs[i] * coeffs[j] * profile(abs(pts[i] - pts[j])))
+    return math.fsum(terms)
+
+
+def _full_offdiag_row_sums(cert, profile):
+    """The full O(n^2) row loop the support window replaced."""
+    pts = cert.points
+    return [
+        (i, math.fsum(profile(abs(pts[i - 1] - yj)) for yj in pts[: i - 1]),
+         (i - 1) * cert.epsilon / 2.0**i)
+        for i in range(2, cert.n + 1)
+    ]
+
+
+@functools.cache
+def _cached_cert(kernel, template, eps, n):
+    return build_certificate(PROFILES[kernel], TEMPLATES[template], eps, n)
+
+
+def _counting(profile):
+    """A copy of the profile whose f counts its calls in ``calls[0]``."""
+    calls = [0]
+
+    def f(u):
+        calls[0] += 1
+        return profile.f(u)
+
+    return dataclasses.replace(profile, f=f), calls
+
+
+def _pairs_inside(pts, support):
+    return sum(1 for i in range(len(pts)) for j in range(i) if abs(pts[i] - pts[j]) < support)
+
+
+class TestSupportWindow:
+    @pytest.mark.parametrize(
+        "kernel, template, eps, n",
+        [(k, "cos", eps, n) for k in sorted(PROFILES) for eps in (0.05, 0.1, 0.2)
+         for n in (10, 100, 1000)]
+        + [(k, "square", 0.1, n) for k in sorted(PROFILES) for n in (100, 1000)],
+    )
+    def test_bits_match_full_loop(self, kernel, template, eps, n):
+        cert = _cached_cert(kernel, template, eps, n)
+        profile = PROFILES[kernel]
+        expected = _full_quad_form(cert.points, cert.coefficients, profile)
+        assert cert.quad_form == expected
+        assert _quad_form(cert.points, cert.coefficients, profile) == expected
+        assert offdiag_row_sums(cert, profile) == _full_offdiag_row_sums(cert, profile)
+
+    @pytest.mark.parametrize("kernel", sorted(PROFILES))
+    def test_f_calls_are_the_pairs_inside_support(self, kernel):
+        # bit equality alone cannot see a window that is too wide
+        cert = _cached_cert(kernel, "cos", 0.1, 1000)
+        profile, calls = _counting(PROFILES[kernel])
+        inside = _pairs_inside(cert.points, profile.support)
+        _quad_form(cert.points, cert.coefficients, profile)
+        assert calls[0] == inside
+        calls[0] = 0
+        offdiag_row_sums(cert, profile)
+        assert calls[0] == inside
+        calls[0] = 0
+        assert verify_certificate(cert, profile, TEMPLATES["cos"]).ok
+        assert calls[0] == inside
+        if kernel != "cauchy":  # every Cauchy pair is inside 2^512
+            assert inside < 1000 * 999 // 2
+
+    def test_default_support_evaluates_every_pair(self):
+        builtin = PROFILES["gaussian"]
+        user = RadialProfile("user", builtin.f, builtin.closed_form_radius)
+        assert user.support == math.inf
+        cert = _cached_cert("gaussian", "cos", 0.1, 100)
+        profile, calls = _counting(user)
+        assert _quad_form(cert.points, cert.coefficients, profile) == cert.quad_form
+        assert calls[0] == 100 * 99 // 2
+
+    @pytest.mark.parametrize("kernel", sorted(PROFILES))
+    def test_support_is_tight(self, kernel):
+        profile = PROFILES[kernel]
+        s = profile.support
+        assert profile(s) == profile(math.nextafter(s, math.inf)) == profile(1e300) == 0.0
+        assert profile(math.nextafter(s, -math.inf)) > 0.0
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"]
+    )
+    def test_verifier_names_non_finite_points(self, bad):
+        # b <= a is False for a NaN, so (0, 50, nan, 10) once counted as
+        # increasing; an infinite point ended in a math domain error
+        base = _cached_cert("gaussian", "cos", 0.1, 4)
+        cert = dataclasses.replace(base, points=(0.0, 50.0, bad, 10.0))
+        res = verify_certificate(cert, PROFILES["gaussian"], TEMPLATES["cos"])
+        assert not res.ok
+        assert res.reason == "points_not_finite"
+
+    def test_nan_coefficient_fails_magnitude_check(self):
+        base = _cached_cert("gaussian", "cos", 0.1, 4)
+        cert = dataclasses.replace(base, coefficients=(math.nan,) + base.coefficients[1:])
+        res = verify_certificate(cert, PROFILES["gaussian"], TEMPLATES["cos"])
+        assert res.reason == "bad_coefficient_magnitude"
+
+    @pytest.mark.parametrize(
+        "points",
+        [(0.0, math.inf, 2.0), (0.0, math.nan, 2.0), (0.0, 2.0, 1.0), (0.0, 1.0, 1.0), (0.0, 1.0)],
+        ids=["inf", "nan", "decreasing", "tie", "too-few"],
+    )
+    def test_row_sums_reject_points_the_window_cannot_use(self, points):
+        base = _cached_cert("laplace", "cos", 0.1, 3)
+        cert = dataclasses.replace(base, points=points)
+        with pytest.raises(DomainError):
+            offdiag_row_sums(cert, PROFILES["laplace"])
+
+
+class TestLoaderRules:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # the CLI tests cover epsilon 5.0, delta 0.0 and n 5.7
+            ("epsilon", 0.0), ("epsilon", 1.0), ("epsilon", math.nan),
+            ("delta", 1.0), ("delta", math.inf), ("delta", -0.5),
+            ("n", 5.0), ("n", "5"), ("n", True), ("n", math.inf),
+            ("quad_form", 10**400),  # an integer past the double range
+        ],
+    )
+    def test_rejects_values_the_builder_cannot_produce(self, tmp_path, field, value):
+        path = tmp_path / "cert.json"
+        certificate_to_json(_cached_cert("gaussian", "cos", 0.1, 5), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError):
+            certificate_from_json(path)
+
+    @pytest.mark.parametrize("field", ["points", "coefficients"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_values(self, tmp_path, field, bad):
+        path = tmp_path / "cert.json"
+        certificate_to_json(_cached_cert("gaussian", "cos", 0.1, 5), path)
+        doc = json.loads(path.read_text())
+        doc[field][2] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match="non-finite"):
             certificate_from_json(path)

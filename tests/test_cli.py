@@ -268,10 +268,18 @@ class TestProbeCommand:
             (lambda doc: {**doc, "delta": 0.0}, "delta=0.0; it must lie in (0, 1)"),
             (lambda doc: {**doc, "epsilon": 5.0}, "epsilon=5.0; it must lie in (0, 1)"),
             (lambda doc: {**doc, "n": 5.7}, "n must be an integer"),
+            (lambda doc: {**doc, "epsilon": "0.1", "delta": "0.9"},
+             "epsilon='0.1' is not a JSON number"),
+            (lambda doc: {**doc, "n": 3, "points": "123"}, "points is not an array"),
+            (lambda doc: {**doc, "quad_form": True}, "quad_form=True is not a JSON number"),
+            (lambda doc: {**doc, "coefficients": [str(doc["coefficients"][0]),
+                                                  *doc["coefficients"][1:]]},
+             "coefficients is not an array"),
         ],
         ids=["only-schema", "unknown-kernel", "unknown-template", "bad-point", "not-an-object",
              "no-points", "infinite-point", "nan-coefficient", "zero-delta", "large-epsilon",
-             "fractional-n"],
+             "fractional-n", "string-eps-delta", "string-points", "bool-quad-form",
+             "string-coefficient"],
     )
     def test_verify_malformed_certificate_is_domain_error(self, tmp_path, capsys, edit, message):
         # the first three ended in KeyError tracebacks, an infinite point in

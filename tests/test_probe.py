@@ -4,13 +4,16 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from gkexpand.errors import ConstructionError, DomainError
 from gkexpand.probe import (
     PROFILES,
     TEMPLATES,
+    _PAIR_BUDGET,
     RadialProfile,
     _quad_form,
     build_certificate,
@@ -255,11 +258,15 @@ def _cached_cert(kernel, template, eps, n):
 
 
 def _counting(profile):
-    """A copy of the profile whose f counts its calls in ``calls[0]``."""
-    calls = [0]
+    """A copy of the profile whose f counts in ``calls[0]`` the elements it
+    evaluates (a whole block per call for an elementwise profile, one per
+    call otherwise) and in ``calls[1]`` the most that a single call evaluated."""
+    calls = [0, 0]
 
     def f(u):
-        calls[0] += 1
+        size = np.size(u) if profile.elementwise else 1
+        calls[0] += size
+        calls[1] = max(calls[1], size)
         return profile.f(u)
 
     return dataclasses.replace(profile, f=f), calls
@@ -310,12 +317,60 @@ class TestSupportWindow:
         assert _quad_form(cert.points, cert.coefficients, profile) == cert.quad_form
         assert calls[0] == 100 * 99 // 2
 
+    def test_default_support_elementwise_evaluates_every_pair(self):
+        builtin = PROFILES["cauchy"]
+        user = RadialProfile("user", builtin.f, builtin.closed_form_radius, elementwise=True)
+        assert user.support == math.inf
+        # Gaussian points: a Gaussian window would skip most of these pairs
+        cert = _cached_cert("gaussian", "cos", 0.1, 100)
+        profile, calls = _counting(user)
+        expected = _full_quad_form(cert.points, cert.coefficients, user)
+        assert _quad_form(cert.points, cert.coefficients, profile) == expected
+        assert calls[0] == 100 * 99 // 2
+
+    def test_no_f_call_exceeds_the_pair_budget(self):
+        # the budget keeps every numpy temporary O(budget + n)
+        n = 1000
+        cert = _cached_cert("cauchy", "cos", 0.1, n)
+        profile, calls = _counting(PROFILES["cauchy"])
+        _quad_form(cert.points, cert.coefficients, profile)
+        assert calls[0] == n * (n - 1) // 2
+        # ... and at this n the pairs span several blocks
+        assert 0 < calls[1] <= _PAIR_BUDGET + n - 1 < calls[0]
+
     @pytest.mark.parametrize("kernel", sorted(PROFILES))
     def test_support_is_tight(self, kernel):
         profile = PROFILES[kernel]
         s = profile.support
         assert profile(s) == profile(math.nextafter(s, math.inf)) == profile(1e300) == 0.0
         assert profile(math.nextafter(s, -math.inf)) > 0.0
+
+
+def _guarded_cauchy(u):
+    """The Cauchy F before it served arrays too, kept as the reference."""
+    uu = u * u
+    return 1.0 / (1.0 + uu) if math.isfinite(uu) else 0.0
+
+
+class TestCauchyFormula:
+    def test_floats_and_arrays_match_the_guarded_formula(self):
+        rng = np.random.default_rng(12)
+        us = [
+            0.0, 5e-324, 1e-160, 1.0, 2.0**26,
+            *rng.uniform(0.0, 2.0**511, 500).tolist(),
+            *np.exp2(rng.uniform(-60.0, 511.0, 500)).tolist(),
+            math.nextafter(2.0**512, -math.inf), 2.0**512, 1e300, math.inf,
+        ]
+        f = PROFILES["cauchy"].f
+        with np.errstate(over="ignore"):
+            on_array = f(np.array(us)).tolist()
+        on_floats = [f(u) for u in us]
+        reference = [_guarded_cauchy(u) for u in us]
+        assert [v.hex() for v in on_array] == [v.hex() for v in reference]
+        assert [v.hex() for v in on_floats] == [v.hex() for v in reference]
+        # the last finite square still leaves a subnormal above zero
+        assert 0.0 < reference[-4] < sys.float_info.min
+        assert reference[-3:] == [0.0, 0.0, 0.0]
 
 
 class TestNonFinitePoints:

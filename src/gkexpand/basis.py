@@ -35,6 +35,8 @@ __all__ = [
     "h_sup_norm",
     "fit_h_envelope",
     "log_psi",
+    "log_index_half",
+    "log_psi_from_half",
     "log_abs_psi_many",
     "log_m_squared_many",
     "log_h_sup_many",
@@ -83,12 +85,23 @@ def log_psi(ks, x) -> tuple[np.ndarray, np.ndarray]:
 
     Signs are floats in {-1, 0, +1}, for an array ``x`` possibly a
     read-only broadcast view; the log is -inf where psi_k(x) = 0.  Every
-    psi evaluation in the package goes through this function.
+    psi evaluation in the package goes through this function or, with
+    the index half computed once, through :func:`log_psi_from_half`.
     """
+    return log_psi_from_half(ks, log_index_half(ks), x)
+
+
+def log_index_half(ks) -> np.ndarray:
+    """(k ln 2 - ln k!) / 2, the part of log |psi_k| that does not depend on x."""
     kf = np.asarray(ks, dtype=np.float64)
-    # the branches below add logc in place: the bits of logc + k ln|x|
-    # without one more full-size array
-    logc = 0.5 * (kf * _LN2 - log_factorial_array(kf))
+    return 0.5 * (kf * _LN2 - log_factorial_array(kf))
+
+
+def log_psi_from_half(ks, half, x) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`log_psi` with ``half = log_index_half(ks)`` supplied, for a
+    caller that evaluates the same indices at many points; the bits are
+    those of ``log_psi(ks, x)``."""
+    kf = np.asarray(ks, dtype=np.float64)
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim == 0:
         x = float(xs)
@@ -98,7 +111,7 @@ def log_psi(ks, x) -> tuple[np.ndarray, np.ndarray]:
         # math.log, not np.log: they differ in the last bit on some doubles,
         # and every scalar-x path has always taken math.log
         logs = kf * math.log(abs(x))
-        logs += logc
+        logs += half
         logs -= x * x
         if x > 0.0:
             return np.ones(logs.shape), logs
@@ -107,7 +120,9 @@ def log_psi(ks, x) -> tuple[np.ndarray, np.ndarray]:
     # the NaN of 0 * log(0) at (k = 0, x = 0) is overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = kf * np.log(ax)
-    logs += logc
+    # half is added in place: the bits of half + k ln|x| without one more
+    # full-size array
+    logs += half
     logs -= xs * xs
     signs = np.broadcast_to(1.0, logs.shape)
     neg = xs < 0.0

@@ -58,7 +58,8 @@ _MAX_BLOCK_64BIT = 28
 
 # Sup-norm searches look at +-2 around each peak: contributions from
 # outside a window are below 1e-11 of the peak, far under every tolerance.
-# A window's grid scan sums only its nearby columns (`_SCAN_NEIGHBOURS`).
+# A window's grid scan sums only its nearby columns (`_SCAN_NEIGHBOURS`),
+# and only on the central band of the window (`_BAND_HALFWIDTH`).
 WINDOW_HALFWIDTH = 2.0
 
 # Limiting value of the in-row peak separation, 135 / (4 sqrt(90)).
@@ -79,6 +80,34 @@ SEPARATION_LIMIT = 135.0 / (4.0 * math.sqrt(90.0))
 # bit-equality tests against the full-row scan in tests/test_blocks.py
 # cover that.
 _SCAN_NEIGHBOURS = 1
+
+# The grid scan of window k evaluates its columns only on the grid points
+# with |x - x_k| <= _BAND_HALFWIDTH (501 of the 4,001), and no bit moves
+# where the band's maximum clears a bound on the points left out:
+# - psi_k is unimodal with its peak at the window centre x_k, so on the
+#   points left out it is largest at the first grid point outside the band
+#   on either side;
+# - the peaks of psi_{k-1} and psi_{k+1} lie at least 3.557 away, outside
+#   the window, so each is monotone across it and largest at the window
+#   edge nearer its own peak (left for k-1, right for k+1);
+# - so |combo| at every point left out is at most scale * (the larger
+#   psi_k at the two first points outside the band + psi_{k-1} at the left
+#   edge + psi_{k+1} at the right edge);
+# - if every requested slot's band maximum exceeds that bound by the
+#   factor _BAND_MARGIN, far above psi's relative rounding (about 1e-6 at
+#   block 12), no point left out can reach it, and the band's first
+#   argmax and its value are the whole window's, bit for bit (each grid
+#   value is the same dot product of the same 3 psi values).
+# A window that fails the test is scanned over all its grid points
+# (`row_values`).  Near a peak psi_k falls like exp(-2 d^2), so the band
+# edge sits at about 0.88 of the peak, and no window of the first, middle
+# or last row of blocks 2-12 fails the test (tests/test_blocks.py).
+_BAND_HALFWIDTH = 0.25
+_BAND_MARGIN = 1.01
+
+# Windows whose band values are evaluated at once: 64 windows of 3 x 501
+# values keep each array under 1 MB, even on a 2,048-window block-12 row.
+_SCAN_CHUNK = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,16 +242,23 @@ def row_values(
     0, which is harmless for the absolute comparisons these matrices feed.
     """
     idx = np.asarray(row_indices(spec, h)[cols], dtype=np.float64)
-    signs, logs = basis.log_psi(idx[:, None], np.asarray(xs, dtype=np.float64))
+    return _linear(*basis.log_psi(idx[:, None], np.asarray(xs, dtype=np.float64)))
+
+
+def _linear(signs: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """signs * exp(logs), written over ``logs``; underflow gives 0."""
     with np.errstate(under="ignore"):
         vals = np.exp(logs, out=logs)
     vals *= signs
     return vals
 
 
-def _combo_abs_at(signs_arr: np.ndarray, idx: np.ndarray, scale: float, x: float) -> float:
-    """|combo(x)| in linear space; accurate near the peaks where it is used."""
-    psign, logs = basis.log_psi(idx, x)
+def _combo_abs_at(
+    signs_arr: np.ndarray, idx: np.ndarray, half: np.ndarray, scale: float, x: float
+) -> float:
+    """|combo(x)| in linear space, given the index half of ``idx``
+    (`basis.log_index_half`); accurate near the peaks where it is used."""
+    psign, logs = basis.log_psi_from_half(idx, half, x)
     with np.errstate(under="ignore"):
         vals = np.exp(logs)
     return abs(float(np.sum(signs_arr * psign * vals))) * scale
@@ -231,10 +267,12 @@ def _combo_abs_at(signs_arr: np.ndarray, idx: np.ndarray, scale: float, x: float
 def combo_sup_norm(d: ComboDescriptor) -> tuple[float, float]:
     """Maximise |combo| over windows around every constituent peak.
 
-    Grid pitch 1e-3 per window, then golden-section refinement of the best
-    grid point to 1e-10.  Returns (argmax, max).  The reported argmax may
-    sit on any of the peaks (their heights agree to ~1e-11 for deep
-    blocks); only the value carries a guarantee.
+    Grid pitch 1e-3 over the central band of each window (the whole window
+    where the band cannot be shown to hold the maximum), then
+    golden-section refinement of the best grid point to 1e-10.  Returns
+    (argmax, max).  The reported argmax may sit on any of the peaks (their
+    heights agree to ~1e-11 for deep blocks); only the value carries a
+    guarantee.
     """
     _, x_star, value = row_sup_norms(d.block.n, d.row, slots=(d.slot,))[0]
     return x_star, value
@@ -246,9 +284,10 @@ def row_sup_norms(
     """Sup-norms of several slots of one row, sharing the grid evaluations.
 
     Returns [(slot, x_star, value), ...] in the order requested.  All slots
-    of a row share the same peak windows.  The grid scan of window k
-    evaluates only columns k-1, k and k+1 (see `_SCAN_NEIGHBOURS`), once
-    for all slots; the golden-section refinement then sums the whole row.
+    of a row share the same peak windows and one grid scan of each
+    (`_window_maxima`); the golden-section refinement of the best grid
+    point then sums the whole row.  The index half of log psi is computed
+    once for the row and serves every evaluation.
     """
     spec = block_spec(n)
     slots = range(spec.c) if slots is None else list(slots)
@@ -260,37 +299,83 @@ def row_sup_norms(
         info = basis.peak(spec.y + h)
         return [(s, info.x_peak, info.m) for s in slots]
 
-    best_x = {s: 0.0 for s in slots}
-    best_v = {s: -1.0 for s in slots}
-    steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
-    offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
-    for k, pk in enumerate(idx):
-        center = math.sqrt(pk / 2.0)
-        xs = center + offsets
-        lo, hi = max(k - _SCAN_NEIGHBOURS, 0), k + _SCAN_NEIGHBOURS + 1
-        vals = row_values(spec, h, xs, slice(lo, hi))  # (<= 3, nx)
-        combos = np.abs(srows[:, lo:hi] @ vals) * scale  # (len(slots), nx)
-        arg = np.argmax(combos, axis=1)
-        for si, s in enumerate(slots):
-            v = float(combos[si, arg[si]])
-            if v > best_v[s]:
-                best_v[s] = v
-                best_x[s] = float(xs[arg[si]])
-
+    half = basis.log_index_half(idx)
+    tops, at = _window_maxima(spec, h, srows, idx, half)
+    best = np.argmax(tops, axis=0)  # the first window with the largest value
     out = []
     for si, s in enumerate(slots):
-        signs_arr = srows[si]
+        best_x, best_v = float(at[best[si], si]), float(tops[best[si], si])
 
-        def f(x: float, sa: np.ndarray = signs_arr) -> float:
-            return _combo_abs_at(sa, idx, scale, x)
+        def f(x: float, sa: np.ndarray = srows[si]) -> float:
+            return _combo_abs_at(sa, idx, half, scale, x)
 
         x_star, v_star = golden_max(
-            f, best_x[s] - basis.GRID_STEP, best_x[s] + basis.GRID_STEP, xtol=1e-10
+            f, best_x - basis.GRID_STEP, best_x + basis.GRID_STEP, xtol=1e-10
         )
-        if v_star < best_v[s]:  # refinement may only improve on the grid point
-            x_star, v_star = best_x[s], best_v[s]
+        if v_star < best_v:  # refinement may only improve on the grid point
+            x_star, v_star = best_x, best_v
         out.append((s, x_star, v_star))
     return out
+
+
+def _window_maxima(
+    spec: BlockSpec, h: int, srows: np.ndarray, idx: np.ndarray, half: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid maximum of |combo| in each peak window of row h, for each sign
+    row of ``srows``: (values, first grid point reaching them), both of
+    shape (c, len(srows)).
+
+    Window k evaluates only columns k-1, k and k+1 (`_SCAN_NEIGHBOURS`),
+    once for all sign rows, and only on its central band unless the band
+    fails its bound (`_BAND_HALFWIDTH`).  ``half`` is the index half of
+    ``idx`` (`basis.log_index_half`).
+    """
+    c = spec.c
+    scale = c**-0.5
+    steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
+    offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
+    inner = int(round(_BAND_HALFWIDTH / basis.GRID_STEP))
+    band = offsets[steps - inner : steps + inner + 1]
+    nb = _SCAN_NEIGHBOURS
+    near = np.arange(-nb, nb + 1)
+    # the bound points, as (column offset, grid point): the left neighbour
+    # at the left edge, the centre column at the first point outside the
+    # band on either side, the right neighbour at the right edge
+    bound_cols = np.array([-1, 0, 0, 1])
+    bound_offsets = offsets[[0, steps - inner - 1, steps + inner + 1, -1]]
+    rows = np.arange(len(srows))
+    tops = np.empty((c, len(srows)))
+    at = np.empty((c, len(srows)))
+    for w0 in range(0, c, _SCAN_CHUNK):
+        ks = np.arange(w0, min(w0 + _SCAN_CHUNK, c))
+        centres = np.sqrt(idx[ks] / 2.0)
+        cols = np.clip(ks[:, None] + near, 0, c - 1)  # edge windows repeat a column
+        band_xs = centres[:, None] + band
+        band_vals = _linear(
+            *basis.log_psi_from_half(idx[cols, None], half[cols, None], band_xs[:, None, :])
+        )  # (windows, 2 nb + 1, band points)
+        # an edge window's repeated column only loosens its bound
+        bcols = np.clip(ks[:, None] + bound_cols, 0, c - 1)
+        at_bound = _linear(
+            *basis.log_psi_from_half(idx[bcols], half[bcols], centres[:, None] + bound_offsets)
+        )
+        bounds = _BAND_MARGIN * scale * (
+            at_bound[:, 0] + np.maximum(at_bound[:, 1], at_bound[:, 2]) + at_bound[:, 3]
+        )
+        for i, k in enumerate(ks.tolist()):
+            lo, hi = max(k - nb, 0), min(k + nb + 1, c)
+            xs = band_xs[i]
+            combos = np.abs(srows[:, lo:hi] @ band_vals[i, lo - k + nb : hi - k + nb]) * scale
+            arg = np.argmax(combos, axis=1)
+            top = combos[rows, arg]
+            if not np.all(top > bounds[i]):  # the band may miss the maximum
+                xs = centres[i] + offsets
+                combos = np.abs(srows[:, lo:hi] @ row_values(spec, h, xs, slice(lo, hi))) * scale
+                arg = np.argmax(combos, axis=1)
+                top = combos[rows, arg]
+            tops[k] = top
+            at[k] = xs[arg]
+    return tops, at
 
 
 def min_row_separation(n: int) -> float:

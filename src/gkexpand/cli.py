@@ -31,6 +31,7 @@ COMBO_NORM_WINDOW = (0.95, 1.05)   # value^2 c sqrt(2 pi (y+h)) gate, n >= 3
 WEIGHT_MASS_WINDOW = (7.2, 8.8)    # G(n, 1) gate for n >= 4
 SLOPE_TOL = 0.15             # divergence fit vs 135/(sqrt(90 pi) ln 4)
 MAX_NORM_ROWS = 10**6        # raw and bounded norms: 10^6 rows take ~0.5 GB
+MAX_THREADS = 64             # --threads cap: one OS thread per pending row or job
 
 
 def _fmt(v: float) -> str:
@@ -389,7 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out-dir", default=None, help="output directory (env GKEXPAND_OUT_DIR)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv", help="data file format")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
+        sp.add_argument(
+            "--threads", type=int, default=1,
+            help=f"worker threads, 1 to {MAX_THREADS} (output-invariant)",
+        )
         sp.add_argument("--config", default=None, help="JSON file with flag defaults (flags win)")
         _SUBPARSERS[sp.prog.split()[-1]] = sp
 
@@ -502,6 +506,8 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args, argv, _SUBPARSERS[args.command])
         if args.threads < 1:
             raise DomainError(f"--threads must be >= 1, got {args.threads}")
+        if args.threads > MAX_THREADS:
+            raise RangeError(f"--threads must be <= {MAX_THREADS}, got {args.threads}")
         return args.func(args)
     except (DomainError, RangeError, ConstructionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ from gkexpand.basis import eval_psi, peak
 from gkexpand.blocks import (
     SEPARATION_LIMIT,
     WINDOW_HALFWIDTH,
-    _combo_abs_at,
     block_spec,
     combo_descriptor,
     combo_sup_norm,
@@ -279,32 +278,59 @@ class TestComboSupNorm:
         assert (x1, v1) == (x2, v2)
 
 
-def full_row_scan_sup_norms(n, h, slots):
-    """The earlier `row_sup_norms`: every grid window sums all c columns.
+def _psi_grid(idx, xs):
+    """Signed linear psi values, one row per index: the body of the
+    earlier `row_values`, on basis.log_psi alone."""
+    signs, logs = basis.log_psi(idx[:, None], np.asarray(xs, dtype=np.float64))
+    with np.errstate(under="ignore"):
+        vals = np.exp(logs, out=logs)
+    vals *= signs
+    return vals
 
-    Kept as the reference the local scan must match bit for bit.
+
+def _combo_abs(signs_arr, idx, scale, x):
+    """|combo(x)|: the body of the earlier `_combo_abs_at`."""
+    psign, logs = basis.log_psi(idx, x)
+    with np.errstate(under="ignore"):
+        vals = np.exp(logs)
+    return abs(float(np.sum(signs_arr * psign * vals))) * scale
+
+
+def full_row_scan_sup_norms(n, h, slots, neighbours=None):
+    """The earlier `row_sup_norms`: a grid scan of every whole window,
+    summing all c columns (or those within ``neighbours`` of the window's
+    own), then golden-section refinement of the best grid point.
+
+    Returns the grid maximum of each window and slot, the first grid point
+    reaching it (both shape (c, len(slots))) and [(slot, x_star, value)].
     """
     spec = block_spec(n)
     srows = sign_rows(n, slots).astype(np.float64)
     idx = np.asarray(row_indices(spec, h), dtype=np.float64)
     scale = spec.c**-0.5
+    tops = np.empty((spec.c, len(slots)))
+    at = np.empty((spec.c, len(slots)))
     best_x = {s: 0.0 for s in slots}
     best_v = {s: -1.0 for s in slots}
     steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
     offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
-    for pk in idx:
+    for k, pk in enumerate(idx):
         xs = math.sqrt(pk / 2.0) + offsets
-        combos = np.abs(srows @ row_values(spec, h, xs)) * scale
+        lo, hi = 0, spec.c
+        if neighbours is not None:
+            lo, hi = max(k - neighbours, 0), k + neighbours + 1
+        combos = np.abs(srows[:, lo:hi] @ _psi_grid(idx[lo:hi], xs)) * scale
         arg = np.argmax(combos, axis=1)
         for si, s in enumerate(slots):
             v = float(combos[si, arg[si]])
+            tops[k, si], at[k, si] = v, xs[arg[si]]
             if v > best_v[s]:
                 best_v[s] = v
                 best_x[s] = float(xs[arg[si]])
     out = []
     for si, s in enumerate(slots):
         x_star, v_star = golden_max(
-            lambda x, sa=srows[si]: _combo_abs_at(sa, idx, scale, x),
+            lambda x, sa=srows[si]: _combo_abs(sa, idx, scale, x),
             best_x[s] - basis.GRID_STEP,
             best_x[s] + basis.GRID_STEP,
             xtol=1e-10,
@@ -312,7 +338,45 @@ def full_row_scan_sup_norms(n, h, slots):
         if v_star < best_v[s]:
             x_star, v_star = best_x[s], best_v[s]
         out.append((s, x_star, v_star))
-    return out
+    return tops, at, out
+
+
+def local_scan_sup_norms(n, h, slots):
+    """The earlier three-column scan: whole windows, columns k-1..k+1 only.
+    The reference for blocks too deep for the full-row scan."""
+    return full_row_scan_sup_norms(n, h, slots, neighbours=1)
+
+
+def assert_scan_matches(n, h, slots, reference=full_row_scan_sup_norms):
+    """row_sup_norms, and the grid maximum and its point in every window,
+    equal the reference's bit for bit.  Only the first window decides a
+    sup-norm (the peaks fall with k), so the per-window check is what
+    covers the other windows."""
+    tops, at, out = reference(n, h, slots)
+    spec = block_spec(n)
+    idx = np.asarray(row_indices(spec, h), dtype=np.float64)
+    srows = sign_rows(n, slots).astype(np.float64)
+    got_tops, got_at = blocks._window_maxima(spec, h, srows, idx, basis.log_index_half(idx))
+    assert np.array_equal(got_tops, tops)
+    assert np.array_equal(got_at, at)
+    assert row_sup_norms(n, h, slots) == out
+
+
+def _edge_slots(c):
+    return sorted({0, 1, c - 2, c - 1})
+
+
+def _spy(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call's args."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 def dropped_column_ratio(n, h):
@@ -359,25 +423,59 @@ class TestLocalScan:
         spec = block_spec(n)
         slots = (0, 1, spec.c - 2, spec.c - 1)
         for h in (0, spec.r // 2, spec.r - 1):
-            assert row_sup_norms(n, h, slots) == full_row_scan_sup_norms(n, h, slots)
+            assert_scan_matches(n, h, slots)
 
     def test_bits_match_full_row_scan_whole_row(self):
-        c = block_spec(5).c
-        assert row_sup_norms(5, 1000) == full_row_scan_sup_norms(5, 1000, range(c))
+        for n, h in ((5, 1000), (2, 269), (4, 1079), (6, 4319)):
+            assert_scan_matches(n, h, range(block_spec(n).c))
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_deep_blocks_match_local_scan(self, n):
+        spec = block_spec(n)
+        slots = (0, 1, spec.c - 1)
+        h = spec.r - 1
+        assert_scan_matches(n, h, slots, local_scan_sup_norms)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_fallback_matches_full_row_scan(self, monkeypatch, n):
+        # a band of +-0.05 fails its bound in every window, which is then
+        # scanned in full through row_values
+        monkeypatch.setattr(blocks, "_BAND_HALFWIDTH", 0.05)
+        full_scans = _spy(monkeypatch, blocks, "row_values")
+        spec = block_spec(n)
+        slots = _edge_slots(spec.c)
+        for h in (0, spec.r // 2, spec.r - 1):
+            assert_scan_matches(n, h, slots)
+        # every window of three rows, in _window_maxima and in row_sup_norms
+        assert len(full_scans) == 2 * 3 * spec.c
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_band_holds_every_maximum(self, monkeypatch, n):
+        # the premise of the band scan: at the shipped band no window of
+        # the first, middle or last row falls back to a full-window scan
+        full_scans = _spy(monkeypatch, blocks, "row_values")
+        spec = block_spec(n)
+        for h in (0, spec.r // 2, spec.r - 1):
+            row_sup_norms(n, h, _edge_slots(spec.c))
+        assert full_scans == []
 
     def test_scan_evaluates_three_columns_per_window(self, monkeypatch):
-        returned = []
-
-        def spy(*args):
-            vals = row_values(*args)
-            returned.append(vals.size)
-            return vals
-
-        monkeypatch.setattr(blocks, "row_values", spy)
+        calls = _spy(monkeypatch, basis, "log_psi_from_half")
+        full_scans = _spy(monkeypatch, blocks, "row_values")
         row_sup_norms(7, 4321, (0, 17, 40, 63))
-        # 2 edge windows of 2 columns and 62 windows of 3, not 64 x 64
-        assert sum(returned) == 190 * 4001
-        assert len(returned) == 64
+        grid = [np.broadcast_shapes(np.shape(k), np.shape(x)) for k, _half, x in calls if np.ndim(x)]
+        # one chunk of 64 windows: 3 columns on the 501 band points of each
+        # (the two edge windows repeat a column they do not use), then 4
+        # bound points per window: 192 x 501 + 256 values, not 190 x 4,001
+        assert grid == [(64, 3, 501), (64, 4)]
+        assert full_scans == []
+        # golden-section refinement: 36 evaluations of the whole row per slot
+        assert sum(1 for _k, _half, x in calls if not np.ndim(x)) == 4 * 36
+
+    def test_index_half_computed_once_per_row(self, monkeypatch):
+        calls = _spy(monkeypatch, basis, "log_factorial_array")
+        row_sup_norms(7, 4321, (0, 17, 40, 63))
+        assert [np.shape(ks) for ks, in calls] == [(64,)]
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_deep_blocks_obey_norm_law(self, n):

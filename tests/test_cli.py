@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gkexpand import analysis
-from gkexpand.cli import main
+from gkexpand.cli import MAX_THREADS, main
 
 TABLE_N4_CSV = (
     "1,1,1,1,1,1,1,1\n"
@@ -401,15 +401,27 @@ class TestConfigFile:
 
 class TestThreads:
     @pytest.mark.parametrize(
-        "argv",
-        [["reconstruct", "--threads", "0"], ["norms", "--scheme", "combo", "--threads", "-3"]],
-        ids=["reconstruct-0", "norms-minus-3"],
+        "argv,message",
+        [
+            (["reconstruct", "--threads", "0"], "--threads must be >= 1"),
+            (["norms", "--scheme", "combo", "--threads", "-3"], "--threads must be >= 1"),
+            # single-job commands, so a broken cap starts one thread at most
+            (["norms", "--scheme", "combo", "--max-block", "1", "--rows", "1", "--slots", "1",
+              "--threads", "100000"], "--threads must be <= 64"),
+            (["reconstruct", "--range", "0:0", "--threads", "65"], "--threads must be <= 64"),
+        ],
+        ids=["reconstruct-0", "norms-minus-3", "norms-100000", "reconstruct-65"],
     )
-    def test_threads_below_one_rejected(self, tmp_path, capsys, argv):
-        # both ran serially and exited 0
+    def test_threads_below_one_rejected(self, tmp_path, capsys, argv, message):
+        # below 1 both ran serially and exited 0; above the cap a large grid
+        # asked for one OS thread per pending row
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
-        assert "--threads must be >= 1" in _one_error_line(capsys)
+        assert message in _one_error_line(capsys)
         assert not (tmp_path / "out").exists()
+
+    def test_threads_at_cap_accepted(self, tmp_path):
+        argv = ["norms", "--scheme", "combo", "--max-block", "1", "--rows", "1", "--slots", "1"]
+        assert main(argv + ["--threads", str(MAX_THREADS), "--out-dir", str(tmp_path)]) == 0
 
 
 class TestDeterminism:

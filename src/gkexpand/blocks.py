@@ -58,56 +58,41 @@ _MAX_BLOCK_64BIT = 28
 
 # Sup-norm searches look at +-2 around each peak: contributions from
 # outside a window are below 1e-11 of the peak, far under every tolerance.
-# A window's grid scan sums only its nearby columns (`_SCAN_NEIGHBOURS`),
-# and only on the central band of the window (`_BAND_HALFWIDTH`).
+# Only a row's first window is scanned on its grid unless a bound on a
+# later window fails (`_window_maxima`).
 WINDOW_HALFWIDTH = 2.0
 
 # Limiting value of the in-row peak separation, 135 / (4 sqrt(90)).
 SEPARATION_LIMIT = 135.0 / (4.0 * math.sqrt(90.0))
 
-# The grid scan of window k sums columns k-1..k+1 only, and no bit moves:
-# - the peaks of a row are at least min_row_separation(n) >= SEPARATION_LIMIT
-#   (3.557) apart, so every grid point of window k lies at least
-#   2 * 3.557 - WINDOW_HALFWIDTH ~ 5.1 from the peak of any column two or
-#   more away;
-# - those columns sum to less than 2^-58 of the row's sup-norm through
-#   block 12 (each psi_j is monotone from a window's edge to its own peak,
-#   and the edge values bound the sum by 1.2e-23 at block 8 and 2.5e-23 at
-#   block 12 on the first, middle and last rows);
-# - half an ulp of the winning grid value is at least 2^-54 of it, so
-#   neither the argmax nor its value can change.
-# Not proved: BLAS sums 3 columns instead of c, in an order of its own.  The
-# bit-equality tests against the full-row scan in tests/test_blocks.py
-# cover that.
-_SCAN_NEIGHBOURS = 1
-
-# The grid scan of window k evaluates its columns only on the grid points
-# with |x - x_k| <= _BAND_HALFWIDTH (501 of the 4,001), and no bit moves
-# where the band's maximum clears a bound on the points left out:
-# - psi_k is unimodal with its peak at the window centre x_k, so on the
-#   points left out it is largest at the first grid point outside the band
-#   on either side;
+# The bound on a later window k >= 1 splits its grid points at
+# |x - x_k| = _BAND_HALFWIDTH into a central band and the points outside:
+# - psi_k is unimodal with its peak at the window centre x_k, so it is at
+#   most its centre value on the band, and outside it at most the larger of
+#   its values at the first grid point outside the band on either side;
 # - the peaks of psi_{k-1} and psi_{k+1} lie at least 3.557 away, outside
-#   the window, so each is monotone across it and largest at the window
-#   edge nearer its own peak (left for k-1, right for k+1);
-# - so |combo| at every point left out is at most scale * (the larger
-#   psi_k at the two first points outside the band + psi_{k-1} at the left
-#   edge + psi_{k+1} at the right edge);
-# - if every requested slot's band maximum exceeds that bound by the
-#   factor _BAND_MARGIN, far above psi's relative rounding (about 1e-6 at
-#   block 12), no point left out can reach it, and the band's first
-#   argmax and its value are the whole window's, bit for bit (each grid
-#   value is the same dot product of the same 3 psi values).
-# A window that fails the test is scanned over all its grid points
-# (`row_values`).  Near a peak psi_k falls like exp(-2 d^2), so the band
-# edge sits at about 0.88 of the peak, and no window of the first, middle
-# or last row of blocks 2-12 fails the test (tests/test_blocks.py).
+#   the window, so each is monotone across it and largest at the edge
+#   nearer its own peak: the band edge for the band, the window edge for
+#   the points outside;
+# - so |combo| on window k is at most scale * max(band part, outside part),
+#   each part the sum of those three psi values (the last window has no
+#   psi_{k+1}, and its term is 0).
+# Near a peak psi_k falls like exp(-2 d^2), so the outside part sits at
+# about 0.88 of the peak and the band part at about psi_k's peak height
+# m_k, which falls like P_k^(-1/4).  Window 0's maximum exceeds the largest
+# later bound by a factor of about 1 + 0.75 / c, and by at least 1.136 at
+# block 2, 1.0110 at block 7 and 1.000366 at block 12 on the first, middle
+# and last rows.
 _BAND_HALFWIDTH = 0.25
-_BAND_MARGIN = 1.01
 
-# Windows whose band values are evaluated at once: 64 windows of 3 x 501
-# values keep each array under 1 MB, even on a 2,048-window block-12 row.
-_SCAN_CHUNK = 64
+# A later window is skipped when _SKIP_MARGIN times its bound is below
+# every requested slot's maximum in window 0: then none of its grid values
+# can reach window 0's.  The margin must exceed psi's relative rounding
+# (about 1e-6 at block 12), by which a computed grid value may exceed its
+# computed bound, and stay under the headroom above (3.66e-4 at block 12),
+# or later windows get scanned.  2^-16 = 1.5e-5 is 15x the first and 1/24
+# of the second.
+_SKIP_MARGIN = 1.0 + 2.0**-16
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,16 +217,14 @@ def eval_combo(d: ComboDescriptor, x: float) -> SignedLogValue:
     return slv_sum(terms).scaled(-0.5 * math.log(d.block.c))
 
 
-def row_values(
-    spec: BlockSpec, h: int, xs: np.ndarray, cols: slice = slice(None)
-) -> np.ndarray:
+def row_values(spec: BlockSpec, h: int, xs: np.ndarray) -> np.ndarray:
     """Signed linear psi values of one row's raw indices over a grid.
 
-    Returns shape (len(columns), len(xs)) for the row's columns ``cols``
-    (default all c); entries below the double underflow limit come out as
-    0, which is harmless for the absolute comparisons these matrices feed.
+    Returns shape (c, len(xs)); entries below the double underflow limit
+    come out as 0, which is harmless for the absolute comparisons these
+    matrices feed.
     """
-    idx = np.asarray(row_indices(spec, h)[cols], dtype=np.float64)
+    idx = np.asarray(row_indices(spec, h), dtype=np.float64)
     return _linear(*basis.log_psi(idx[:, None], np.asarray(xs, dtype=np.float64)))
 
 
@@ -265,14 +248,13 @@ def _combo_abs_at(
 
 
 def combo_sup_norm(d: ComboDescriptor) -> tuple[float, float]:
-    """Maximise |combo| over windows around every constituent peak.
+    """Maximise |combo| over the windows around its constituent peaks.
 
-    Grid pitch 1e-3 over the central band of each window (the whole window
-    where the band cannot be shown to hold the maximum), then
-    golden-section refinement of the best grid point to 1e-10.  Returns
-    (argmax, max).  The reported argmax may sit on any of the peaks (their
-    heights agree to ~1e-11 for deep blocks); only the value carries a
-    guarantee.
+    Grid pitch 1e-3 over the first peak's +-2 window (and over any later
+    window its bound cannot rule out), then golden-section refinement of
+    the best grid point to 1e-10.  Returns (argmax, max).  The peak heights
+    fall with k, and the grid maximum lies in the first window on every
+    row tested; the later windows come within 3.7e-4 of it at block 12.
     """
     _, x_star, value = row_sup_norms(d.block.n, d.row, slots=(d.slot,))[0]
     return x_star, value
@@ -284,10 +266,10 @@ def row_sup_norms(
     """Sup-norms of several slots of one row, sharing the grid evaluations.
 
     Returns [(slot, x_star, value), ...] in the order requested.  All slots
-    of a row share the same peak windows and one grid scan of each
-    (`_window_maxima`); the golden-section refinement of the best grid
-    point then sums the whole row.  The index half of log psi is computed
-    once for the row and serves every evaluation.
+    of a row share one grid scan (`_window_maxima`); the golden-section
+    refinement of each slot's best grid point then sums the whole row.  The
+    index half of log psi is computed once for the row and serves every
+    evaluation.
     """
     spec = block_spec(n)
     slots = range(spec.c) if slots is None else list(slots)
@@ -300,11 +282,10 @@ def row_sup_norms(
         return [(s, info.x_peak, info.m) for s in slots]
 
     half = basis.log_index_half(idx)
-    tops, at = _window_maxima(spec, h, srows, idx, half)
-    best = np.argmax(tops, axis=0)  # the first window with the largest value
+    tops, at = _window_maxima(srows, idx, half)
     out = []
     for si, s in enumerate(slots):
-        best_x, best_v = float(at[best[si], si]), float(tops[best[si], si])
+        best_x, best_v = float(at[si]), float(tops[si])
 
         def f(x: float, sa: np.ndarray = srows[si]) -> float:
             return _combo_abs_at(sa, idx, half, scale, x)
@@ -319,63 +300,77 @@ def row_sup_norms(
 
 
 def _window_maxima(
-    spec: BlockSpec, h: int, srows: np.ndarray, idx: np.ndarray, half: np.ndarray
+    srows: np.ndarray, idx: np.ndarray, half: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid maximum of |combo| in each peak window of row h, for each sign
-    row of ``srows``: (values, first grid point reaching them), both of
-    shape (c, len(srows)).
+    """Grid maximum of |combo| over all peak windows of one row, for each
+    sign row of ``srows``: (values, first grid point reaching them), both
+    of shape (len(srows),).
 
-    Window k evaluates only columns k-1, k and k+1 (`_SCAN_NEIGHBOURS`),
-    once for all sign rows, and only on its central band unless the band
-    fails its bound (`_BAND_HALFWIDTH`).  ``half`` is the index half of
-    ``idx`` (`basis.log_index_half`).
+    Window 0 is scanned whole.  A later window is scanned only where
+    `_SKIP_MARGIN` times its bound (`_BAND_HALFWIDTH`) reaches window 0's
+    smallest slot maximum, and a slot takes its value only where it is
+    strictly larger, so ties keep the first window.  ``half`` is the index
+    half of ``idx`` (`basis.log_index_half`).
     """
-    c = spec.c
+    c = len(idx)
     scale = c**-0.5
     steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
     offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
-    inner = int(round(_BAND_HALFWIDTH / basis.GRID_STEP))
-    band = offsets[steps - inner : steps + inner + 1]
-    nb = _SCAN_NEIGHBOURS
-    near = np.arange(-nb, nb + 1)
-    # the bound points, as (column offset, grid point): the left neighbour
-    # at the left edge, the centre column at the first point outside the
-    # band on either side, the right neighbour at the right edge
-    bound_cols = np.array([-1, 0, 0, 1])
-    bound_offsets = offsets[[0, steps - inner - 1, steps + inner + 1, -1]]
+    centres = np.sqrt(idx / 2.0)
     rows = np.arange(len(srows))
-    tops = np.empty((c, len(srows)))
-    at = np.empty((c, len(srows)))
-    for w0 in range(0, c, _SCAN_CHUNK):
-        ks = np.arange(w0, min(w0 + _SCAN_CHUNK, c))
-        centres = np.sqrt(idx[ks] / 2.0)
-        cols = np.clip(ks[:, None] + near, 0, c - 1)  # edge windows repeat a column
-        band_xs = centres[:, None] + band
-        band_vals = _linear(
-            *basis.log_psi_from_half(idx[cols, None], half[cols, None], band_xs[:, None, :])
-        )  # (windows, 2 nb + 1, band points)
-        # an edge window's repeated column only loosens its bound
-        bcols = np.clip(ks[:, None] + bound_cols, 0, c - 1)
-        at_bound = _linear(
-            *basis.log_psi_from_half(idx[bcols], half[bcols], centres[:, None] + bound_offsets)
-        )
-        bounds = _BAND_MARGIN * scale * (
-            at_bound[:, 0] + np.maximum(at_bound[:, 1], at_bound[:, 2]) + at_bound[:, 3]
-        )
-        for i, k in enumerate(ks.tolist()):
-            lo, hi = max(k - nb, 0), min(k + nb + 1, c)
-            xs = band_xs[i]
-            combos = np.abs(srows[:, lo:hi] @ band_vals[i, lo - k + nb : hi - k + nb]) * scale
-            arg = np.argmax(combos, axis=1)
-            top = combos[rows, arg]
-            if not np.all(top > bounds[i]):  # the band may miss the maximum
-                xs = centres[i] + offsets
-                combos = np.abs(srows[:, lo:hi] @ row_values(spec, h, xs, slice(lo, hi))) * scale
-                arg = np.argmax(combos, axis=1)
-                top = combos[rows, arg]
-            tops[k] = top
-            at[k] = xs[arg]
-    return tops, at
+
+    # The scan of window k sums columns k-1..k+1 only, and no bit moves:
+    # - the peaks of a row are at least min_row_separation(n) >=
+    #   SEPARATION_LIMIT (3.557) apart, so every grid point of window k lies
+    #   at least 2 * 3.557 - WINDOW_HALFWIDTH ~ 5.1 from the peak of any
+    #   column two or more away;
+    # - those columns sum to less than 2^-58 of the row's sup-norm through
+    #   block 12 (each psi_j is monotone from a window's edge to its own
+    #   peak, and the edge values bound the sum by 1.2e-23 at block 8 and
+    #   2.5e-23 at block 12 on the first, middle and last rows);
+    # - half an ulp of the winning grid value is at least 2^-54 of it, so
+    #   neither the argmax nor its value can change.
+    # Not proved: BLAS sums 3 columns instead of c, in an order of its own.
+    # The bit-equality tests against the full-row scan in
+    # tests/test_blocks.py cover that.
+    def scan(k: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = max(k - 1, 0), min(k + 2, c)
+        xs = centres[k] + offsets
+        vals = _linear(*basis.log_psi_from_half(idx[lo:hi, None], half[lo:hi, None], xs))
+        combos = np.abs(srows[:, lo:hi] @ vals) * scale
+        arg = np.argmax(combos, axis=1)
+        return combos[rows, arg], xs[arg]
+
+    top, at = scan(0)
+    bounds = _SKIP_MARGIN * _later_window_bounds(idx, half, offsets)
+    # with no slots there is no maximum to reach
+    for k in (1 + np.flatnonzero(bounds >= top.min(initial=np.inf))).tolist():
+        vals, xs = scan(k)
+        better = vals > top
+        top = np.where(better, vals, top)
+        at = np.where(better, xs, at)
+    return top, at
+
+
+def _later_window_bounds(idx: np.ndarray, half: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Bound on |combo| at the grid points ``offsets`` around each peak of
+    windows 1..c-1 of a row, for every sign row (`_BAND_HALFWIDTH`), from
+    one batch of 7 psi values per window."""
+    c = len(idx)
+    steps = len(offsets) // 2
+    inner = int(round(_BAND_HALFWIDTH / basis.GRID_STEP))
+    ks = np.arange(1, c)
+    # the bound points, as (column offset, grid point): the band part's
+    # centre and band edges, then the outside part's first points outside
+    # the band and window edges
+    cols = np.minimum(ks[:, None] + np.array([0, -1, 1, 0, 0, -1, 1]), c - 1)
+    points = offsets[[steps, steps - inner, steps + inner, steps - inner - 1, steps + inner + 1, 0, -1]]
+    with np.errstate(under="ignore"):
+        psi = np.exp(basis.log_psi_from_half(idx[cols], half[cols], np.sqrt(idx[ks, None] / 2.0) + points)[1])
+    psi[-1, [2, 6]] = 0.0  # the last window's clipped right neighbour
+    band = psi[:, 0] + psi[:, 1] + psi[:, 2]
+    outside = np.maximum(psi[:, 3], psi[:, 4]) + psi[:, 5] + psi[:, 6]
+    return c**-0.5 * np.maximum(band, outside)
 
 
 def min_row_separation(n: int) -> float:

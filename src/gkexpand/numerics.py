@@ -27,7 +27,6 @@ from .errors import DomainError
 __all__ = [
     "SignedLogValue",
     "SLV_ZERO",
-    "SLV_ONE",
     "from_real",
     "slv_product",
     "slv_sum",
@@ -104,7 +103,6 @@ class SignedLogValue:
 
 
 SLV_ZERO = SignedLogValue(0)
-SLV_ONE = SignedLogValue(1, 0.0)
 
 
 def from_real(v: float) -> SignedLogValue:

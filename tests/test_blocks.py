@@ -348,17 +348,18 @@ def local_scan_sup_norms(n, h, slots):
 
 
 def assert_scan_matches(n, h, slots, reference=full_row_scan_sup_norms):
-    """row_sup_norms, and the grid maximum and its point in every window,
-    equal the reference's bit for bit.  Only the first window decides a
-    sup-norm (the peaks fall with k), so the per-window check is what
-    covers the other windows."""
+    """row_sup_norms, and each slot's grid maximum over the row's windows
+    and the first grid point reaching it (the reference's first window
+    with the largest value), equal the reference's bit for bit."""
     tops, at, out = reference(n, h, slots)
     spec = block_spec(n)
     idx = np.asarray(row_indices(spec, h), dtype=np.float64)
     srows = sign_rows(n, slots).astype(np.float64)
-    got_tops, got_at = blocks._window_maxima(spec, h, srows, idx, basis.log_index_half(idx))
-    assert np.array_equal(got_tops, tops)
-    assert np.array_equal(got_at, at)
+    best = np.argmax(tops, axis=0)
+    cols = np.arange(len(srows))
+    got_tops, got_at = blocks._window_maxima(srows, idx, basis.log_index_half(idx))
+    assert np.array_equal(got_tops, tops[best, cols])
+    assert np.array_equal(got_at, at[best, cols])
     assert row_sup_norms(n, h, slots) == out
 
 
@@ -377,6 +378,13 @@ def _spy(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def _window_scans(calls):
+    """How many of the recorded log_psi_from_half calls scan a whole
+    window's grid."""
+    steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
+    return sum(1 for _k, _half, x in calls if np.shape(x)[-1:] == (2 * steps + 1,))
 
 
 def dropped_column_ratio(n, h):
@@ -438,37 +446,54 @@ class TestLocalScan:
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_fallback_matches_full_row_scan(self, monkeypatch, n):
-        # a band of +-0.05 fails its bound in every window, which is then
-        # scanned in full through row_values
-        monkeypatch.setattr(blocks, "_BAND_HALFWIDTH", 0.05)
-        full_scans = _spy(monkeypatch, blocks, "row_values")
+        # an infinite margin fails every later window's bound, and each is
+        # then scanned like window 0
+        monkeypatch.setattr(blocks, "_SKIP_MARGIN", math.inf)
         spec = block_spec(n)
         slots = _edge_slots(spec.c)
         for h in (0, spec.r // 2, spec.r - 1):
             assert_scan_matches(n, h, slots)
-        # every window of three rows, in _window_maxima and in row_sup_norms
-        assert len(full_scans) == 2 * 3 * spec.c
+            calls = _spy(monkeypatch, basis, "log_psi_from_half")
+            row_sup_norms(n, h, slots)
+            assert _window_scans(calls) == spec.c
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_band_holds_every_maximum(self, monkeypatch, n):
-        # the premise of the band scan: at the shipped band no window of
-        # the first, middle or last row falls back to a full-window scan
-        full_scans = _spy(monkeypatch, blocks, "row_values")
+        # the premise of the skip bound: on the first, middle and last rows
+        # every later window's band and outside bound clears window 0's
+        # maximum by the margin, so only window 0 is scanned
         spec = block_spec(n)
         for h in (0, spec.r // 2, spec.r - 1):
+            calls = _spy(monkeypatch, basis, "log_psi_from_half")
             row_sup_norms(n, h, _edge_slots(spec.c))
-        assert full_scans == []
+            assert _window_scans(calls) == 1
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_skip_bound_holds(self, n):
+        # every grid value of a later window stays within the margin of
+        # that window's bound; slot 0, whose signs all agree with the
+        # positive psi values, reaches the largest
+        spec = block_spec(n)
+        steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
+        offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
+        for h in (0, spec.r // 2, spec.r - 1):
+            tops, _at, _out = local_scan_sup_norms(n, h, (0, spec.c - 1))
+            idx = np.asarray(row_indices(spec, h), dtype=np.float64)
+            bounds = blocks._later_window_bounds(idx, basis.log_index_half(idx), offsets)
+            assert np.all(tops[1:].max(axis=1) <= blocks._SKIP_MARGIN * bounds)
+
+    def test_no_slots(self):
+        for n in (1, 2, 7):
+            assert row_sup_norms(n, 0, []) == []
 
     def test_scan_evaluates_three_columns_per_window(self, monkeypatch):
         calls = _spy(monkeypatch, basis, "log_psi_from_half")
-        full_scans = _spy(monkeypatch, blocks, "row_values")
         row_sup_norms(7, 4321, (0, 17, 40, 63))
         grid = [np.broadcast_shapes(np.shape(k), np.shape(x)) for k, _half, x in calls if np.ndim(x)]
-        # one chunk of 64 windows: 3 columns on the 501 band points of each
-        # (the two edge windows repeat a column they do not use), then 4
-        # bound points per window: 192 x 501 + 256 values, not 190 x 4,001
-        assert grid == [(64, 3, 501), (64, 4)]
-        assert full_scans == []
+        # window 0's columns 0 and 1 on its 4,001 grid points, then 7 bound
+        # points for each of the 63 later windows: 8,443 values, not 190 x
+        # 4,001
+        assert grid == [(2, 4001), (63, 7)]
         # golden-section refinement: 36 evaluations of the whole row per slot
         assert sum(1 for _k, _half, x in calls if not np.ndim(x)) == 4 * 36
 

@@ -81,7 +81,7 @@ def _require_combo(e: Expansion) -> None:
 def block_mass(e: Expansion, n: int, p: float) -> float:
     """Exact sum of lambda^p over block n's terms (compensated)."""
     _require_combo(e)
-    if p < 1.0:
+    if not p >= 1.0:  # NaN too
         raise DomainError("p must be >= 1")
     if not 1 <= n <= int(e.max_block):
         raise RangeError(f"block {n} not present (max {e.max_block})")
@@ -116,7 +116,7 @@ def block_mass_bounds(n: int, p: float) -> tuple[float, float]:
     largest seen against exact values on block 8), an error that m_k^(2p)
     multiplies by p.
     """
-    if p < 1.0:
+    if not p >= 1.0:  # NaN too
         raise DomainError("p must be >= 1")
     if n < 2:
         raise DomainError("the mass bracket needs n >= 2 (block 1 holds the k = 0 term)")
@@ -138,7 +138,7 @@ def lp_norm_check(e: Expansion, p: float) -> tuple[float, bool]:
     rejected: the mass diverges there.
     """
     _require_combo(e)
-    if p <= 1.0:
+    if not p > 1.0:  # NaN too
         raise DomainError("l_p check needs p > 1 (the p = 1 mass diverges)")
     total_blocks = math.fsum(np.power(e.weights, p).tolist())
     tail = predicted_block_mass(int(e.max_block) + 1, p) / (1.0 - 4.0 ** (1.0 - p))

@@ -132,6 +132,7 @@ def _norms_raw(args) -> tuple[list[list], bool, str]:
 
 def _norms_combo(args) -> tuple[list[list], bool, str]:
     lo, hi = COMBO_NORM_WINDOW
+    blocks.sign_rows(args.max_block, [])  # the sign-pattern cap, before any job runs
     jobs = []
     for n in range(1, args.max_block + 1):
         spec = blocks.block_spec(n)
@@ -144,11 +145,8 @@ def _norms_combo(args) -> tuple[list[list], bool, str]:
         n, h, slots, spec = job
         return [(n, h, s, x, v) for s, x, v in blocks.row_sup_norms(n, h, slots)]
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        results = list(pool.map(work, jobs))
 
     rows = []
     ok = True
@@ -219,6 +217,8 @@ def cmd_norms(args: argparse.Namespace) -> int:
 def _check_mass_range(p: float, max_block: int) -> None:
     """Reject a p whose deepest block mass (by its rigorous lower bound) or
     prediction may underflow: the gate would then fail a correct expansion."""
+    if not p >= 1.0:  # NaN too, whose floor would read as "too large"
+        raise DomainError(f"p must be >= 1, got {p}")
     floor = analysis.predicted_block_mass(max_block, p)
     if max_block >= 2:  # block 1 holds the k = 0 term: its mass is >= 1
         floor = min(floor, analysis.block_mass_bounds(max_block, p)[0])

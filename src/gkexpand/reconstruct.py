@@ -10,11 +10,12 @@ comparison would be meaningless.  The mathematical soundness of the bound
 itself is established separately against a high-precision oracle in the
 test suite.
 
-Evaluation follows :meth:`Expansion.term_window`: a combo pair sums the
-terms inside both points' windows, or inside their wide windows when no
-term reaches 1e-300, so no combo pair evaluates the full horizon and each
-result keeps its bits (proof at ``expansion._LOG_WIDE``).  Raw and
-bounded expansions are not windowed.
+Every pair of every scheme takes one path, :func:`_pair_sum`, which follows
+:meth:`Expansion.term_window`: it sums the terms inside both points'
+windows, or inside their wide windows when no term reaches 1e-300, and
+each result keeps its bits (proof at ``expansion._LOG_WIDE``).  A combo
+window holds the blocks that matter at its point, so no combo pair
+evaluates the full horizon; raw and bounded windows are the full horizon.
 """
 
 from __future__ import annotations
@@ -69,12 +70,8 @@ def exact_kernel(x: float, y: float, eta: float = 1.0) -> float:
 def _check_domain(e: Expansion, x: float) -> None:
     if not math.isfinite(x):
         raise DomainError(f"evaluation point must be finite, got {x!r}")
-    if e.scheme == "bounded":
-        n_edge = float(e.domain_edge)
-        if not 0.0 <= x <= n_edge:
-            raise DomainError(
-                f"bounded expansion is defined on [0, {n_edge}], got {x!r}"
-            )
+    if e.domain_edge is not None and not 0.0 <= x <= e.domain_edge:  # bounded
+        raise DomainError(f"bounded expansion is defined on [0, {e.domain_edge}], got {x!r}")
 
 
 def _accumulate(
@@ -86,25 +83,26 @@ def _accumulate(
     log-domain reduction covers the regime where every term underflows.
     With ``linear_only`` that regime returns None instead: its anchor is
     the top term of the whole horizon, which only a wide window must hold.
+    A log is -inf exactly where its sign is 0, so a dead term's exp is 0.0
+    without a mask, and each product with the +-1 or 0 signs is exact.
     """
     log_terms = log_weights + lx + ly
-    signs = sx * sy
-    alive = signs != 0.0
-    if not np.any(alive):
+    top = float(log_terms.max())
+    tiny = top < _LINEAR_FLOOR_LOG
+    if top == -math.inf or (tiny and linear_only):
         return None if linear_only else 0.0
-    top = float(np.max(log_terms[alive]))
-    if top >= _LINEAR_FLOOR_LOG:
-        with np.errstate(under="ignore"):
-            terms = np.where(alive, signs * np.exp(log_terms), 0.0)
-        return math.fsum(terms.tolist())
-    if linear_only:
-        return None
-    # all-tiny regime: anchored signed reduction, result may be subnormal
+    if tiny:  # all-tiny regime: anchored signed reduction
+        log_terms -= top
     with np.errstate(under="ignore"):
-        acc = math.fsum((signs * np.exp(log_terms - top)).tolist())
+        terms = np.exp(log_terms, out=log_terms)
+    terms *= sx
+    terms *= sy
+    acc = math.fsum(terms.tolist())
+    if not tiny:
+        return acc
     if acc == 0.0:
         return 0.0
-    log_res = top + math.log(abs(acc))
+    log_res = top + math.log(abs(acc))  # the result may be subnormal
     if log_res < -745.0:
         return 0.0
     return math.copysign(math.exp(log_res), acc)
@@ -146,14 +144,12 @@ def _pair_sum(e: Expansion, px: _Point, py: _Point) -> float:
 def series_kernel(e: Expansion, x: float, y: float) -> float:
     """sum_i lambda_i b_i(x) b_i(y) in a deterministic order.
 
-    A combo expansion sums only the terms inside both points' windows
-    (:func:`_pair_sum`); raw and bounded expansions sum the full horizon.
+    Every scheme sums the terms inside both points' windows
+    (:func:`_pair_sum`); raw and bounded windows are the full horizon.
     """
     _check_domain(e, x)
     _check_domain(e, y)
-    if e.scheme == "combo":
-        return _pair_sum(e, _Point(e, x), _Point(e, y))
-    return _accumulate(e.log_weights, *e.basis_log_values(x), *e.basis_log_values(y))
+    return _pair_sum(e, _Point(e, x), _Point(e, y))
 
 
 def tail_bound(horizon: int, x: float, y: float) -> float | None:
@@ -280,11 +276,8 @@ def grid_report(
             out.append((x, y, exact, series, abs(exact - series), bound))
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(do_row, xs))
-    else:
-        chunks = [do_row(x) for x in xs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        chunks = list(pool.map(do_row, xs))
 
     rows = tuple(r for chunk in chunks for r in chunk)
     max_err = max(r[4] for r in rows)

@@ -174,6 +174,22 @@ class TestLpNorm:
             lp_norm_check(combo8, 1.0)
 
 
+class TestNanP:
+    # NaN fails every comparison, so "p < 1" let it through: the checks
+    # returned nan, (nan, nan) and (nan, False)
+    def test_block_mass(self, combo4):
+        with pytest.raises(DomainError):
+            block_mass(combo4, 2, math.nan)
+
+    def test_block_mass_bounds(self):
+        with pytest.raises(DomainError):
+            block_mass_bounds(3, math.nan)
+
+    def test_lp_norm_check(self, combo4):
+        with pytest.raises(DomainError):
+            lp_norm_check(combo4, math.nan)
+
+
 class TestDivergence:
     def test_fitted_slope_frozen(self, combo8):
         stats = divergence_profile(combo8)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkexpand import analysis
+from gkexpand import analysis, blocks
 from gkexpand.cli import MAX_THREADS, main
 
 TABLE_N4_CSV = (
@@ -209,6 +209,26 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert f"--max-block {max_block}" in err
         assert not (tmp_path / "weights_summary.json").exists()
+
+    @pytest.mark.parametrize("max_block", ["1", "8"])
+    def test_weights_nan_p_rejected(self, tmp_path, capsys, max_block):
+        # was "p=nan is too large ... prediction nan is below the normal range"
+        code = main(["weights", "--p", "nan", "--max-block", max_block,
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert _one_error_line(capsys) == "error: p must be >= 1, got nan\n"
+        assert not (tmp_path / "weights_summary.json").exists()
+
+    def test_norms_block_past_sign_cap_fails_first(self, tmp_path, capsys, monkeypatch):
+        # block 13 was rejected inside a worker, after blocks 1-12 had run
+        calls = []
+        monkeypatch.setattr(blocks, "row_sup_norms", lambda *a: calls.append(a) or [])
+        code = main(["norms", "--scheme", "combo", "--max-block", "13", "--rows", "64",
+                     "--slots", "4", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert _one_error_line(capsys).startswith("error: sign pattern for block 13 ")
+        assert calls == []
+        assert not (tmp_path / "norms.csv").exists()
 
     @pytest.mark.parametrize("edge", ["1", "2"])
     def test_norms_bounded_envelope_touch_passes(self, tmp_path, edge):

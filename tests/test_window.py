@@ -1,7 +1,8 @@
-"""Localised evaluation: combo term windows skip only terms that are
-exactly 0.0, so every windowed sum keeps the bits of the full-horizon sum,
-and no combo pair evaluates the full horizon; raw and bounded expansions
-are not windowed."""
+"""Localised evaluation: every pair of every scheme goes through one
+windowed pair sum.  Term windows skip only terms that are exactly 0.0, so
+every windowed sum keeps the bits of the full-horizon sum; no combo pair
+evaluates the full horizon, and raw and bounded windows are the full
+horizon."""
 
 import math
 import struct
@@ -11,10 +12,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gkexpand import expansion
+from gkexpand import expansion, reconstruct
 from gkexpand.errors import DomainError, RangeError
 from gkexpand.expansion import _LOG_NEGLIGIBLE, _LOG_WIDE, Expansion, build_bounded, build_combo, build_raw
-from gkexpand.reconstruct import _accumulate, _overlap_sum, _pair_sum, _Point, grid_report, series_kernel
+from gkexpand.reconstruct import _overlap_sum, _pair_sum, _Point, grid_report, series_kernel
 
 LINE_POINTS = (0.0, -0.0, 0.4, -1.3, 2.9, -3.0, 7.5, -11.0, 26.0)
 # (4, -16): a block bound of 4 sits within 150 of the threshold while -16
@@ -26,6 +27,31 @@ DOMAIN_POINTS = (0.0, 0.25, 1.7, 3.0)
 
 def _bits(v: float) -> bytes:
     return struct.pack("<d", v)
+
+
+def _masked_accumulate(log_weights, sx, lx, sy, ly):
+    """The full-horizon sum as an explicitly masked reference, kept apart
+    from the package's own accumulation so that tests compare two
+    implementations: linear fsum while a term reaches 1e-300, else the
+    signed reduction anchored on the top live term."""
+    log_terms = log_weights + lx + ly
+    signs = sx * sy
+    alive = signs != 0.0
+    if not np.any(alive):
+        return 0.0
+    top = float(np.max(log_terms[alive]))
+    if top >= math.log(1e-300):
+        with np.errstate(under="ignore"):
+            terms = np.where(alive, signs * np.exp(log_terms), 0.0)
+        return math.fsum(terms.tolist())
+    with np.errstate(under="ignore"):
+        acc = math.fsum((signs * np.exp(log_terms - top)).tolist())
+    if acc == 0.0:
+        return 0.0
+    log_res = top + math.log(abs(acc))
+    if log_res < -745.0:
+        return 0.0
+    return math.copysign(math.exp(log_res), acc)
 
 
 class _Full:
@@ -42,7 +68,7 @@ class _Full:
         return self.cache[key]
 
     def sum(self, x, y):
-        return _accumulate(self.e.log_weights, *self.values(x), *self.values(y))
+        return _masked_accumulate(self.e.log_weights, *self.values(x), *self.values(y))
 
     def log_terms(self, x, y):
         (sx, lx), (sy, ly) = self.values(x), self.values(y)
@@ -84,6 +110,26 @@ class TestWindowedSum:
                 assert np.all(log_terms[live] < _LOG_NEGLIGIBLE + 1e-6), (x, y)
                 with np.errstate(under="ignore"):
                     assert not np.any(signs[live] * np.exp(log_terms[live])), (x, y)
+
+    def test_sign_is_zero_exactly_where_log_is_minus_inf(self, name, e, points):
+        # what lets the accumulation skip its mask: a dead term's exp is 0.0
+        for x in points:
+            signs, logs = e.basis_log_values(x)
+            assert np.array_equal(signs == 0.0, logs == -np.inf), x
+            assert not np.any(np.isnan(logs) | (logs == np.inf)), x
+
+    def test_series_takes_one_pair_sum(self, name, e, points, monkeypatch):
+        calls = []
+        real = reconstruct._pair_sum
+
+        def spy(e_, px, py):
+            calls.append((px.x, py.x))
+            return real(e_, px, py)
+
+        monkeypatch.setattr(reconstruct, "_pair_sum", spy)
+        for x in points:
+            series_kernel(e, x, points[-1])
+        assert calls == [(x, points[-1]) for x in points]
 
     def test_sliced_values_bit_equal(self, name, e, points):
         for x in points:

@@ -37,6 +37,7 @@ __all__ = [
     "log_psi",
     "log_index_half",
     "log_psi_from_half",
+    "log_psi_at",
     "log_abs_psi_many",
     "log_m_squared_many",
     "log_h_sup_many",
@@ -86,7 +87,8 @@ def log_psi(ks, x) -> tuple[np.ndarray, np.ndarray]:
     Signs are floats in {-1, 0, +1}, for an array ``x`` possibly a
     read-only broadcast view; the log is -inf where psi_k(x) = 0.  Every
     psi evaluation in the package goes through this function or, with
-    the index half computed once, through :func:`log_psi_from_half`.
+    the index half computed once, through :func:`log_psi_from_half` or
+    :func:`log_psi_at`.
     """
     return log_psi_from_half(ks, log_index_half(ks), x)
 
@@ -101,21 +103,12 @@ def log_psi_from_half(ks, half, x) -> tuple[np.ndarray, np.ndarray]:
     """:func:`log_psi` with ``half = log_index_half(ks)`` supplied, for a
     caller that evaluates the same indices at many points; the bits are
     those of ``log_psi(ks, x)``."""
-    kf = np.asarray(ks, dtype=np.float64)
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim == 0:
         x = float(xs)
-        if x == 0.0:
-            at_zero = kf == 0
-            return at_zero.astype(np.float64), np.where(at_zero, 0.0, -np.inf)
-        # math.log, not np.log: they differ in the last bit on some doubles,
-        # and every scalar-x path has always taken math.log
-        logs = kf * math.log(abs(x))
-        logs += half
-        logs -= x * x
-        if x > 0.0:
-            return np.ones(logs.shape), logs
-        return 1.0 - 2.0 * _parity(ks), logs
+        flip = None if x > 0.0 else 1.0
+        return _log_psi_terms(ks, half, _log_abs(x), x * x, flip, True if x == 0.0 else None)
+    kf = np.asarray(ks, dtype=np.float64)
     ax = np.abs(xs)
     # the NaN of 0 * log(0) at (k = 0, x = 0) is overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -133,6 +126,45 @@ def log_psi_from_half(ks, half, x) -> tuple[np.ndarray, np.ndarray]:
         k_zero = kf == 0
         logs = np.where(at_zero, np.where(k_zero, 0.0, -np.inf), logs)
         signs = np.where(at_zero & ~k_zero, 0.0, signs)
+    return signs, logs
+
+
+def log_psi_at(ks, half, xs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`log_psi_from_half` at each point of the 1-D sequence ``xs``
+    in turn: (signs, logs) of shape (len(xs),) + shape(ks), row i holding
+    the bits of ``log_psi_from_half(ks, half, xs[i])``."""
+    col = (len(xs),) + (1,) * np.ndim(ks)  # one row per point
+    pts = np.asarray(xs, dtype=np.float64).reshape(col)
+    lx = np.array([_log_abs(x) for x in xs]).reshape(col)
+    flip = None if all(x > 0.0 for x in xs) else np.where(pts > 0.0, 0.0, 1.0)
+    zero = pts == 0.0 if 0.0 in xs else None
+    return _log_psi_terms(ks, half, lx, pts * pts, flip, zero)
+
+
+def _log_abs(x: float) -> float:
+    """ln|x|, read as 0 at x = 0 (where psi's log is set apart)."""
+    # math.log, not np.log: they differ in the last bit on some doubles,
+    # and every scalar-x path has always taken math.log
+    return math.log(abs(x)) if x else 0.0
+
+
+def _log_psi_terms(ks, half, lx, sq, flip, zero) -> tuple[np.ndarray, np.ndarray]:
+    """(signs, logs) of psi_k from the per-point terms ln|x|, x^2, ``flip``
+    (1.0 where odd k flip the sign, x not above 0) and ``zero`` (x = 0):
+    floats for one point, or columns with one row per point.  ``flip`` and
+    ``zero`` are None where no point has them.  The formula of
+    :func:`log_psi_from_half`'s one-point branch and of :func:`log_psi_at`."""
+    kf = np.asarray(ks, dtype=np.float64)
+    logs = kf * lx
+    logs += half
+    logs -= sq
+    if flip is None:
+        return np.ones(logs.shape), logs
+    signs = 1.0 - (2.0 * flip) * _parity(ks)
+    if zero is not None:
+        k_zero = kf == 0
+        logs = np.where(zero, np.where(k_zero, 0.0, -np.inf), logs)
+        signs = np.where(zero, k_zero, signs)
     return signs, logs
 
 

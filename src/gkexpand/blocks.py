@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .numerics import SignedLogValue, slv_sum
-from .optimize import golden_max
+from .optimize import golden_max_many
 from . import basis
 
 __all__ = [
@@ -237,14 +237,21 @@ def _linear(signs: np.ndarray, logs: np.ndarray) -> np.ndarray:
 
 
 def _combo_abs_at(
-    signs_arr: np.ndarray, idx: np.ndarray, half: np.ndarray, scale: float, x: float
-) -> float:
-    """|combo(x)| in linear space, given the index half of ``idx``
-    (`basis.log_index_half`); accurate near the peaks where it is used."""
-    psign, logs = basis.log_psi_from_half(idx, half, x)
+    srows: np.ndarray, idx: np.ndarray, half: np.ndarray, scale: float, xs: Sequence[float]
+) -> np.ndarray:
+    """|combo_s(xs[s])| in linear space for each sign row s of ``srows``,
+    given the index half of ``idx`` (`basis.log_index_half`); accurate near
+    the peaks where it is used.
+
+    One exp over the (len(srows), c) logs; each row's sum is numpy's
+    pairwise sum over its c terms in order, the bits of a 1-D ``np.sum``.
+    """
+    psign, logs = basis.log_psi_at(idx, half, xs)
     with np.errstate(under="ignore"):
-        vals = np.exp(logs)
-    return abs(float(np.sum(signs_arr * psign * vals))) * scale
+        vals = np.exp(logs, out=logs)
+    vals *= psign
+    vals *= srows
+    return np.abs(vals.sum(axis=1)) * scale
 
 
 def combo_sup_norm(d: ComboDescriptor) -> tuple[float, float]:
@@ -252,9 +259,11 @@ def combo_sup_norm(d: ComboDescriptor) -> tuple[float, float]:
 
     Grid pitch 1e-3 over the first peak's +-2 window (and over any later
     window its bound cannot rule out), then golden-section refinement of
-    the best grid point to 1e-10.  Returns (argmax, max).  The peak heights
-    fall with k, and the grid maximum lies in the first window on every
-    row tested; the later windows come within 3.7e-4 of it at block 12.
+    the best grid point to 1e-10: `row_sup_norms` for one slot, which
+    refines several slots of a row in lockstep, 36 batched evaluations per
+    row.  Returns (argmax, max).  The peak heights fall with k, and the
+    grid maximum lies in the first window on every row tested; the later
+    windows come within 3.7e-4 of it at block 12.
     """
     _, x_star, value = row_sup_norms(d.block.n, d.row, slots=(d.slot,))[0]
     return x_star, value
@@ -263,13 +272,15 @@ def combo_sup_norm(d: ComboDescriptor) -> tuple[float, float]:
 def row_sup_norms(
     n: int, h: int, slots: Sequence[int] | None = None
 ) -> list[tuple[int, float, float]]:
-    """Sup-norms of several slots of one row, sharing the grid evaluations.
+    """Sup-norms of several slots of one row, sharing the evaluations.
 
     Returns [(slot, x_star, value), ...] in the order requested.  All slots
-    of a row share one grid scan (`_window_maxima`); the golden-section
-    refinement of each slot's best grid point then sums the whole row.  The
-    index half of log psi is computed once for the row and serves every
-    evaluation.
+    of a row share one grid scan (`_window_maxima`).  Their golden-section
+    refinements, one per slot around its best grid point, then run in
+    lockstep (`optimize.golden_max_many`): each step evaluates the whole
+    row once for every live slot in one batch, 36 batched evaluations per
+    row.  The index half of log psi is computed once for the row and
+    serves every evaluation.
     """
     spec = block_spec(n)
     slots = range(spec.c) if slots is None else list(slots)
@@ -283,18 +294,18 @@ def row_sup_norms(
 
     half = basis.log_index_half(idx)
     tops, at = _window_maxima(srows, idx, half)
+    best_x, best_v = at.tolist(), tops.tolist()
+
+    def f(live: list[int], xs: list[float]) -> list[float]:
+        return _combo_abs_at(srows[live], idx, half, scale, xs).tolist()
+
+    refined = golden_max_many(
+        f, [(x - basis.GRID_STEP, x + basis.GRID_STEP) for x in best_x], xtol=1e-10
+    )
     out = []
-    for si, s in enumerate(slots):
-        best_x, best_v = float(at[si]), float(tops[si])
-
-        def f(x: float, sa: np.ndarray = srows[si]) -> float:
-            return _combo_abs_at(sa, idx, half, scale, x)
-
-        x_star, v_star = golden_max(
-            f, best_x - basis.GRID_STEP, best_x + basis.GRID_STEP, xtol=1e-10
-        )
-        if v_star < best_v:  # refinement may only improve on the grid point
-            x_star, v_star = best_x, best_v
+    for s, (x_star, v_star), x, v in zip(slots, refined, best_x, best_v):
+        if v_star < v:  # refinement may only improve on the grid point
+            x_star, v_star = x, v
         out.append((s, x_star, v_star))
     return out
 

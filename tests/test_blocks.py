@@ -24,7 +24,7 @@ from gkexpand.blocks import (
 )
 from gkexpand.cli import COMBO_NORM_WINDOW
 from gkexpand.errors import RangeError
-from gkexpand.optimize import golden_max
+from gkexpand.optimize import INV_PHI, INV_PHI_SQ, golden_max, golden_max_many
 
 # The worked 8x8 recombination table (block 4).
 TABLE_N4 = np.array(
@@ -296,6 +296,38 @@ def _combo_abs(signs_arr, idx, scale, x):
     return abs(float(np.sum(signs_arr * psign * vals))) * scale
 
 
+def _scalar_golden_max(f, a, b, xtol=1e-10):
+    """The earlier `optimize.golden_max`: one search, one f(x) at a time."""
+    a, b = (a, b) if a <= b else (b, a)
+    h = b - a
+    if h <= xtol:
+        x = 0.5 * (a + b)
+        return x, f(x)
+
+    n = max(1, int(math.ceil(math.log(xtol / h) / math.log(INV_PHI))))
+    c = a + INV_PHI_SQ * h
+    d = a + INV_PHI * h
+    yc = f(c)
+    yd = f(d)
+    for _ in range(n - 1):
+        h *= INV_PHI
+        if yc > yd:
+            b = d
+            d = c
+            yd = yc
+            c = a + INV_PHI_SQ * h
+            yc = f(c)
+        else:
+            a = c
+            c = d
+            yc = yd
+            d = a + INV_PHI * h
+            yd = f(d)
+    if yc > yd:
+        return c, yc
+    return d, yd
+
+
 def full_row_scan_sup_norms(n, h, slots, neighbours=None):
     """The earlier `row_sup_norms`: a grid scan of every whole window,
     summing all c columns (or those within ``neighbours`` of the window's
@@ -329,7 +361,7 @@ def full_row_scan_sup_norms(n, h, slots, neighbours=None):
                 best_x[s] = float(xs[arg[si]])
     out = []
     for si, s in enumerate(slots):
-        x_star, v_star = golden_max(
+        x_star, v_star = _scalar_golden_max(
             lambda x, sa=srows[si]: _combo_abs(sa, idx, scale, x),
             best_x[s] - basis.GRID_STEP,
             best_x[s] + basis.GRID_STEP,
@@ -437,6 +469,16 @@ class TestLocalScan:
         for n, h in ((5, 1000), (2, 269), (4, 1079), (6, 4319)):
             assert_scan_matches(n, h, range(block_spec(n).c))
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_slot_matches_full_row_scan(self, n):
+        # up to 32 searches refined in lockstep on one row
+        spec = block_spec(n)
+        for h in (0, spec.r // 2, spec.r - 1):
+            assert_scan_matches(n, h, range(spec.c))
+
+    def test_every_slot_of_a_block7_row_matches_local_scan(self):
+        assert_scan_matches(7, 4321, range(64), local_scan_sup_norms)
+
     @pytest.mark.parametrize("n", range(9, 13))
     def test_deep_blocks_match_local_scan(self, n):
         spec = block_spec(n)
@@ -488,14 +530,56 @@ class TestLocalScan:
 
     def test_scan_evaluates_three_columns_per_window(self, monkeypatch):
         calls = _spy(monkeypatch, basis, "log_psi_from_half")
+        golden = _spy(monkeypatch, blocks, "_combo_abs_at")
         row_sup_norms(7, 4321, (0, 17, 40, 63))
         grid = [np.broadcast_shapes(np.shape(k), np.shape(x)) for k, _half, x in calls if np.ndim(x)]
         # window 0's columns 0 and 1 on its 4,001 grid points, then 7 bound
         # points for each of the 63 later windows: 8,443 values, not 190 x
         # 4,001
         assert grid == [(2, 4001), (63, 7)]
-        # golden-section refinement: 36 evaluations of the whole row per slot
-        assert sum(1 for _k, _half, x in calls if not np.ndim(x)) == 4 * 36
+        # golden-section refinement: the 4 slots' searches run in lockstep,
+        # 36 evaluations of the whole row for all 4 at once
+        assert len(golden) == 36
+        assert all(np.shape(srows) == (4, 64) and len(xs) == 4 for srows, _i, _h, _s, xs in golden)
+
+    def test_batched_combo_keeps_each_rows_bits(self):
+        # each row of _combo_abs_at is the earlier one-point evaluation:
+        # with the index halves shifted so that all 64 terms are of one
+        # size, a sum in any other order moves last bits
+        rng = np.random.default_rng(16)
+        idx = (np.arange(64) % 2).astype(np.float64)  # odd k flips at x < 0
+        half = rng.uniform(-2.0, 0.0, 64)
+        srows = sign_rows(7, range(0, 64, 4)).astype(np.float64)
+        xs = rng.uniform(-1.5, 1.5, len(srows)).tolist()
+        xs[3] = 0.0
+        got = blocks._combo_abs_at(srows, idx, half, 0.125, xs)
+        for si, x in enumerate(xs):
+            psign, logs = basis.log_psi_from_half(idx, half, x)
+            with np.errstate(under="ignore"):
+                want = abs(float(np.sum(srows[si] * psign * np.exp(logs)))) * 0.125
+            assert float(got[si]).hex() == want.hex(), si
+
+    def test_refinement_falls_back_per_slot(self, monkeypatch):
+        # a slot whose refinement ends below its grid value keeps the grid
+        # point; the other slots keep their refined values
+        slots = (0, 17, 40, 63)
+        refined = row_sup_norms(7, 4321, slots)
+        spec = block_spec(7)
+        idx = np.asarray(row_indices(spec, 4321), dtype=np.float64)
+        srows = sign_rows(7, slots).astype(np.float64)
+        tops, at = blocks._window_maxima(srows, idx, basis.log_index_half(idx))
+        combo_abs_at = blocks._combo_abs_at
+
+        def below_on_slot_17(rows, *args):
+            vals = combo_abs_at(rows, *args)
+            vals[(rows == srows[1]).all(axis=1)] = 0.0
+            return vals
+
+        monkeypatch.setattr(blocks, "_combo_abs_at", below_on_slot_17)
+        got = row_sup_norms(7, 4321, slots)
+        assert got[1] == (17, float(at[1]), float(tops[1]))
+        assert [got[i] for i in (0, 2, 3)] == [refined[i] for i in (0, 2, 3)]
+        assert refined[1][2] > tops[1]
 
     def test_index_half_computed_once_per_row(self, monkeypatch):
         calls = _spy(monkeypatch, basis, "log_factorial_array")
@@ -511,6 +595,57 @@ class TestLocalScan:
         assert [s for s, _x, _v in result] == [0, spec.c - 1]
         for _s, _x, v in result:
             assert lo <= v * v * spec.c * math.sqrt(2.0 * math.pi * (spec.y + h)) <= hi
+
+
+def _recording(fs, probes):
+    """f for golden_max_many: search i maximises fs[i], and each of its
+    probes is appended to probes[i]."""
+
+    def f(live, xs):
+        for i, x in zip(live, xs):
+            probes[i].append(x)
+        return [fs[i](x) for i, x in zip(live, xs)]
+
+    return f
+
+
+class TestGoldenMaxMany:
+    XTOL = 1e-10
+    # (f, bracket): widths from 5e-11 to 2.5, so step counts from 0 to 50;
+    # a reversed bracket; a constant and a plateau, whose probes tie
+    # (yc == yd) at every step or from the first
+    CASES = [
+        (lambda x: -((x - 0.3) ** 2), (0.0, 1.0)),
+        (lambda x: math.exp(-2.0 * (x - 8.2) ** 2), (8.199, 8.201)),
+        (math.sin, (3.0, 0.5)),
+        (lambda x: -abs(x - 1e-7), (0.0, 3e-7)),
+        (lambda x: x, (2.0, 2.0 + 5e-11)),
+        (lambda x: 1.0, (-1.0, 1.0)),
+        (lambda x: min(x, 0.25), (0.0, 1.0)),
+    ]
+
+    def test_each_search_matches_scalar_golden_max(self):
+        fs = [f for f, _b in self.CASES]
+        probes = [[] for _ in fs]
+        got = golden_max_many(_recording(fs, probes), [b for _f, b in self.CASES], self.XTOL)
+        for i, (f, (a, b)) in enumerate(self.CASES):
+            seen = []
+            want = _scalar_golden_max(lambda x, f=f: seen.append(x) or f(x), a, b, self.XTOL)
+            assert [v.hex() for v in got[i]] == [v.hex() for v in want], i
+            assert [v.hex() for v in golden_max(f, a, b, self.XTOL)] == [v.hex() for v in want], i
+            # the same probes in the same order: each search kept its own steps
+            assert probes[i] == seen, i
+        counts = [len(p) for p in probes]
+        assert counts[4] == 1  # h <= xtol: the midpoint alone
+        assert len(set(counts)) == 5
+
+    def test_ties_keep_the_right_probe(self):
+        # yc == yd moves the bracket right, so a constant ends on d
+        (x, y), = golden_max_many(lambda _live, xs: [1.0] * len(xs), [(-1.0, 1.0)], self.XTOL)
+        assert y == 1.0 and 1.0 - x < 1e-9
+
+    def test_no_brackets(self):
+        assert golden_max_many(lambda _live, _xs: pytest.fail("evaluated"), []) == []
 
 
 class TestEnergyInvariance:

@@ -9,42 +9,25 @@ general decaying radial kernels.
 """
 
 from .errors import ConstructionError, DomainError, RangeError
-from .numerics import (
-    SignedLogValue,
-    from_real,
-    log_factorial,
-    slv_product,
-    slv_sum,
-)
+from .numerics import log_factorial
 from .basis import (
     PeakInfo,
-    bump_approx,
     bump_error,
-    eval_h,
-    eval_psi,
     fit_h_envelope,
-    h_sup_norm,
     peak,
 )
 from .blocks import (
     BlockSpec,
-    ComboDescriptor,
     SignMatrix,
     block_spec,
-    combo_descriptor,
-    combo_sup_norm,
-    eval_combo,
     min_row_separation,
     row_indices,
+    row_sup_norms,
     sign_matrix,
     sign_rows,
 )
 from .expansion import (
-    BasisDescriptor,
-    Combo,
     Expansion,
-    RawPsi,
-    ScaledH,
     build_bounded,
     build_combo,
     build_raw,

@@ -1,5 +1,5 @@
-"""The raw basis functions psi_k, their peaks, bump approximations and the
-domain-scaled variants h_k = k * psi_k.
+"""The raw basis functions psi_k, their peaks, the error of their bump
+model, and the sup-norms of the domain-scaled variants h_k = k * psi_k.
 
 psi_k(x) = sqrt(2^k / k!) * x^k * e^(-x^2) never exceeds 1 in magnitude, but
 its factors explode, so every evaluation goes through the log domain:
@@ -21,18 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .numerics import SLV_ZERO, SignedLogValue, log_factorial_array
+from .numerics import log_factorial_array
 
 __all__ = [
     "PsiIndex",
     "PeakInfo",
     "HEnvelope",
-    "eval_psi",
     "peak",
-    "bump_approx",
     "bump_error",
-    "eval_h",
-    "h_sup_norm",
     "fit_h_envelope",
     "log_psi",
     "log_index_half",
@@ -173,19 +169,10 @@ def _parity(ks) -> np.ndarray:
     return np.asarray(ks).astype(np.int64, copy=False) & 1
 
 
-def eval_psi(k: PsiIndex, x: float) -> SignedLogValue:
-    """Evaluate psi_k(x) = sqrt(2^k / k!) x^k e^(-x^2) in the log domain."""
-    k = _check_index(k)
-    if not math.isfinite(x):
-        raise DomainError(f"psi argument must be finite, got {x!r}")
-    sign, log_mag = log_psi(k, x)
-    if sign == 0.0:
-        return SLV_ZERO
-    return SignedLogValue(int(sign), float(log_mag))
-
-
 def log_abs_psi_many(ks: np.ndarray, x: float) -> np.ndarray:
-    """log |psi_k(x)| for an array of indices at a single point."""
+    """log |psi_k(x)| for an array of indices at a single point.  No package
+    code calls it; the benchmark harness (``perfbench/tracing.py``) traces
+    it by name."""
     return log_psi(ks, x)[1]
 
 
@@ -212,20 +199,9 @@ def log_m_squared_many(ks: np.ndarray) -> np.ndarray:
     return ks * _log_index(ks) - ks - log_factorial_array(ks)
 
 
-def bump_approx(k: PsiIndex, x: float) -> float:
-    """Gaussian-bump model of psi_k: (2 pi k)^(-1/4) e^(-2 (x - sqrt(k/2))^2)."""
-    k = _check_index(k)
-    if k < 1:
-        raise DomainError("bump approximation needs k >= 1")
-    d = x - math.sqrt(k / 2.0)
-    e = -2.0 * d * d
-    if e < -745.0:
-        return 0.0
-    return (2.0 * math.pi * k) ** -0.25 * math.exp(e)
-
-
 def bump_error(k: PsiIndex, window_halfwidth: float) -> float:
-    """Sup of |psi_k - bump| / m_k over a 1e-3 grid around the peak.
+    """Sup of |psi_k - bump| / m_k over a 1e-3 grid around the peak, for
+    the Gaussian-bump model bump(x) = (2 pi k)^(-1/4) e^(-2 (x - x_k)^2).
 
     The window is [x_k - w, x_k + w]; the error is normalised by the
     sup-norm m_k so values are comparable across k.
@@ -247,18 +223,6 @@ def bump_error(k: PsiIndex, window_halfwidth: float) -> float:
     return float(np.max(np.abs(psi - model)) / info.m)
 
 
-def eval_h(k: PsiIndex, x: float) -> SignedLogValue:
-    """Domain-scaled basis function h_k = k psi_k; h_0 is psi_0.
-
-    The k = 0 convention keeps the k = 0 term of the kernel series alive
-    (a zero weight there would break K(x, x) reconstruction).
-    """
-    k = _check_index(k)
-    if k == 0:
-        return eval_psi(0, x)
-    return eval_psi(k, x).scaled(math.log(k))
-
-
 def log_h_sup_many(ks: np.ndarray, domain_edge: float) -> np.ndarray:
     """ln of the maximum of h_k over [0, N] for an array of indices.
 
@@ -269,18 +233,6 @@ def log_h_sup_many(ks: np.ndarray, domain_edge: float) -> np.ndarray:
     interior = 0.5 * log_m_squared_many(ks)  # 0 at k = 0
     boundary = log_psi(ks, domain_edge)[1]
     return _log_index(ks) + np.where(np.sqrt(ks / 2.0) <= domain_edge, interior, boundary)
-
-
-def h_sup_norm(k: PsiIndex, domain_edge: float) -> SignedLogValue:
-    """Maximum of h_k over [0, N], in the log domain.
-
-    Returned as a SignedLogValue because the boundary branch underflows
-    doubles already for moderate k.
-    """
-    k = _check_index(k)
-    if not domain_edge > 0.0:
-        raise DomainError("domain edge must be positive")
-    return SignedLogValue(1, float(log_h_sup_many(k, domain_edge)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,27 +16,23 @@ natural-order Sylvester-Hadamard matrix S[j, k] = (-1)^popcount(j & k), so
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .numerics import SignedLogValue, slv_sum
 from .optimize import golden_max_many
 from . import basis
 
 __all__ = [
     "BlockSpec",
     "SignMatrix",
-    "ComboDescriptor",
     "block_spec",
     "row_indices",
     "sign_rows",
     "sign_matrix",
-    "combo_descriptor",
-    "eval_combo",
-    "combo_sup_norm",
     "row_sup_norms",
     "row_values",
     "min_row_separation",
@@ -110,8 +106,18 @@ class BlockSpec:
         return self.y + self.r * self.c
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, else a RangeError
+    naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RangeError(f"{what} {value!r} is not an integer") from None
+
+
 def block_spec(n: int) -> BlockSpec:
     """Exact integer geometry of block n (1-based)."""
+    n = _integer(n, "block number")
     if n < 1:
         raise RangeError(f"block number must be >= 1, got {n}")
     if n > _MAX_BLOCK_64BIT:
@@ -128,17 +134,20 @@ def block_spec(n: int) -> BlockSpec:
 
 def row_indices(spec: BlockSpec, h: int) -> list[int]:
     """Raw indices of row h: y + h, y + h + r, ..., strictly increasing."""
+    h = _integer(h, "row")
     if not 0 <= h < spec.r:
         raise RangeError(f"row {h} outside [0, {spec.r}) for block {spec.n}")
     return [spec.y + h + k * spec.r for k in range(spec.c)]
 
 
 def sign_rows(n: int, slots: Sequence[int] | None = None) -> np.ndarray:
-    """Rows `slots` (default all) of the block-n sign pattern, int64 +-1.
+    """Rows `slots` (default all, each an integer in [0, c)) of the block-n
+    sign pattern, int64 +-1.
 
     S[j, k] = 1 - 2 * (popcount(j & k) mod 2) with j, k in [0, c): symmetric,
     S S^T = c I, first row and column all +1.  Shape (len(slots), c).
     """
+    n = _integer(n, "block number")
     if n < 1:
         raise RangeError(f"block number must be >= 1, got {n}")
     if n > _MAX_SIGN_BLOCK:
@@ -151,10 +160,11 @@ def sign_rows(n: int, slots: Sequence[int] | None = None) -> np.ndarray:
     if slots is None:
         rows = cols
     else:
-        rows = np.asarray(slots, dtype=np.int64)
-        bad = rows[(rows < 0) | (rows >= c)]
-        if bad.size:
-            raise RangeError(f"slot {int(bad[0])} outside [0, {c})")
+        rows = [_integer(s, "slot") for s in slots]
+        bad = [s for s in rows if not 0 <= s < c]
+        if bad:
+            raise RangeError(f"slot {bad[0]} outside [0, {c})")
+        rows = np.array(rows, dtype=np.int64)
     bits = rows[:, None] & cols[None, :]
     # XOR-fold the n-1 bits so bit 0 holds their parity (numpy >= 2 has
     # np.bitwise_count; older numpy does not).
@@ -184,37 +194,6 @@ class SignMatrix:
 def sign_matrix(n: int) -> SignMatrix:
     """The whole block-n sign pattern, as written out by `gkexpand signs`."""
     return SignMatrix(n=n, entries=sign_rows(n))
-
-
-@dataclass(frozen=True, slots=True)
-class ComboDescriptor:
-    """One recombined basis function: block, row, slot and its sign row."""
-
-    block: BlockSpec
-    row: int
-    slot: int
-    signs: tuple[int, ...]
-    scale: float
-
-    def indices(self) -> list[int]:
-        return row_indices(self.block, self.row)
-
-
-def combo_descriptor(n: int, h: int, slot: int) -> ComboDescriptor:
-    spec = block_spec(n)
-    signs = tuple(sign_rows(n, (slot,))[0].tolist())
-    if not 0 <= h < spec.r:
-        raise RangeError(f"row {h} outside [0, {spec.r}) for block {n}")
-    return ComboDescriptor(
-        block=spec, row=h, slot=slot, signs=signs, scale=spec.c**-0.5
-    )
-
-
-def eval_combo(d: ComboDescriptor, x: float) -> SignedLogValue:
-    """c^(-1/2) * sum_k signs[k] * psi_{P_k}(x), via the signed log sum."""
-    psign, logs = basis.log_psi(np.asarray(d.indices()), x)
-    terms = [SignedLogValue(int(s * p), v) for s, p, v in zip(d.signs, psign.tolist(), logs.tolist())]
-    return slv_sum(terms).scaled(-0.5 * math.log(d.block.c))
 
 
 def row_values(spec: BlockSpec, h: int, xs: np.ndarray) -> np.ndarray:
@@ -254,33 +233,23 @@ def _combo_abs_at(
     return np.abs(vals.sum(axis=1)) * scale
 
 
-def combo_sup_norm(d: ComboDescriptor) -> tuple[float, float]:
-    """Maximise |combo| over the windows around its constituent peaks.
-
-    Grid pitch 1e-3 over the first peak's +-2 window (and over any later
-    window its bound cannot rule out), then golden-section refinement of
-    the best grid point to 1e-10: `row_sup_norms` for one slot, which
-    refines several slots of a row in lockstep, 36 batched evaluations per
-    row.  Returns (argmax, max).  The peak heights fall with k, and the
-    grid maximum lies in the first window on every row tested; the later
-    windows come within 3.7e-4 of it at block 12.
-    """
-    _, x_star, value = row_sup_norms(d.block.n, d.row, slots=(d.slot,))[0]
-    return x_star, value
-
-
 def row_sup_norms(
     n: int, h: int, slots: Sequence[int] | None = None
 ) -> list[tuple[int, float, float]]:
-    """Sup-norms of several slots of one row, sharing the evaluations.
+    """Sup-norms of several slots of one row, sharing the evaluations:
+    the maximum of |combo| over the windows around the row's peaks.
 
     Returns [(slot, x_star, value), ...] in the order requested.  All slots
-    of a row share one grid scan (`_window_maxima`).  Their golden-section
-    refinements, one per slot around its best grid point, then run in
-    lockstep (`optimize.golden_max_many`): each step evaluates the whole
-    row once for every live slot in one batch, 36 batched evaluations per
-    row.  The index half of log psi is computed once for the row and
-    serves every evaluation.
+    of a row share one grid scan (`_window_maxima`), at pitch 1e-3 over the
+    first peak's +-2 window and over any later window its bound cannot rule
+    out.  The peak heights fall with k, and the grid maximum lies in the
+    first window on every row tested; the later windows come within 3.7e-4
+    of it at block 12.  The golden-section refinements to 1e-10, one per
+    slot around its best grid point, then run in lockstep
+    (`optimize.golden_max_many`): each step evaluates the whole row once
+    for every live slot in one batch, 36 batched evaluations per row.  The
+    index half of log psi is computed once for the row and serves every
+    evaluation.
     """
     spec = block_spec(n)
     slots = range(spec.c) if slots is None else list(slots)

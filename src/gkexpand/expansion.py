@@ -13,9 +13,9 @@ The three builders produce:
 
 An expansion stores one per-term array, its log weights (a normalised raw
 or bounded one keeps its log sup-norms too): the linear weights are their
-exponentials, and a combo's log sup-norm is half its log weight.
-Descriptors are materialised on demand, so a deep combo expansion (block 8
-has ~2.9 million terms) stays cheap.
+exponentials, and a combo's log sup-norm is half its log weight.  Basis
+values are computed on demand as (signs, logs) arrays, so a deep combo
+expansion (block 8 has ~2.9 million terms) stays cheap.
 
 psi_k(x)^2 = e^(-2 x^2) (2 x^2)^k / k! is the Poisson(2 x^2) probability of
 k, so at a point only a window of indices around 2 x^2 is above double
@@ -27,8 +27,6 @@ that slice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Union
 
 import numpy as np
 
@@ -37,10 +35,6 @@ from .errors import DomainError, RangeError
 from .numerics import CANCELLATION_FLUSH, log_factorial
 
 __all__ = [
-    "RawPsi",
-    "ScaledH",
-    "Combo",
-    "BasisDescriptor",
     "Expansion",
     "build_raw",
     "build_bounded",
@@ -67,25 +61,6 @@ _LOG_NEGLIGIBLE = -765.0
 _LOG_WIDE = 2 * _LOG_NEGLIGIBLE
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True, slots=True)
-class RawPsi:
-    k: int
-
-
-@dataclass(frozen=True, slots=True)
-class ScaledH:
-    k: int
-    domain_edge: float
-
-
-@dataclass(frozen=True, slots=True)
-class Combo:
-    descriptor: blocks.ComboDescriptor
-
-
-BasisDescriptor = Union[RawPsi, ScaledH, Combo]
 
 
 class Expansion:
@@ -141,33 +116,6 @@ class Expansion:
     def __len__(self) -> int:
         return self.horizon
 
-    def weight(self, i: int) -> float:
-        if not 0 <= i < self.horizon:
-            raise RangeError(f"term {i} outside [0, {self.horizon})")
-        with np.errstate(under="ignore"):
-            return float(np.exp(self.log_weights[i]))
-
-    def descriptor(self, i: int) -> BasisDescriptor:
-        if not 0 <= i < self.horizon:
-            raise RangeError(f"term {i} outside [0, {self.horizon})")
-        if self.scheme == "raw":
-            return RawPsi(i)
-        if self.scheme == "bounded":
-            return ScaledH(i, float(self.domain_edge))
-        n, h, j = self._combo_position(i)
-        return Combo(blocks.combo_descriptor(n, h, j))
-
-    def terms(self) -> Iterator[tuple[float, BasisDescriptor]]:
-        for i in range(self.horizon):
-            yield self.weight(i), self.descriptor(i)
-
-    def _combo_position(self, i: int) -> tuple[int, int, int]:
-        for spec in self._specs:
-            if i < spec.next_start:
-                offset = i - spec.y
-                return spec.n, offset // spec.c, offset % spec.c
-        raise RangeError(f"term {i} beyond block {self.max_block}")
-
     def block_slice(self, n: int) -> slice:
         """Positions of the terms contributed by block n (combo scheme)."""
         if self.scheme != "combo":
@@ -203,22 +151,14 @@ class Expansion:
     # ------------------------------------------------------------------
     # Evaluation
 
-    def basis_values(self, x: float) -> np.ndarray:
-        """Signed linear values of every basis function at x, in term order.
-
-        Magnitudes below the double underflow limit come out as 0.0; use
-        :meth:`basis_log_values` when that matters.
-        """
-        signs, logs = self.basis_log_values(x)
-        with np.errstate(under="ignore"):
-            return signs * np.exp(logs)
-
     def basis_log_values(
         self, x: float, terms: slice | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(signs, log magnitudes) of the basis functions at x: all of them,
         or the contiguous slice ``terms``.  Each value has the same bits
         either way."""
+        if not math.isfinite(x):
+            raise DomainError(f"basis values need a finite point, got {x!r}")
         start, stop, step = (slice(None) if terms is None else terms).indices(self.horizon)
         if step != 1:
             raise RangeError("term slices must be contiguous")
@@ -290,7 +230,8 @@ def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarra
         scaled = sv * np.exp(lv - safe_anchor[None, :])  # (c, r)
     sums = s @ scaled  # (c_slots, r)
     mags = np.abs(sums)
-    # cancellations flush to exact zero, as in numerics.slv_sum
+    # a sum below CANCELLATION_FLUSH of its top term is a cancellation,
+    # flushed to exact zero
     alive = (mags >= CANCELLATION_FLUSH) & ~dead[None, :]
     with np.errstate(divide="ignore"):
         logs = np.where(

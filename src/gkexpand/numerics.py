@@ -1,10 +1,11 @@
-"""Signed log-domain arithmetic and factorial helpers.
+"""Factorials and the cancellation threshold of signed log-domain sums.
 
 Everything downstream works with quantities like sqrt(2^k / k!) * x^k * e^(-x^2)
 whose factors overflow or underflow IEEE doubles long before the quantity
-itself becomes uninteresting.  A ``SignedLogValue`` stores the sign and the
-natural log of the magnitude, which keeps every operation in a comfortable
-numeric range for indices up to several million.
+itself becomes uninteresting.  They are held as (signs, logs) arrays, the
+sign and the natural log of the magnitude (``basis.log_psi``), which keeps
+every operation in a comfortable numeric range for indices up to several
+million.
 
 ``log_factorial`` is the package's only ln k!: exact products up to k = 20,
 then the formulas of Cephes' ``lgam`` (S. L. Moshier, *Cephes Mathematical
@@ -17,19 +18,12 @@ from any number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "SignedLogValue",
-    "SLV_ZERO",
-    "from_real",
-    "slv_product",
-    "slv_sum",
     "log_factorial",
     "log_factorial_array",
     "CANCELLATION_FLUSH",
@@ -65,85 +59,6 @@ _LOG_FACTORIALS = np.array(
     [math.log(math.factorial(k)) for k in range(21)]
     + [_lgam(k + 1.0, _MINIMAX) for k in range(21, _TABLE_SIZE)]
 )
-
-
-@dataclass(frozen=True, slots=True)
-class SignedLogValue:
-    """A real number as (sign, log magnitude).
-
-    ``sign`` is -1, 0 or +1; ``log_mag`` is the natural log of the absolute
-    value and is ignored (normalised to 0.0) when the value is zero.
-    """
-
-    sign: int
-    log_mag: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.sign != 0 and not math.isfinite(self.log_mag):
-            raise DomainError("log magnitude of a nonzero value must be finite")
-
-    def to_real(self) -> float:
-        """Back to an ordinary float; saturates to +/-inf or 0.0 outside
-        the representable range of doubles."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_mag > 709.7:
-            return math.inf if self.sign > 0 else -math.inf
-        if self.log_mag < -745.2:
-            return 0.0
-        return self.sign * math.exp(self.log_mag)
-
-    def scaled(self, log_factor: float) -> "SignedLogValue":
-        """Multiply by exp(log_factor) without leaving the log domain."""
-        if self.sign == 0:
-            return self
-        return SignedLogValue(self.sign, self.log_mag + log_factor)
-
-
-SLV_ZERO = SignedLogValue(0)
-
-
-def from_real(v: float) -> SignedLogValue:
-    """Exact conversion of a finite float into sign/log-magnitude form."""
-    if not math.isfinite(v):
-        raise DomainError(f"cannot represent non-finite value {v!r}")
-    if v == 0.0:
-        return SLV_ZERO
-    return SignedLogValue(1 if v > 0 else -1, math.log(abs(v)))
-
-
-def slv_product(a: SignedLogValue, b: SignedLogValue) -> SignedLogValue:
-    """Product: signs multiply, log magnitudes add, zero absorbs."""
-    if a.sign == 0 or b.sign == 0:
-        return SLV_ZERO
-    return SignedLogValue(a.sign * b.sign, a.log_mag + b.log_mag)
-
-
-def slv_sum(terms: Sequence[SignedLogValue] | Iterable[SignedLogValue]) -> SignedLogValue:
-    """Signed log-sum-exp of a non-empty collection of terms.
-
-    The sum is anchored at the maximum log magnitude, the rescaled terms are
-    accumulated with ``math.fsum`` (exact, hence order independent), and a
-    result below ``CANCELLATION_FLUSH`` of the dominant term is flushed to
-    exact zero.
-    """
-    terms = list(terms)
-    if not terms:
-        raise DomainError("slv_sum requires at least one term")
-    anchor = -math.inf
-    for t in terms:
-        if t.sign != 0 and t.log_mag > anchor:
-            anchor = t.log_mag
-    if anchor == -math.inf:  # every term is zero
-        return SLV_ZERO
-    acc = math.fsum(
-        t.sign * math.exp(t.log_mag - anchor) for t in terms if t.sign != 0
-    )
-    if abs(acc) < CANCELLATION_FLUSH:
-        return SLV_ZERO
-    return SignedLogValue(1 if acc > 0 else -1, anchor + math.log(abs(acc)))
 
 
 def log_factorial(k: int) -> float:

@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from gkexpand.basis import (
-    bump_approx,
     bump_error,
-    eval_h,
-    eval_psi,
     fit_h_envelope,
-    h_sup_norm,
     log_h_sup_many,
     log_index_half,
     log_psi,
@@ -22,6 +18,7 @@ from gkexpand.basis import (
     peak,
 )
 from gkexpand.errors import DomainError
+from gkexpand.expansion import build_bounded, build_combo
 
 # Oracle values for the bump-model error, frozen from the defining grid
 # computation (step 1e-3, window +-2, error normalised by m_k).
@@ -32,13 +29,13 @@ BUMP_ERR_10000 = 0.0013757397969066981
 
 class TestEvalPsi:
     def test_k0_at_origin(self):
-        v = eval_psi(0, 0.0)
-        assert v.sign == 1 and v.log_mag == 0.0
+        sign, log = log_psi(0, 0.0)
+        assert sign == 1.0 and log == 0.0
 
     def test_k2_at_one(self):
         # direct formula with exact small factorial: sqrt(2^2/2!) * 1 * e^-1
-        v = eval_psi(2, 1.0)
-        assert v.to_real() == pytest.approx(math.sqrt(2.0) * math.exp(-1.0), rel=1e-14)
+        sign, log = log_psi(2, 1.0)
+        assert sign * math.exp(log) == pytest.approx(math.sqrt(2.0) * math.exp(-1.0), rel=1e-14)
 
     def test_peak_height_2835(self):
         info = peak(2835)
@@ -46,23 +43,29 @@ class TestEvalPsi:
         assert 0.99 <= law <= 1.01
 
     def test_zero_argument(self):
-        assert eval_psi(3, 0.0).sign == 0
+        assert log_psi(3, 0.0) == (0.0, -math.inf)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            eval_psi(1, math.inf)
+        # log_psi itself gives NaN at inf; the public evaluation refuses it
+        for e in (build_bounded(3.0, 5), build_combo(2)):
+            for x in (math.inf, -math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    e.basis_log_values(x)
 
     def test_rejects_negative_index(self):
+        # the index check of peak and bump_error
         with pytest.raises(DomainError):
-            eval_psi(-1, 1.0)
+            peak(-1)
+        with pytest.raises(DomainError):
+            bump_error(-1, 2.0)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 100, 2835])
     @pytest.mark.parametrize("x", [0.25, 1.0, 3.5, 37.6])
     def test_parity(self, k, x):
-        plus = eval_psi(k, x)
-        minus = eval_psi(k, -x)
-        assert minus.log_mag == plus.log_mag
-        assert minus.sign == (plus.sign if k % 2 == 0 else -plus.sign)
+        plus_sign, plus_log = log_psi(k, x)
+        minus_sign, minus_log = log_psi(k, -x)
+        assert minus_log == plus_log
+        assert minus_sign == (plus_sign if k % 2 == 0 else -plus_sign)
 
     @pytest.mark.parametrize("k,x", [(5, 2.0), (100, 7.0), (2835, 37.6)])
     def test_against_mpmath(self, k, x):
@@ -70,8 +73,9 @@ class TestEvalPsi:
             truth = mp.sqrt(mp.mpf(2) ** k / mp.factorial(k)) * mp.mpf(x) ** k * mp.e ** (
                 -mp.mpf(x) ** 2
             )
-            got = eval_psi(k, x)
-            rel = abs(mp.mpf(got.log_mag) - mp.log(truth))
+            sign, log = log_psi(k, x)
+            assert sign == 1.0
+            rel = abs(mp.mpf(float(log)) - mp.log(truth))
         assert rel < 1e-11
 
 
@@ -182,20 +186,20 @@ class TestPeak:
     def test_matches_eval_psi_at_peak(self, k):
         # dual route: closed form vs direct evaluation at x_k
         info = peak(k)
-        assert eval_psi(k, info.x_peak).log_mag == pytest.approx(info.log_m, abs=1e-12)
+        assert log_psi(k, info.x_peak)[1] == pytest.approx(info.log_m, abs=1e-12)
 
     @pytest.mark.parametrize("k", [10**4, 10**5, 10**6])
     def test_matches_eval_psi_large_k(self, k):
         # double rounding of k*ln(x) caps the agreement around k * 1e-16
         info = peak(k)
-        assert eval_psi(k, info.x_peak).log_mag == pytest.approx(info.log_m, abs=1e-9)
+        assert log_psi(k, info.x_peak)[1] == pytest.approx(info.log_m, abs=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 10, 1000, 12345])
     def test_strict_local_max(self, k):
         info = peak(k)
-        at_peak = eval_psi(k, info.x_peak).log_mag
-        assert eval_psi(k, info.x_peak + 1e-3).log_mag < at_peak
-        assert eval_psi(k, info.x_peak - 1e-3).log_mag < at_peak
+        at_peak = log_psi(k, info.x_peak)[1]
+        assert log_psi(k, info.x_peak + 1e-3)[1] < at_peak
+        assert log_psi(k, info.x_peak - 1e-3)[1] < at_peak
 
     @pytest.mark.parametrize("k", [1000, 31623, 10**6])
     def test_stirling_residual_bound(self, k):
@@ -205,14 +209,13 @@ class TestPeak:
 
 class TestBump:
     def test_value_at_peak(self):
+        # a window narrower than half a grid step holds the peak alone,
+        # where the bump model is (2 pi k)^(-1/4)
         for k in (10, 1000):
-            assert bump_approx(k, math.sqrt(k / 2.0)) == pytest.approx(
-                (2.0 * math.pi * k) ** -0.25, rel=1e-15
+            m = peak(k).m
+            assert bump_error(k, 1e-4) == pytest.approx(
+                abs(m - (2.0 * math.pi * k) ** -0.25) / m, rel=1e-9
             )
-
-    def test_unit_offset(self):
-        got = bump_approx(1000, math.sqrt(500.0) + 1.0)
-        assert got == pytest.approx((2000.0 * math.pi) ** -0.25 * math.exp(-2.0), rel=1e-12)
 
     def test_error_frozen_values(self):
         assert bump_error(100, 2.0) == pytest.approx(BUMP_ERR_100, rel=1e-9)
@@ -224,33 +227,34 @@ class TestBump:
 
     def test_rejects_k0(self):
         with pytest.raises(DomainError):
-            bump_approx(0, 1.0)
-        with pytest.raises(DomainError):
             bump_error(0, 2.0)
+
+
+def _h(k: int, x: float) -> float:
+    """h_k(x) in linear space: term k of an unnormalised bounded expansion."""
+    signs, logs = build_bounded(3.0, k + 1).basis_log_values(x)
+    return float(signs[k] * math.exp(logs[k]))
 
 
 class TestScaledH:
     def test_k2_at_one(self):
-        assert eval_h(2, 1.0).to_real() == pytest.approx(
-            2.0 * math.sqrt(2.0) * math.exp(-1.0), rel=1e-14
-        )
+        assert _h(2, 1.0) == pytest.approx(2.0 * math.sqrt(2.0) * math.exp(-1.0), rel=1e-14)
 
     def test_k0_convention(self):
-        assert eval_h(0, 0.0).to_real() == 1.0
+        # h_0 is psi_0, not 0 * psi_0
+        assert _h(0, 0.0) == 1.0
 
     def test_k1_at_peak(self):
-        assert eval_h(1, math.sqrt(0.5)).to_real() == pytest.approx(
-            math.exp(-0.5), rel=1e-14
-        )
+        assert _h(1, math.sqrt(0.5)) == pytest.approx(math.exp(-0.5), rel=1e-14)
 
     def test_sup_interior(self):
         # k = 2, N = 10: peak at 1 < 10, so sup = 2 m_2
-        v = h_sup_norm(2, 10.0)
-        assert v.to_real() == pytest.approx(2.0 * math.sqrt(2.0) * math.exp(-1.0), rel=1e-14)
+        v = math.exp(log_h_sup_many(2, 10.0))
+        assert v == pytest.approx(2.0 * math.sqrt(2.0) * math.exp(-1.0), rel=1e-14)
 
     def test_sup_boundary_against_mpmath(self):
         # k = 10^4, N = 3: sup = k * sqrt(2^k/k!) * 3^k * e^-9
-        got = h_sup_norm(10**4, 3.0)
+        got = float(log_h_sup_many(10**4, 3.0))
         with mp.workdps(60):
             truth = mp.log(
                 10**4
@@ -258,15 +262,14 @@ class TestScaledH:
                 * mp.mpf(3) ** 10**4
                 * mp.e**-9
             )
-            assert got.sign == 1
-            assert abs(mp.mpf(got.log_mag) - truth) < 1e-8
+            assert abs(mp.mpf(got) - truth) < 1e-8
 
     def test_switchover_consistency(self):
         # at k = 2 N^2 both branches coincide
         n_edge = 3.0
         k = 18
         interior = math.log(k) + peak(k).log_m
-        boundary = eval_h(k, n_edge).log_mag
+        boundary = build_bounded(n_edge, k + 1).basis_log_values(n_edge)[1][k]
         assert interior == pytest.approx(boundary, abs=1e-11)
 
 
@@ -323,5 +326,5 @@ class TestEnvelope:
 
     def test_envelope_dominates_tail(self):
         env = fit_h_envelope(3.0, k_max=5000)
-        for k in (49, 100, 1234, 5000):
-            assert h_sup_norm(k, 3.0).log_mag <= env.log_envelope(k) + 1e-12
+        ks = np.array([49, 100, 1234, 5000])
+        assert np.all(log_h_sup_many(ks, 3.0) <= env.log_envelope(ks) + 1e-12)

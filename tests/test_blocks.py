@@ -1,20 +1,18 @@
 """Block geometry, sign recombination, combo evaluation and sup-norms."""
 
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 from gkexpand import basis, blocks
-from gkexpand.basis import eval_psi, peak
+from gkexpand.basis import log_psi, peak
 from gkexpand.blocks import (
     SEPARATION_LIMIT,
     WINDOW_HALFWIDTH,
     block_spec,
-    combo_descriptor,
-    combo_sup_norm,
-    eval_combo,
     min_row_separation,
     row_indices,
     row_sup_norms,
@@ -24,6 +22,7 @@ from gkexpand.blocks import (
 )
 from gkexpand.cli import COMBO_NORM_WINDOW
 from gkexpand.errors import RangeError
+from gkexpand.expansion import build_combo
 from gkexpand.optimize import INV_PHI, INV_PHI_SQ, golden_max, golden_max_many
 
 # The worked 8x8 recombination table (block 4).
@@ -94,6 +93,30 @@ class TestRowIndices:
         with pytest.raises(RangeError):
             row_indices(block_spec(1), 135)
 
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2), 2.5, np.float64(2.0), "2"])
+    def test_rows_and_slots_must_be_integers(self, value):
+        # row 2.5 read as indices y + 2.5 + k r, slot 1.5 as slot 1, and
+        # block 2.5 as a block of 2.83 columns
+        spec = block_spec(4)
+        if isinstance(value, (int, np.integer)):
+            assert row_indices(spec, value) == row_indices(spec, 2)
+            assert np.array_equal(sign_rows(4, [value]), sign_rows(4, [2]))
+            assert row_sup_norms(4, value, [value]) == row_sup_norms(4, 2, [2])
+            assert block_spec(value) == block_spec(2)
+            assert np.array_equal(sign_rows(value), sign_rows(2))
+            return
+        calls = (
+            lambda: row_indices(spec, value),
+            lambda: sign_rows(4, [0, value]),
+            lambda: row_sup_norms(4, value, [0]),
+            lambda: row_sup_norms(4, 0, [value]),
+            lambda: block_spec(value),
+            lambda: sign_rows(value),
+        )
+        for call in calls:
+            with pytest.raises(RangeError, match=re.escape(f"{value!r} is not an integer")):
+                call()
+
 
 def pairing_recursion(n):
     """The construction's own recursion: sums of adjacent pairs fill the
@@ -145,8 +168,6 @@ class TestSignRows:
         with pytest.raises(RangeError):
             sign_rows(4, [0, slot])
         with pytest.raises(RangeError):
-            combo_descriptor(4, 0, slot)
-        with pytest.raises(RangeError):
             row_sup_norms(4, 0, [slot])
 
     def test_block_out_of_range(self):
@@ -155,8 +176,6 @@ class TestSignRows:
 
     def test_descriptor_and_norms_capped_before_allocating(self, monkeypatch):
         monkeypatch.setattr(np, "arange", _no_alloc)
-        with pytest.raises(RangeError):
-            combo_descriptor(13, 0, 0)
         with pytest.raises(RangeError):
             row_sup_norms(13, 0, [0])
 
@@ -213,44 +232,56 @@ class TestSignMatrix:
         assert sign_matrix(n).to_csv_text() == expected
 
 
+def _psi(k, x):
+    sign, log = log_psi(k, x)
+    return float(sign * math.exp(log))
+
+
 class TestEvalCombo:
+    """Combos as terms of a combo expansion: term y + h c + s of block n is
+    slot s of row h, normalised by its sup-norm sqrt(lambda)."""
+
     def test_single_column_equals_psi(self):
-        d = combo_descriptor(1, 7, 0)
+        # block 1 row 7 is psi_7 alone: the normalised term is psi_7 / m_7
+        e = build_combo(1)
         for x in (0.5, 1.87, peak(7).x_peak, -2.0):
-            assert eval_combo(d, x) == eval_psi(7, x)
+            signs, logs = e.basis_log_values(x)
+            sign, log = log_psi(7, x)
+            assert signs[7] == sign
+            assert logs[7] == log - 0.5 * e.log_weights[7]
 
     def test_block2_peak_value(self):
         # leading peak of row 0 in block 2; the 405-peak crosses in at ~8e-39
-        d = combo_descriptor(2, 0, 0)
-        x = math.sqrt(135.0 / 2.0)
-        got = eval_combo(d, x).to_real()
+        e = build_combo(2)
+        signs, logs = e.basis_log_values(math.sqrt(135.0 / 2.0))
+        got = signs[135] * math.exp(logs[135] + 0.5 * e.log_weights[135])
         assert got == pytest.approx(peak(135).m / math.sqrt(2.0), rel=1e-9)
 
     def test_block2_pair_identity(self):
-        # slot0^2 + slot1^2 reproduces psi_135^2 + psi_405^2 pointwise
-        d0 = combo_descriptor(2, 0, 0)
-        d1 = combo_descriptor(2, 0, 1)
+        # lambda_0 b_0^2 + lambda_1 b_1^2 over the two slots of row 0
+        # reproduces psi_135^2 + psi_405^2 pointwise
+        e = build_combo(2)
         for x in (8.2, 9.0, 10.5, 13.0, 14.5):
-            lhs = eval_combo(d0, x).to_real() ** 2 + eval_combo(d1, x).to_real() ** 2
-            rhs = eval_psi(135, x).to_real() ** 2 + eval_psi(405, x).to_real() ** 2
+            _signs, logs = e.basis_log_values(x)
+            lhs = sum(math.exp(2.0 * logs[i] + e.log_weights[i]) for i in (135, 136))
+            rhs = _psi(135, x) ** 2 + _psi(405, x) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
     def test_zero_argument(self):
-        d = combo_descriptor(2, 0, 0)
-        assert eval_combo(d, 0.0).sign == 0
+        signs, logs = build_combo(2).basis_log_values(0.0)
+        assert (signs[135], logs[135]) == (0.0, -math.inf)
 
 
 class TestComboSupNorm:
     def test_single_column_recovers_peak(self):
-        d = combo_descriptor(1, 42, 0)
-        x, v = combo_sup_norm(d)
+        (s, x, v), = row_sup_norms(1, 42, [0])
         info = peak(42)
+        assert s == 0
         assert x == info.x_peak
         assert v == info.m
 
     def test_block4_norm_law(self):
-        d = combo_descriptor(4, 0, 0)
-        _, v = combo_sup_norm(d)
+        (_, _, v), = row_sup_norms(4, 0, [0])
         law = v * v * math.sqrt(2.0 * math.pi * 2835.0) * 8.0
         assert 0.98 <= law <= 1.02
 
@@ -270,12 +301,6 @@ class TestComboSupNorm:
         closed = peak(spec.y + h).m / math.sqrt(spec.c)
         for _s, _x, v in row_sup_norms(n, h, slots=(0, spec.c - 1)):
             assert v == pytest.approx(closed, rel=1e-9)
-
-    def test_row_sup_norms_matches_single_search(self):
-        d = combo_descriptor(3, 7, 2)
-        x1, v1 = combo_sup_norm(d)
-        (_, x2, v2), = row_sup_norms(3, 7, slots=(2,))
-        assert (x1, v1) == (x2, v2)
 
 
 def _psi_grid(idx, xs):

@@ -5,18 +5,39 @@ import math
 import numpy as np
 import pytest
 
-from gkexpand.basis import eval_psi, peak
-from gkexpand.blocks import combo_descriptor, eval_combo
+from gkexpand.basis import log_psi, peak
+from gkexpand.blocks import block_spec, row_indices, sign_rows
 from gkexpand.errors import DomainError, RangeError
-from gkexpand.expansion import (
-    Combo,
-    RawPsi,
-    ScaledH,
-    build_bounded,
-    build_combo,
-    build_raw,
-)
+from gkexpand.expansion import build_bounded, build_combo, build_raw
+from gkexpand.numerics import CANCELLATION_FLUSH
 from gkexpand.reconstruct import series_kernel, tail_bound
+
+
+def _values(e, x):
+    """Signed linear values of every basis function of e at x; 0.0 below
+    the double underflow limit."""
+    signs, logs = e.basis_log_values(x)
+    with np.errstate(under="ignore"):
+        return signs * np.exp(logs)
+
+
+def _combo_oracle(n, h, slot, x):
+    """Slot ``slot`` of row h of block n at x, c^(-1/2) sum_k S[slot, k]
+    psi_{P_k}(x), as one scalar signed log-sum-exp: the terms rescaled by
+    the top one and summed with math.fsum, a sum below CANCELLATION_FLUSH
+    flushed to 0.  An independent check on the matrix sums of the
+    (row, slot) array path."""
+    spec = block_spec(n)
+    psign, logs = log_psi(np.asarray(row_indices(spec, h)), x)
+    signs = sign_rows(n, [slot])[0].tolist()
+    terms = [(s * p, v) for s, p, v in zip(signs, psign.tolist(), logs.tolist())]
+    anchor = max((v for sign, v in terms if sign), default=-math.inf)
+    if anchor == -math.inf:
+        return 0.0
+    acc = math.fsum(sign * math.exp(v - anchor) for sign, v in terms if sign)
+    if abs(acc) < CANCELLATION_FLUSH:
+        return 0.0
+    return math.copysign(math.exp(anchor + math.log(abs(acc)) - 0.5 * math.log(spec.c)), acc)
 
 
 class TestBuildRaw:
@@ -27,11 +48,11 @@ class TestBuildRaw:
     def test_weights_are_unit(self):
         e = build_raw(10)
         assert np.all(e.weights == 1.0)
-        assert [d.k for _w, d in e.terms()] == list(range(10))
+        assert len(e) == 10
 
     def test_normalized_weights_follow_peak_law(self):
         e = build_raw(200).normalize()
-        lam100 = e.weight(100)
+        lam100 = e.weights[100]
         assert 0.99 <= lam100 * math.sqrt(200.0 * math.pi) <= 1.01
         with pytest.raises(IndexError):
             _ = e.weights[1000]
@@ -51,7 +72,7 @@ class TestBuildRaw:
     def test_normalized_basis_has_unit_sup(self):
         e = build_raw(300).normalize()
         for k in (1, 17, 250):
-            vals = e.basis_values(peak(k).x_peak)
+            vals = _values(e, peak(k).x_peak)
             assert vals[k] == pytest.approx(1.0, rel=1e-11)
 
     def test_horizon_validation(self):
@@ -66,9 +87,8 @@ class TestBuildBounded:
 
     def test_weights(self):
         e = build_bounded(3.0, 10)
-        assert e.weight(0) == 1.0
-        assert e.weight(3) == pytest.approx(1.0 / 9.0, rel=1e-15)
-        assert isinstance(e.descriptor(3), ScaledH)
+        assert e.weights[0] == 1.0
+        assert e.weights[3] == pytest.approx(1.0 / 9.0, rel=1e-15)
 
     def test_reconstructs_kernel(self):
         e = build_bounded(3.0, 300)
@@ -104,7 +124,7 @@ class TestBuildCombo:
         np.testing.assert_allclose(ec.weights, er.weights, rtol=1e-14)
         x = 5.5
         np.testing.assert_allclose(
-            ec.basis_values(x), er.basis_values(x), rtol=1e-12, atol=1e-300
+            _values(ec, x), _values(er, x), rtol=1e-12, atol=1e-300
         )
 
     def test_term_count_is_tiling(self):
@@ -115,20 +135,15 @@ class TestBuildCombo:
             build_combo(9)
         assert len(build_combo(9, cap=9)) == 45 * (4**9 - 1)
 
-    def test_descriptors(self, combo4):
-        d = combo4.descriptor(2835)
-        assert isinstance(d, Combo)
-        assert d.descriptor.block.n == 4
-        assert d.descriptor.row == 0 and d.descriptor.slot == 0
-        assert combo4.descriptor(0) == Combo(combo_descriptor(1, 0, 0))
-
     def test_basis_values_match_scalar_combo(self, combo4):
+        # term y + h c + slot of block n is that slot of row h, over its
+        # sup-norm sqrt(lambda)
         x = 41.3
-        vals = combo4.basis_values(x)
-        for pos in (0, 135, 2835, 2843, 11474):
-            d = combo4.descriptor(pos).descriptor
-            lam = combo4.weight(pos)
-            expected = eval_combo(d, x).to_real() / math.sqrt(lam)
+        vals = _values(combo4, x)
+        for pos, (n, h, slot) in ((0, (1, 0, 0)), (135, (2, 0, 0)), (2835, (4, 0, 0)),
+                                  (2843, (4, 1, 0)), (7443, (4, 576, 0)), (11474, (4, 1079, 7))):
+            assert pos == block_spec(n).y + h * block_spec(n).c + slot
+            expected = _combo_oracle(n, h, slot, x) / math.sqrt(combo4.weights[pos])
             assert vals[pos] == pytest.approx(expected, rel=1e-10, abs=1e-280)
 
     def test_scheme_equivalence_with_raw(self):
@@ -159,27 +174,17 @@ class TestDiagonalSandwich:
 
 
 class TestTermAccess:
-    def test_raw_descriptor(self):
-        assert build_raw(3).descriptor(2) == RawPsi(2)
-
-    def test_indices_distinct(self, combo4):
-        descs = [combo4.descriptor(i) for i in range(0, len(combo4), 997)]
-        assert len(set(descs)) == len(descs)
-
     def test_out_of_range(self, combo4):
-        with pytest.raises(RangeError):
-            combo4.descriptor(len(combo4))
-
-    @pytest.mark.parametrize("i", [-1, 11475])
-    def test_weight_out_of_range(self, combo4, i):
-        # weight(-1) returned the last weight, weight(horizon) an IndexError
-        with pytest.raises(RangeError):
-            combo4.weight(i)
+        for n in (0, 5):
+            with pytest.raises(RangeError):
+                combo4.block_slice(n)
 
     def test_weight_at_both_ends(self, combo4):
+        # a combo's weight is its leading peak's m^2 / c: psi_0 alone first,
+        # row 1079 of block 4 (leading index 2835 + 1079) last
         weights = combo4.weights
-        assert combo4.weight(0) == weights[0]
-        assert combo4.weight(len(combo4) - 1) == weights[-1]
+        assert weights[0] == 1.0
+        assert weights[-1] == pytest.approx(peak(2835 + 1079).m ** 2 / 8.0, rel=1e-12)
 
 
 class TestOnePerTermArray:
@@ -190,12 +195,6 @@ class TestOnePerTermArray:
         held = [name for name, v in vars(combo8).items()
                 if isinstance(v, np.ndarray) and v.shape[:1] == (len(combo8),)]
         assert held == ["log_weights"]
-
-    def test_weight_has_the_bits_of_weights(self, combo8):
-        weights = combo8.weights
-        # np.exp of one element has the array's bits; math.exp does not
-        for i in range(0, len(combo8), 997):
-            assert combo8.weight(i) == weights[i]
 
     def test_normalized_flag(self):
         raw, bounded, combo = build_raw(50), build_bounded(3.0, 50), build_combo(2)

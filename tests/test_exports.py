@@ -34,3 +34,14 @@ def test_package_reexports_resolve():
             ):
                 stale.append(f"{node.module}.{alias.name}")
     assert stale == []
+
+
+def test_readme_library_sketch_runs():
+    # the README's library sketch names only functions that exist
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text[text.index("\n## Library sketch\n"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("\n```", start)]
+    assert "import gkexpand" in code
+    exec(compile(code, f"{readme}:Library sketch", "exec"), {})

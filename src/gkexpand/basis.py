@@ -80,8 +80,7 @@ def log_psi(ks, x) -> tuple[np.ndarray, np.ndarray]:
     """(signs, log |psi_k(x)|) for integer indices ``ks`` (any dtype)
     broadcast against ``x``, a single point or an array of points.
 
-    Signs are floats in {-1, 0, +1}, for an array ``x`` possibly a
-    read-only broadcast view; the log is -inf where psi_k(x) = 0.  Every
+    Signs are floats in {-1, 0, +1}; the log is -inf where psi_k(x) = 0.  Every
     psi evaluation in the package goes through this function or, with
     the index half computed once, through :func:`log_psi_from_half` or
     :func:`log_psi_at`.
@@ -104,25 +103,15 @@ def log_psi_from_half(ks, half, x) -> tuple[np.ndarray, np.ndarray]:
         x = float(xs)
         flip = None if x > 0.0 else 1.0
         return _log_psi_terms(ks, half, _log_abs(x), x * x, flip, True if x == 0.0 else None)
-    kf = np.asarray(ks, dtype=np.float64)
-    ax = np.abs(xs)
-    # the NaN of 0 * log(0) at (k = 0, x = 0) is overwritten below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = kf * np.log(ax)
-    # half is added in place: the bits of half + k ln|x| without one more
-    # full-size array
-    logs += half
-    logs -= xs * xs
-    signs = np.broadcast_to(1.0, logs.shape)
-    neg = xs < 0.0
-    if np.any(neg):
-        signs = np.where(neg & (_parity(ks) == 1), -1.0, 1.0)
-    at_zero = ax == 0.0
-    if np.any(at_zero):
-        k_zero = kf == 0
-        logs = np.where(at_zero, np.where(k_zero, 0.0, -np.inf), logs)
-        signs = np.where(at_zero & ~k_zero, 0.0, signs)
-    return signs, logs
+    zero = xs == 0.0
+    with np.errstate(divide="ignore"):
+        lx = np.log(np.abs(xs))
+    if zero.any():
+        lx[zero] = 0.0  # psi's log at x = 0 is set apart
+    else:
+        zero = None
+    flip = None if np.all(xs > 0.0) else np.where(xs > 0.0, 0.0, 1.0)
+    return _log_psi_terms(ks, half, lx, xs * xs, flip, zero)
 
 
 def log_psi_at(ks, half, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -147,9 +136,9 @@ def _log_abs(x: float) -> float:
 def _log_psi_terms(ks, half, lx, sq, flip, zero) -> tuple[np.ndarray, np.ndarray]:
     """(signs, logs) of psi_k from the per-point terms ln|x|, x^2, ``flip``
     (1.0 where odd k flip the sign, x not above 0) and ``zero`` (x = 0):
-    floats for one point, or columns with one row per point.  ``flip`` and
+    floats for one point, or arrays that broadcast against ``ks``.  ``flip`` and
     ``zero`` are None where no point has them.  The formula of
-    :func:`log_psi_from_half`'s one-point branch and of :func:`log_psi_at`."""
+    :func:`log_psi_from_half` and of :func:`log_psi_at`."""
     kf = np.asarray(ks, dtype=np.float64)
     logs = kf * lx
     logs += half

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ COMBO_NORM_WINDOW = (0.95, 1.05)   # value^2 c sqrt(2 pi (y+h)) gate, n >= 3
 WEIGHT_MASS_WINDOW = (7.2, 8.8)    # G(n, 1) gate for n >= 4
 SLOPE_TOL = 0.15             # divergence fit vs 135/(sqrt(90 pi) ln 4)
 MAX_NORM_ROWS = 10**6        # raw and bounded norms: 10^6 rows take ~0.5 GB
-MAX_THREADS = 64             # --threads cap: one OS thread per pending row or job
 
 
 def _fmt(v: float) -> str:
@@ -87,14 +85,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         e = build_bounded(args.domain_edge, args.horizon)
     else:
         e = build_combo(args.max_block)
-    report = reconstruct.grid_report(
-        e,
-        _parse_range(args.range),
-        _parse_range(args.range),
-        step=args.step,
-        eta=args.eta,
-        threads=args.threads,
-    )
+    if args.range is None:  # a default grid inside the scheme's domain
+        xy = (0.0, args.domain_edge) if args.scheme == "bounded" else (-3.0, 3.0)
+    else:
+        xy = _parse_range(args.range)
+    report = reconstruct.grid_report(e, xy, xy, step=args.step, eta=args.eta)
     out = _out_dir(args)
     rows = [
         [_fmt(x), _fmt(y), _fmt(ex), _fmt(se), _fmt(er), "" if b is None else _fmt(b)]
@@ -132,35 +127,24 @@ def _norms_raw(args) -> tuple[list[list], bool, str]:
 
 def _norms_combo(args) -> tuple[list[list], bool, str]:
     lo, hi = COMBO_NORM_WINDOW
-    blocks.sign_rows(args.max_block, [])  # the sign-pattern cap, before any job runs
-    jobs = []
+    blocks.sign_rows(args.max_block, [])  # the sign-pattern cap, before any row runs
+    rows = []
+    ok = True
     for n in range(1, args.max_block + 1):
         spec = blocks.block_spec(n)
         hs = sorted(set(int(v) for v in np.linspace(0, spec.r - 1, min(args.rows, spec.r))))
         slots = sorted(set(int(v) for v in np.linspace(0, spec.c - 1, min(args.slots, spec.c))))
         for h in hs:
-            jobs.append((n, h, slots, spec))
-
-    def work(job):
-        n, h, slots, spec = job
-        return [(n, h, s, x, v) for s, x, v in blocks.row_sup_norms(n, h, slots)]
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(work, jobs))
-
-    rows = []
-    ok = True
-    for (n, h, _slots, spec), items in zip(jobs, results):
-        for n_, h_, s, x, v in items:
-            lead = spec.y + h_
-            if lead == 0:  # the k = 0 bump has no asymptotic law
-                rows.append([f"combo[{n_},{h_},{s}]", _fmt(v), "", ""])
-                continue
-            predicted = (2.0 * math.pi * lead) ** -0.25 / math.sqrt(spec.c)
-            ratio = v * v * spec.c * math.sqrt(2.0 * math.pi * lead)
-            rows.append([f"combo[{n_},{h_},{s}]", _fmt(v), _fmt(predicted), _fmt(ratio)])
-            if n_ >= 3 and not lo <= ratio <= hi:
-                ok = False
+            lead = spec.y + h
+            for s, _x, v in blocks.row_sup_norms(n, h, slots):
+                if lead == 0:  # the k = 0 bump has no asymptotic law
+                    rows.append([f"combo[{n},{h},{s}]", _fmt(v), "", ""])
+                    continue
+                predicted = (2.0 * math.pi * lead) ** -0.25 / math.sqrt(spec.c)
+                ratio = v * v * spec.c * math.sqrt(2.0 * math.pi * lead)
+                rows.append([f"combo[{n},{h},{s}]", _fmt(v), _fmt(predicted), _fmt(ratio)])
+                if n >= 3 and not lo <= ratio <= hi:
+                    ok = False
     return rows, ok, f"max_block={args.max_block} gate=ratio in [{lo},{hi}] for n>=3"
 
 
@@ -390,10 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out-dir", default=None, help="output directory (env GKEXPAND_OUT_DIR)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv", help="data file format")
-        sp.add_argument(
-            "--threads", type=int, default=1,
-            help=f"worker threads, 1 to {MAX_THREADS} (output-invariant)",
-        )
         sp.add_argument("--config", default=None, help="JSON file with flag defaults (flags win)")
         _SUBPARSERS[sp.prog.split()[-1]] = sp
 
@@ -404,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--horizon", type=int, default=200)
     sp.add_argument("--domain-edge", type=float, default=3.0)
     sp.add_argument("--max-block", type=int, default=3)
-    sp.add_argument("--range", default="-3:3", help="grid range lo:hi (both axes)")
+    sp.add_argument("--range", default=None,
+                    help="grid range lo:hi (both axes); default -3:3, bounded 0:DOMAIN_EDGE")
     sp.add_argument("--step", type=float, default=0.25)
     sp.add_argument("--eta", type=float, default=1.0, help="kernel width")
     common(sp)
@@ -466,11 +447,11 @@ def _apply_config(
     for key, val in cfg.items():
         dest = key.replace("-", "_")
         flag = "--" + key.replace("_", "-")
+        action = actions.get(dest)
+        if action is None:  # a misspelt key would otherwise leave its default
+            raise DomainError(f"config key {key!r} is not a flag of {parser.prog}")
         if any(a == flag or a.startswith(flag + "=") for a in argv):
             continue  # explicit flag wins
-        action = actions.get(dest)
-        if action is None:
-            continue
         # the value's text goes through the flag's own checks, so a config
         # value gives the same bytes as the same text given as the flag
         try:
@@ -504,10 +485,6 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         _apply_config(args, argv, _SUBPARSERS[args.command])
-        if args.threads < 1:
-            raise DomainError(f"--threads must be >= 1, got {args.threads}")
-        if args.threads > MAX_THREADS:
-            raise RangeError(f"--threads must be <= {MAX_THREADS}, got {args.threads}")
         return args.func(args)
     except (DomainError, RangeError, ConstructionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,7 @@ million.
 then the formulas of Cephes' ``lgam`` (S. L. Moshier, *Cephes Mathematical
 Library*), the code behind ``scipy.special.gammaln``, with its bits.
 
-All functions here are pure and stateless; they can be called concurrently
-from any number of threads.
+All functions here are pure and stateless.
 """
 
 from __future__ import annotations

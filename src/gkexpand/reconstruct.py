@@ -21,7 +21,6 @@ evaluates the full horizon; raw and bounded windows are the full horizon.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +109,7 @@ def _accumulate(
 
 class _Point:
     """A point's narrow (window, (signs, log magnitudes)) part, and its wide
-    part, made on first use (grid threads may both make it: equal tuples)."""
+    part, made on first use."""
 
     def __init__(self, e: Expansion, x: float) -> None:
         w = e.term_window(x)
@@ -237,15 +236,14 @@ def grid_report(
     y_range: tuple[float, float],
     step: float = 0.25,
     eta: float = 1.0,
-    threads: int = 1,
 ) -> ReconstructionReport:
     """Compare series and exact kernel over a rectangular grid.
 
     For eta != 1 inputs are rescaled by 1/sqrt(eta) at this edge; the
-    expansion itself always lives at unit width.  Rows are produced in a
-    fixed order regardless of the thread count.  A grid of more than
-    MAX_GRID_PAIRS pairs, or raw or bounded columns of more than
-    MAX_COLUMN_BYTES, raises RangeError before any point is built.
+    expansion itself always lives at unit width.  Rows are produced in
+    grid order, x outer.  A grid of more than MAX_GRID_PAIRS pairs, or raw
+    or bounded columns of more than MAX_COLUMN_BYTES, raises RangeError
+    before any point is built.
     Every pair goes through :func:`_pair_sum`, so no combo pair evaluates
     the full horizon; a grid point keeps its wide values once made.
     """
@@ -265,21 +263,14 @@ def grid_report(
             f"{ny} grid columns of {horizon} terms exceed {MAX_COLUMN_BYTES} bytes"
         )
     by = [_Point(e, y * scale) for y in ys]
-
-    def do_row(x: float) -> list[tuple[float, float, float, float, float, float | None]]:
+    rows = []
+    for x in xs:
         px = _Point(e, x * scale)
-        out = []
         for y, py in zip(ys, by):
             series = _pair_sum(e, px, py)
             exact = exact_kernel(x, y, eta)
             bound = tail_bound(horizon, px.x, py.x)
-            out.append((x, y, exact, series, abs(exact - series), bound))
-        return out
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(do_row, xs))
-
-    rows = tuple(r for chunk in chunks for r in chunk)
+            rows.append((x, y, exact, series, abs(exact - series), bound))
     max_err = max(r[4] for r in rows)
     max_bound = max((r[5] for r in rows if r[5] is not None), default=0.0)
     ok = all(r[5] is not None and r[4] <= r[5] + EVAL_SLACK for r in rows)
@@ -290,7 +281,7 @@ def grid_report(
         x_range=tuple(x_range),
         y_range=tuple(y_range),
         step=step,
-        rows=rows,
+        rows=tuple(rows),
         max_abs_error=max_err,
         max_tail_bound=max_bound,
         bound_satisfied=ok,

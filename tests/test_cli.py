@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gkexpand import analysis, blocks
-from gkexpand.cli import MAX_THREADS, main
+from gkexpand.cli import main
 
 TABLE_N4_CSV = (
     "1,1,1,1,1,1,1,1\n"
@@ -68,6 +68,19 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)])
         assert code == 1
         assert "defined on [0, 3.0]" in capsys.readouterr().err
+
+    def test_bounded_default_range_is_its_domain(self, tmp_path):
+        # the default grid was -3:3, outside [0, 3]: exit 1 with no flags
+        assert main(["reconstruct", "--scheme", "bounded", "--out-dir", str(tmp_path / "default")]) == 0
+        assert main(["reconstruct", "--scheme", "bounded", "--range", "0:3",
+                     "--out-dir", str(tmp_path / "explicit")]) == 0
+        assert _dir_bytes(tmp_path / "default") == _dir_bytes(tmp_path / "explicit")
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["norms", "--threads", "2", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("span", ["nan:1", "0:inf", "-inf:0"])
     def test_non_finite_range_is_domain_error(self, tmp_path, capsys, span):
@@ -395,12 +408,14 @@ class TestConfigFile:
             (["reconstruct"], {"scheme": "foo"}, "scheme='foo' is not one of --scheme"),
             (["reconstruct"], {"horizon": 1.5}, "horizon=1.5 is not valid for --horizon"),
             (["norms", "--scheme", "raw"], {"horizon": [3]}, "horizon=[3] is not valid"),
-            (["reconstruct"], {"threads": 0}, "--threads must be >= 1, got 0"),
+            (["reconstruct"], {"threads": 2}, "config key 'threads' is not a flag of gkexpand reconstruct"),
+            (["reconstruct"], {"horizn": 5}, "config key 'horizn' is not a flag of gkexpand reconstruct"),
         ],
-        ids=["bad-choice", "float-for-int", "list-for-int", "zero-threads"],
+        ids=["bad-choice", "float-for-int", "list-for-int", "threads", "misspelt-key"],
     )
     def test_config_value_meets_its_flag_checks(self, tmp_path, capsys, command, cfg_doc, message):
-        # {"scheme": "foo"} passed as combo; the others were TypeError tracebacks
+        # {"scheme": "foo"} passed as combo, {"horizn": 5} passed with the
+        # default horizon; the others were TypeError tracebacks
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(cfg_doc))
         assert main(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
@@ -417,31 +432,6 @@ class TestConfigFile:
                             "--out-dir", str(tmp_path / "flag")]) == 0
         assert _dir_bytes(tmp_path / "cfg") == _dir_bytes(tmp_path / "flag")
         assert '"step": 1.0' in (tmp_path / "cfg" / "reconstruct_summary.json").read_text()
-
-
-class TestThreads:
-    @pytest.mark.parametrize(
-        "argv,message",
-        [
-            (["reconstruct", "--threads", "0"], "--threads must be >= 1"),
-            (["norms", "--scheme", "combo", "--threads", "-3"], "--threads must be >= 1"),
-            # single-job commands, so a broken cap starts one thread at most
-            (["norms", "--scheme", "combo", "--max-block", "1", "--rows", "1", "--slots", "1",
-              "--threads", "100000"], "--threads must be <= 64"),
-            (["reconstruct", "--range", "0:0", "--threads", "65"], "--threads must be <= 64"),
-        ],
-        ids=["reconstruct-0", "norms-minus-3", "norms-100000", "reconstruct-65"],
-    )
-    def test_threads_below_one_rejected(self, tmp_path, capsys, argv, message):
-        # below 1 both ran serially and exited 0; above the cap a large grid
-        # asked for one OS thread per pending row
-        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
-        assert message in _one_error_line(capsys)
-        assert not (tmp_path / "out").exists()
-
-    def test_threads_at_cap_accepted(self, tmp_path):
-        argv = ["norms", "--scheme", "combo", "--max-block", "1", "--rows", "1", "--slots", "1"]
-        assert main(argv + ["--threads", str(MAX_THREADS), "--out-dir", str(tmp_path)]) == 0
 
 
 class TestDeterminism:
@@ -461,9 +451,9 @@ class TestDeterminism:
     )
     def test_repeat_and_thread_invariance(self, tmp_path, argv):
         outs = []
-        for i, threads in enumerate(("1", "1", "4")):
+        for i in range(3):
             d = tmp_path / f"run{i}"
-            assert main(argv + ["--threads", threads, "--out-dir", str(d)]) == 0
+            assert main(argv + ["--out-dir", str(d)]) == 0
             outs.append(_dir_bytes(d))
         assert outs[0] == outs[1] == outs[2]
 

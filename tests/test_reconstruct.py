@@ -165,11 +165,6 @@ class TestGridReport:
         with pytest.raises(RangeError, match="1000 x 1001"):
             grid_report(raw200, (0.0, 999.0), (0.0, 1000.0), 1.0)
 
-    def test_threads_do_not_change_rows(self, raw200):
-        a = grid_report(raw200, (-2.0, 2.0), (-2.0, 2.0), 0.5, threads=1)
-        b = grid_report(raw200, (-2.0, 2.0), (-2.0, 2.0), 0.5, threads=4)
-        assert a.rows == b.rows
-
     def test_eta_rescaling(self):
         e = build_raw(120)
         rep = grid_report(e, (-6.0, 6.0), (-6.0, 6.0), 1.0, eta=4.0)

@@ -6,7 +6,6 @@ horizon."""
 
 import math
 import struct
-import sys
 from collections import Counter
 
 import numpy as np
@@ -221,26 +220,9 @@ class TestGridWindows:
     def test_combo_grid_bit_equal_to_full_horizon(self):
         e = build_combo(4)
         full = _Full(e)
-        rep = grid_report(e, (-36.0, 36.0), (-36.0, 36.0), 12.0, threads=4)
+        rep = grid_report(e, (-36.0, 36.0), (-36.0, 36.0), 12.0)
         for x, y, _exact, series, _err, _bound in rep.rows:
             assert _bits(series) == _bits(full.sum(x, y)), (x, y)
-
-    def test_threads_sharing_column_points_keep_every_bit(self):
-        # rows on more threads than cores fill the shared column points'
-        # wide values, with the interpreter switching threads very often
-        e = build_combo(5)
-        args = (e, (26.5, 28.0), (-0.25, 0.25), 0.25)
-        serial = grid_report(*args)
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = grid_report(*args, threads=8)
-        finally:
-            sys.setswitchinterval(old)
-        full = _Full(e)
-        assert len(threaded.rows) == 21
-        for r, t in zip(serial.rows, threaded.rows):
-            assert _bits(t[3]) == _bits(r[3]) == _bits(full.sum(r[0], r[1])), r[:2]
 
 
 @pytest.fixture
@@ -302,7 +284,7 @@ class TestWideWindow:
 
     def test_grid_makes_each_wide_window_once(self, monkeypatch):
         # every pair is all-tiny with meeting windows, so every point needs
-        # its wide window; a threads=1 grid makes it once per point
+        # its wide window; the grid makes it once per point
         e = build_combo(5)
         made = Counter()
         real = Expansion.term_window
@@ -313,7 +295,7 @@ class TestWideWindow:
             return real(self, x, **floor)
 
         monkeypatch.setattr(Expansion, "term_window", spy)
-        rep = grid_report(e, (0.0, 0.25), (27.0, 28.0), 0.25, threads=1)
+        rep = grid_report(e, (0.0, 0.25), (27.0, 28.0), 0.25)
         monkeypatch.undo()
         full = _Full(e)
         assert len(rep.rows) == 10

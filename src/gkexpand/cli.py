@@ -78,6 +78,19 @@ def _status_line(command: str, ok: bool, detail: str) -> int:
 # reconstruct
 
 
+def _unscaled_edge(edge: float, eta: float) -> float:
+    """The grid end, in kernel units, of a bounded expansion's domain
+    [0, N]: N sqrt(eta), stepped down by ulps until `grid_report`'s rescaling
+    by 1/sqrt(eta) lands it at N or below."""
+    if not eta > 0.0:
+        return edge  # grid_report rejects the width
+    scale = 1.0 / math.sqrt(eta)  # as grid_report rescales
+    hi = edge * math.sqrt(eta)
+    while hi * scale > edge:
+        hi = math.nextafter(hi, 0.0)
+    return hi
+
+
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     if args.scheme == "raw":
         e = build_raw(args.horizon)
@@ -86,7 +99,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     else:
         e = build_combo(args.max_block)
     if args.range is None:  # a default grid inside the scheme's domain
-        xy = (0.0, args.domain_edge) if args.scheme == "bounded" else (-3.0, 3.0)
+        bounded = args.scheme == "bounded"
+        xy = (0.0, _unscaled_edge(args.domain_edge, args.eta)) if bounded else (-3.0, 3.0)
     else:
         xy = _parse_range(args.range)
     report = reconstruct.grid_report(e, xy, xy, step=args.step, eta=args.eta)
@@ -385,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--domain-edge", type=float, default=3.0)
     sp.add_argument("--max-block", type=int, default=3)
     sp.add_argument("--range", default=None,
-                    help="grid range lo:hi (both axes); default -3:3, bounded 0:DOMAIN_EDGE")
+                    help="grid range lo:hi (both axes); default -3:3, bounded 0:DOMAIN_EDGE*sqrt(ETA)")
     sp.add_argument("--step", type=float, default=0.25)
     sp.add_argument("--eta", type=float, default=1.0, help="kernel width")
     common(sp)

@@ -14,8 +14,12 @@ The three builders produce:
 An expansion stores one per-term array, its log weights (a normalised raw
 or bounded one keeps its log sup-norms too): the linear weights are their
 exponentials, and a combo's log sup-norm is half its log weight.  Basis
-values are computed on demand as (signs, logs) arrays, so a deep combo
-expansion (block 8 has ~2.9 million terms) stays cheap.
+values are computed per point as (signs, logs) arrays.  A combo keeps the
+parts that do not depend on the point -- each block's index half of
+log psi_k and its float sign pattern -- from the first point that touches
+the block on (the :class:`Expansion` docstring bounds their bytes), and
+only for the blocks points have touched, so a deep combo expansion (block 8
+has ~2.9 million terms) stays cheap.
 
 psi_k(x)^2 = e^(-2 x^2) (2 x^2)^k / k! is the Poisson(2 x^2) probability of
 k, so at a point only a window of indices around 2 x^2 is above double
@@ -27,6 +31,7 @@ that slice.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +69,17 @@ _LN2 = math.log(2.0)
 
 
 class Expansion:
-    """Immutable ordered collection of weighted basis functions."""
+    """Ordered collection of weighted basis functions.
+
+    The weights never change after construction.  A combo expansion also
+    keeps a private cache, filled the first time a point touches a block
+    and never emptied, of that block's point-independent constants: the
+    index half of its raw indices (``basis.log_index_half``, 8 r c bytes)
+    and its float sign pattern (8 c^2 bytes).  With c = r / 135 that is
+    8 + 8/135 bytes per term of the touched blocks, under twice
+    ``log_weights``.  The cached arrays are read-only and no returned
+    array aliases them; ``build_combo`` fills none of them.
+    """
 
     def __init__(
         self,
@@ -91,6 +106,9 @@ class Expansion:
             if max_block is None:
                 raise DomainError("combo expansion needs max_block")
             self._specs = [blocks.block_spec(n) for n in range(1, max_block + 1)]
+            self._cache: dict[int, _ComboBlock] = {}  # block number -> constants
+            # (y, next_start, ln c) of each block, for term_window
+            self._spans = [(spec.y, spec.next_start, math.log(spec.c)) for spec in self._specs]
         elif self.scheme == "bounded" and domain_edge is None:
             raise DomainError("bounded expansion needs a domain edge")
 
@@ -155,8 +173,9 @@ class Expansion:
         self, x: float, terms: slice | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(signs, log magnitudes) of the basis functions at x: all of them,
-        or the contiguous slice ``terms``.  Each value has the same bits
-        either way."""
+        or the contiguous slice ``terms``, in new arrays.  Each value has the
+        same bits either way, and on every call: a combo's cached constants
+        are the arrays ``basis.log_psi`` would compute."""
         if not math.isfinite(x):
             raise DomainError(f"basis values need a finite point, got {x!r}")
         start, stop, step = (slice(None) if terms is None else terms).indices(self.horizon)
@@ -172,19 +191,32 @@ class Expansion:
             logs = logs - self._log_sups[start:stop]
         return signs, logs
 
+    def _combo_block(self, n: int) -> _ComboBlock:
+        """Block n's constants, made the first time a point touches it."""
+        block = self._cache.get(n)
+        if block is None:
+            spec = self._specs[n - 1]
+            ks = np.arange(spec.y, spec.next_start, dtype=np.float64)
+            block = self._cache[n] = _ComboBlock(
+                spec,
+                _read_only(basis.log_index_half(ks)),
+                _read_only(blocks.sign_rows(n).astype(np.float64)),
+            )
+        return block
+
     def _combo_log_values(self, x: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Every block that meets [start, stop) is evaluated whole, so the
         sign-recombination inputs never depend on the slice."""
-        specs = [spec for spec in self._specs if spec.y < stop and spec.next_start > start]
-        base = specs[0].y if specs else start
-        size = specs[-1].next_start - base if specs else 0
+        touched = [(n, y, end) for n, (y, end, _) in enumerate(self._spans, 1)
+                   if y < stop and end > start]
+        base = touched[0][1] if touched else start
+        size = touched[-1][2] - base if touched else 0
         signs = np.empty(size)
         logs = np.empty(size)
-        for spec in specs:
-            s, l = _combo_block_log_values(spec, x)
-            l = l - 0.5 * self.log_weights[spec.y : spec.next_start]  # ln sup = ln(lambda) / 2
-            signs[spec.y - base : spec.next_start - base] = s
-            logs[spec.y - base : spec.next_start - base] = l
+        for n, y, end in touched:
+            values = _combo_block_log_values(self._combo_block(n), x)
+            signs[y - base : end - base], logs[y - base : end - base] = values
+        logs -= 0.5 * self.log_weights[base : base + size]  # ln sup = ln(lambda) / 2
         cut = slice(start - base, stop - base)
         return signs[cut], logs[cut]
 
@@ -206,34 +238,56 @@ class Expansion:
             raise DomainError(f"term window needs a finite point, got {x!r}")
         if self.scheme != "combo":
             return slice(0, self.horizon)
+        mode = 2.0 * x * x
+        kept = [  # ln c_n + ln M_n(x) >= floor
+            (y, end) for y, end, log_c in self._spans
+            if log_c + _log_abs_psi(int(min(max(mode, y), end - 1)), x) >= _floor
+        ]
+        return slice(kept[0][0], kept[-1][1]) if kept else slice(0, 0)
 
-        def log_block_bound(spec: blocks.BlockSpec) -> float:  # ln c_n + ln M_n(x)
-            mode = int(min(max(2.0 * x * x, spec.y), spec.next_start - 1))
-            return math.log(spec.c) + _log_abs_psi(mode, x)
 
-        kept = [spec for spec in self._specs if log_block_bound(spec) >= _floor]
-        return slice(kept[0].y, kept[-1].next_start) if kept else slice(0, 0)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _combo_block_log_values(spec: blocks.BlockSpec, x: float) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, slots=True)
+class _ComboBlock:
+    """The point-independent constants of one combo block: the index half
+    of its raw indices y .. next_start - 1 (``basis.log_index_half``) and
+    its float sign pattern (``blocks.sign_rows``)."""
+
+    spec: blocks.BlockSpec
+    half: np.ndarray
+    signs: np.ndarray
+
+
+def _combo_block_log_values(block: _ComboBlock, x: float) -> tuple[np.ndarray, np.ndarray]:
     """(signs, log mags) of all un-normalised combos of one block at x,
     ordered (row, slot) row-major."""
-    psign, lpsi = basis.log_psi(spec.y + np.arange(spec.r * spec.c, dtype=np.float64), x)
+    spec = block.spec
+    # the index ramp is made per call: kept, it would add 8 B per term
+    ramp = np.arange(spec.y, spec.next_start, dtype=np.float64)
+    psign, lpsi = basis.log_psi_from_half(ramp, block.half, x)
+    del ramp  # so a deep block's recombination holds the cached half in its place
+    if spec.c == 1:
+        # [[1]] @ psi is psi, and its log anchor + ln 1 - (ln 1) / 2 the
+        # anchor (psi's log is never -0.0, which adding 0.0 would flip), so
+        # each combo is its psi, dead (sign 0) where psi's log is -inf
+        return np.where(np.isfinite(lpsi), psign, 0.0), lpsi
     # index y + h + k*r sits at flat position k*r + h -> reshape to (c, r)
     lv = lpsi.reshape(spec.c, spec.r)
     sv = psign.reshape(spec.c, spec.r)
-    s = blocks.sign_rows(spec.n).astype(np.float64)
     anchor = np.max(lv, axis=0)  # (r,)
     dead = ~np.isfinite(anchor)
     safe_anchor = np.where(dead, 0.0, anchor)
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", divide="ignore"):
         scaled = sv * np.exp(lv - safe_anchor[None, :])  # (c, r)
-    sums = s @ scaled  # (c_slots, r)
-    mags = np.abs(sums)
-    # a sum below CANCELLATION_FLUSH of its top term is a cancellation,
-    # flushed to exact zero
-    alive = (mags >= CANCELLATION_FLUSH) & ~dead[None, :]
-    with np.errstate(divide="ignore"):
+        sums = block.signs @ scaled  # (c_slots, r)
+        mags = np.abs(sums)
+        # a sum below CANCELLATION_FLUSH of its top term is a cancellation,
+        # flushed to exact zero
+        alive = (mags >= CANCELLATION_FLUSH) & ~dead[None, :]
         logs = np.where(
             alive,
             safe_anchor[None, :] + np.log(np.where(mags > 0, mags, 1.0))

@@ -241,9 +241,9 @@ def grid_report(
 
     For eta != 1 inputs are rescaled by 1/sqrt(eta) at this edge; the
     expansion itself always lives at unit width.  Rows are produced in
-    grid order, x outer.  A grid of more than MAX_GRID_PAIRS pairs, or raw
-    or bounded columns of more than MAX_COLUMN_BYTES, raises RangeError
-    before any point is built.
+    grid order, x outer; no grid point lies past its range's end.  A grid
+    of more than MAX_GRID_PAIRS pairs, or raw or bounded columns of more
+    than MAX_COLUMN_BYTES, raises RangeError before any point is built.
     Every pair goes through :func:`_pair_sum`, so no combo pair evaluates
     the full horizon; a grid point keeps its wide values once made.
     """
@@ -252,8 +252,9 @@ def grid_report(
     nx, ny = _grid_count(*x_range, step), _grid_count(*y_range, step)
     if nx * ny > MAX_GRID_PAIRS:
         raise RangeError(f"grid of {nx} x {ny} points exceeds {MAX_GRID_PAIRS} pairs")
-    xs = [x_range[0] + i * step for i in range(nx)]
-    ys = [y_range[0] + i * step for i in range(ny)]
+    # lo + i * step may round past hi on the last point: it is then hi
+    xs = [min(x_range[0] + i * step, x_range[1]) for i in range(nx)]
+    ys = [min(y_range[0] + i * step, y_range[1]) for i in range(ny)]
     scale = 1.0 / math.sqrt(eta)
     for v in (xs[0], xs[-1], ys[0], ys[-1]):
         _check_domain(e, v * scale)

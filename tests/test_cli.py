@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, file outputs, determinism, config handling."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -75,6 +76,30 @@ class TestExitCodes:
         assert main(["reconstruct", "--scheme", "bounded", "--range", "0:3",
                      "--out-dir", str(tmp_path / "explicit")]) == 0
         assert _dir_bytes(tmp_path / "default") == _dir_bytes(tmp_path / "explicit")
+
+    @pytest.mark.parametrize("eta", ["0.5", "2", "0.3333333333333333", "3"])
+    def test_bounded_default_range_rescales_into_its_domain(self, tmp_path, eta):
+        # the default 0:3 was rescaled by 1/sqrt(eta) after the domain
+        # check: eta 0.5 exited 1 with "defined on [0, 3.0], got 4.24...".
+        # It is now 0:3 sqrt(eta), one ulp lower at eta 3 (where
+        # 3 sqrt(3) / sqrt(3) rounds above 3)
+        assert main(["reconstruct", "--scheme", "bounded", "--eta", eta,
+                     "--out-dir", str(tmp_path)]) == 0
+        grid = json.loads((tmp_path / "reconstruct_summary.json").read_text())["grid"]
+        hi = grid["x"][1]
+        assert grid["x"] == grid["y"] == [0.0, hi]
+        assert hi * (1.0 / math.sqrt(float(eta))) <= 3.0
+        assert hi == pytest.approx(3.0 * math.sqrt(float(eta)), rel=4e-16)
+
+    def test_grid_stops_at_its_end(self, tmp_path):
+        # 187 steps of 3/187 round to 3.0000000000000004, past the bounded
+        # domain [0, 3]: exit 1.  The last grid point is now the range's end
+        assert main(["reconstruct", "--scheme", "bounded", "--range", "0:3",
+                     "--step", "0.016042780748663103", "--format", "json",
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "reconstruct.json").read_text())["rows"]
+        xs = sorted({float(row["x"]) for row in rows})
+        assert len(xs) == 188 and xs[-1] == 3.0 and xs[-2] < 3.0
 
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

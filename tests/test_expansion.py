@@ -8,7 +8,8 @@ import pytest
 from gkexpand.basis import log_psi, peak
 from gkexpand.blocks import block_spec, row_indices, sign_rows
 from gkexpand.errors import DomainError, RangeError
-from gkexpand.expansion import build_bounded, build_combo, build_raw
+from gkexpand import expansion
+from gkexpand.expansion import Expansion, build_bounded, build_combo, build_raw
 from gkexpand.numerics import CANCELLATION_FLUSH
 from gkexpand.reconstruct import series_kernel, tail_bound
 
@@ -202,3 +203,132 @@ class TestOnePerTermArray:
         assert raw.normalize().normalized and bounded.normalize().normalized
         assert combo.normalize() is combo
 
+
+
+# The points of the cache tests: both zeros, the smallest subnormal, and
+# points whose windows hold blocks 1-2, block 5 and block 8 alone.
+CACHE_POINTS = (0.0, -0.0, 5e-324, 0.3, -0.3, 3.0, -3.0, 24.0, -24.0, 1000.0)
+
+
+def _fresh_combo_block(spec, x):
+    """(signs, logs) of one combo block at x with every constant made anew:
+    psi from basis.log_psi, the sign pattern from sign_rows, and the
+    generic recombination for every block, c = 1 included."""
+    psign, lpsi = log_psi(spec.y + np.arange(spec.r * spec.c, dtype=np.float64), x)
+    lv, sv = lpsi.reshape(spec.c, spec.r), psign.reshape(spec.c, spec.r)
+    anchor = np.max(lv, axis=0)
+    dead = ~np.isfinite(anchor)
+    safe = np.where(dead, 0.0, anchor)
+    with np.errstate(under="ignore", divide="ignore"):
+        sums = sign_rows(spec.n).astype(np.float64) @ (sv * np.exp(lv - safe[None, :]))
+        mags = np.abs(sums)
+        alive = (mags >= CANCELLATION_FLUSH) & ~dead[None, :]
+        logs = np.where(alive, safe[None, :] + np.log(np.where(mags > 0, mags, 1.0))
+                        - 0.5 * math.log(spec.c), -np.inf)
+    signs = np.where(alive, np.sign(sums), 0.0)
+    return signs.T.reshape(-1), logs.T.reshape(-1)
+
+
+def _fresh_series(e, x):
+    """(signs, logs) of a raw or bounded expansion at x from basis.log_psi."""
+    ks = np.arange(len(e), dtype=np.float64)
+    signs, logs = log_psi(ks, x)
+    if e.scheme == "bounded":
+        logs = logs + np.log(np.maximum(ks, 1.0))
+    if e.normalized:
+        logs = logs - e._log_sups
+    return signs, logs
+
+
+def _bits(pair):
+    return pair[0].tobytes(), pair[1].tobytes()
+
+
+def _fresh_copy(e):
+    """A new expansion on e's weights, its cache empty."""
+    return Expansion(e.scheme, e.log_weights, domain_edge=e.domain_edge,
+                     max_block=e.max_block, log_sups=e._log_sups)
+
+
+class TestConstantCache:
+    """Each expansion computes its point-independent constants once; every
+    later point gives the bits of a fresh basis.log_psi evaluation."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_raw(300), lambda: build_raw(300).normalize(),
+        lambda: build_bounded(3.0, 300), lambda: build_bounded(3.0, 300).normalize(),
+    ], ids=["raw", "raw-normalized", "bounded", "bounded-normalized"])
+    def test_series_bits_match_fresh_log_psi(self, make):
+        # raw and bounded keep no cache; their values must stay those of a
+        # fresh log_psi on the first call and on every later one
+        made = make()
+        for x in CACHE_POINTS + (1e200, -1e200):  # psi's log is -inf, its sign not 0
+            e = _fresh_copy(made)
+            want = _bits(_fresh_series(e, x))
+            assert _bits(e.basis_log_values(x)) == want
+            assert _bits(e.basis_log_values(x)) == want
+            s, l = e.basis_log_values(x, slice(7, 250))
+            assert (s.tobytes(), l.tobytes()) == (want[0][56:2000], want[1][56:2000])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_combo_block_bits_match_fresh_recombination(self, combo8, n):
+        # block 1 takes the identity path; the oracle recombines it with [[1]]
+        spec = block_spec(n)
+        points = CACHE_POINTS + ((1e200, -1e200) if n == 1 else ())
+        for i, x in enumerate(points):
+            want = _bits(_fresh_combo_block(spec, x))
+            if i == 0 or n < 8:  # an empty cache; at block 8 (0.1 s a fill) once
+                e = _fresh_copy(combo8)
+            # the first call at a fresh copy fills the cache, the second reads it
+            assert _bits(expansion._combo_block_log_values(e._combo_block(n), x)) == want
+            assert _bits(expansion._combo_block_log_values(e._combo_block(n), x)) == want
+
+    @pytest.mark.parametrize("x", CACHE_POINTS[:7] + (1e200,))
+    def test_combo_values_match_fresh_blocks(self, x):
+        # the normalised values of every block a window holds, as before
+        e = build_combo(3)
+        w = e.term_window(x)
+        fresh = [_fresh_combo_block(block_spec(n), x) for n in (1, 2, 3)]
+        signs = np.concatenate([f[0] for f in fresh])[w]
+        logs = (np.concatenate([f[1] for f in fresh]) - 0.5 * e.log_weights)[w]
+        for _ in range(2):
+            assert _bits(e.basis_log_values(x, w)) == (signs.tobytes(), logs.tobytes())
+
+    def test_build_combo_fills_no_cache(self):
+        e = build_combo(8)
+        assert e._cache == {}
+        for x in (-3.0, -0.4, 0.0, 1.9, 3.0):
+            for y in (-2.2, 0.0, 3.0):
+                series_kernel(e, x, y)
+        assert sorted(e._cache) == [1, 2]  # |x| <= 3 touches blocks 1-2 only
+
+    def test_cache_bytes_within_bound(self, combo4):
+        e = _fresh_copy(combo4)
+        e.basis_log_values(7.0)  # every block
+        for n in range(1, 5):
+            spec = block_spec(n)
+            block = e._cache[n]
+            assert block.half.nbytes + block.signs.nbytes == 8 * spec.r * spec.c + 8 * spec.c**2
+        held = sum(b.half.nbytes + b.signs.nbytes for b in e._cache.values())
+        assert held <= 16 * len(e) == 2 * e.log_weights.nbytes
+
+    def test_cache_arrays_read_only(self, combo4):
+        e = _fresh_copy(combo4)
+        e.basis_log_values(5.0)
+        arrays = [a for b in e._cache.values() for a in (b.half, b.signs)]
+        assert len(arrays) == 2 * 4
+        for a in arrays:
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("make", [lambda: build_raw(50), lambda: build_bounded(3.0, 50),
+                                      lambda: build_combo(2)], ids=["raw", "bounded", "combo"])
+    @pytest.mark.parametrize("x", [0.0, -1.3, 2.0])
+    def test_returned_arrays_are_the_callers(self, make, x):
+        e = make()
+        want = _bits(e.basis_log_values(x))
+        signs, logs = e.basis_log_values(x)
+        cached = [a for b in getattr(e, "_cache", {}).values() for a in (b.half, b.signs)]
+        assert not any(np.shares_memory(r, a) for r in (signs, logs) for a in cached)
+        signs[:] = 7.0
+        logs[:] = 7.0
+        assert _bits(e.basis_log_values(x)) == want

@@ -175,9 +175,9 @@ class TestWindowShape:
         seen = []
         real = expansion._combo_block_log_values
 
-        def spy(spec, x):
-            seen.append(spec.n)
-            return real(spec, x)
+        def spy(block, x):
+            seen.append(block.spec.n)
+            return real(block, x)
 
         monkeypatch.setattr(expansion, "_combo_block_log_values", spy)
         for x in (-3.0, -1.1, 0.0, 2.4, 3.0):

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .optimize import golden_max_many
+from .optimize import golden_max
 from . import basis
 
 __all__ = [
@@ -225,10 +225,7 @@ def _combo_abs_at(
     One exp over the (len(srows), c) logs; each row's sum is numpy's
     pairwise sum over its c terms in order, the bits of a 1-D ``np.sum``.
     """
-    psign, logs = basis.log_psi_at(idx, half, xs)
-    with np.errstate(under="ignore"):
-        vals = np.exp(logs, out=logs)
-    vals *= psign
+    vals = _linear(*basis.log_psi_at(idx, half, xs))
     vals *= srows
     return np.abs(vals.sum(axis=1)) * scale
 
@@ -245,10 +242,10 @@ def row_sup_norms(
     out.  The peak heights fall with k, and the grid maximum lies in the
     first window on every row tested; the later windows come within 3.7e-4
     of it at block 12.  The golden-section refinements to 1e-10, one per
-    slot around its best grid point, then run in lockstep
-    (`optimize.golden_max_many`): each step evaluates the whole row once
-    for every live slot in one batch, 36 batched evaluations per row.  The
-    index half of log psi is computed once for the row and serves every
+    slot on its best grid point +-GRID_STEP, then run in lockstep
+    (`optimize.golden_max`): each step evaluates the whole row once for
+    every slot in one batch, 36 batched evaluations per row.  The index
+    half of log psi is computed once for the row and serves every
     evaluation.
     """
     spec = block_spec(n)
@@ -265,12 +262,14 @@ def row_sup_norms(
     tops, at = _window_maxima(srows, idx, half)
     best_x, best_v = at.tolist(), tops.tolist()
 
-    def f(live: list[int], xs: list[float]) -> list[float]:
-        return _combo_abs_at(srows[live], idx, half, scale, xs).tolist()
+    # golden_max needs one step count for all searches; each here takes 35
+    # steps (36 evaluations): a bracket x +- GRID_STEP is 2 GRID_STEP wide to
+    # within 2 ulp(x) <= 7.3e-12 (block 12's farthest peak, x ~ 19,429), so
+    # its count ceil(ln(XTOL / width) / ln(1 / phi)) is that of 34.94 +- 1e-8.
+    def f(xs: list[float]) -> list[float]:
+        return _combo_abs_at(srows, idx, half, scale, xs).tolist()
 
-    refined = golden_max_many(
-        f, [(x - basis.GRID_STEP, x + basis.GRID_STEP) for x in best_x], xtol=1e-10
-    )
+    refined = golden_max(f, [(x - basis.GRID_STEP, x + basis.GRID_STEP) for x in best_x])
     out = []
     for s, (x_star, v_star), x, v in zip(slots, refined, best_x, best_v):
         if v_star < v:  # refinement may only improve on the grid point

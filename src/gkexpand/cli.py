@@ -229,11 +229,12 @@ def cmd_weights(args: argparse.Namespace) -> int:
     p = args.p
     _check_mass_range(p, args.max_block)
     e = build_combo(args.max_block)
+    # at p = 1 the profile's masses are these, from the same block_mass calls
+    stats = analysis.divergence_profile(e) if p == 1.0 and args.max_block >= 4 else None
+    masses = dict(stats.per_block if stats else
+                  ((n, analysis.block_mass(e, n, p)) for n in range(1, args.max_block + 1)))
     rows = []
-    masses = {}
-    for n in range(1, args.max_block + 1):
-        g = analysis.block_mass(e, n, p)
-        masses[n] = g
+    for n, g in masses.items():
         predicted = analysis.predicted_block_mass(n, p)
         rows.append([str(n), _fmt(p), _fmt(g), _fmt(predicted), _fmt(g / predicted)])
     out = _out_dir(args)
@@ -247,8 +248,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
             if not WEIGHT_MASS_WINDOW[0] <= masses[n] <= WEIGHT_MASS_WINDOW[1]:
                 ok = False
                 notes.append(f"G({n},1)={masses[n]:.4f} outside {WEIGHT_MASS_WINDOW}")
-        if args.max_block >= 4:
-            stats = analysis.divergence_profile(e)
+        if stats is not None:
             ps_rows = [
                 [str(count), _fmt(s), "" if slope is None else _fmt(slope)]
                 for (count, s), slope in zip(stats.partial_sums, stats.running_slopes)
@@ -464,6 +464,8 @@ def _apply_config(
         action = actions.get(dest)
         if action is None:  # a misspelt key would otherwise leave its default
             raise DomainError(f"config key {key!r} is not a flag of {parser.prog}")
+        if val is None or isinstance(val, (bool, list, dict)):  # these have no flag text
+            raise DomainError(f"config value {key}={val!r} is not valid for {flag}: not a string or number")
         if any(a == flag or a.startswith(flag + "=") for a in argv):
             continue  # explicit flag wins
         # the value's text goes through the flag's own checks, so a config

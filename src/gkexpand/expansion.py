@@ -232,17 +232,24 @@ class Expansion:
         c_n M_n(x) M_n(y) <= c_n M_n(x), where M_n is the largest |psi_p|
         over the block's indices: the value at the mode clamped into them.
         Whole blocks are kept, from the first to the last whose bound
-        reaches the threshold.
+        reaches the threshold; the scan stops at the first block past the
+        mode (y_n > 2 x^2) below it.  There M_n = |psi_{y_n}(x)|, and psi_k^2
+        falls by 2 x^2 / (k + 1) < y_n / (k + 1) per step, so with
+        y_{n+1} > 4 y_n, ln M_{n+1} - ln M_n < -sum_{j=y_n+1}^{4 y_n} ln(j / y_n) / 2
+        < -y_n (4 ln 4 - 3) / 2 ~ -1.27 y_n: each later bound is lower by over
+        1.27 y_n - ln 2 >= 56, far beyond the scalar bound's rounding.
         """
         if not math.isfinite(x):
             raise DomainError(f"term window needs a finite point, got {x!r}")
         if self.scheme != "combo":
             return slice(0, self.horizon)
         mode = 2.0 * x * x
-        kept = [  # ln c_n + ln M_n(x) >= floor
-            (y, end) for y, end, log_c in self._spans
-            if log_c + _log_abs_psi(int(min(max(mode, y), end - 1)), x) >= _floor
-        ]
+        kept = []
+        for y, end, log_c in self._spans:  # ln c_n + ln M_n(x) >= floor
+            if log_c + _log_abs_psi(int(min(max(mode, y), end - 1)), x) >= _floor:
+                kept.append((y, end))
+            elif y > mode:
+                break
         return slice(kept[0][0], kept[-1][1]) if kept else slice(0, 0)
 
 
@@ -340,7 +347,7 @@ def build_bounded(domain_edge: float, horizon: int) -> Expansion:
     return Expansion("bounded", log_w, domain_edge=float(domain_edge))
 
 
-def build_combo(max_block: int, cap: int = DEFAULT_BLOCK_CAP) -> Expansion:
+def build_combo(max_block: int) -> Expansion:
     """Normalised block-recombined expansion covering blocks 1..max_block.
 
     Every sup-norm is the leading-peak value m_{y+h} / sqrt(c): within a
@@ -351,8 +358,8 @@ def build_combo(max_block: int, cap: int = DEFAULT_BLOCK_CAP) -> Expansion:
     """
     if max_block < 1:
         raise RangeError("max_block must be >= 1")
-    if max_block > cap:
-        raise RangeError(f"max_block {max_block} exceeds cap {cap}")
+    if max_block > DEFAULT_BLOCK_CAP:
+        raise RangeError(f"max_block {max_block} exceeds cap {DEFAULT_BLOCK_CAP}")
     parts = []
     for n in range(1, max_block + 1):
         spec = blocks.block_spec(n)

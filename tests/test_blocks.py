@@ -21,9 +21,9 @@ from gkexpand.blocks import (
     sign_rows,
 )
 from gkexpand.cli import COMBO_NORM_WINDOW
-from gkexpand.errors import RangeError
+from gkexpand.errors import DomainError, RangeError
 from gkexpand.expansion import build_combo
-from gkexpand.optimize import INV_PHI, INV_PHI_SQ, golden_max, golden_max_many
+from gkexpand.optimize import INV_PHI, INV_PHI_SQ, XTOL, golden_max
 
 # The worked 8x8 recombination table (block 4).
 TABLE_N4 = np.array(
@@ -322,7 +322,7 @@ def _combo_abs(signs_arr, idx, scale, x):
 
 
 def _scalar_golden_max(f, a, b, xtol=1e-10):
-    """The earlier `optimize.golden_max`: one search, one f(x) at a time."""
+    """The earlier scalar golden-section search: one f(x) at a time."""
     a, b = (a, b) if a <= b else (b, a)
     h = b - a
     if h <= xtol:
@@ -623,19 +623,18 @@ class TestLocalScan:
 
 
 def _recording(fs, probes):
-    """f for golden_max_many: search i maximises fs[i], and each of its
-    probes is appended to probes[i]."""
+    """f for golden_max: search i maximises fs[i], and each of its probes
+    is appended to probes[i]."""
 
-    def f(live, xs):
-        for i, x in zip(live, xs):
+    def f(xs):
+        for i, x in enumerate(xs):
             probes[i].append(x)
-        return [fs[i](x) for i, x in zip(live, xs)]
+        return [g(x) for g, x in zip(fs, xs)]
 
     return f
 
 
-class TestGoldenMaxMany:
-    XTOL = 1e-10
+class TestGoldenMax:
     # (f, bracket): widths from 5e-11 to 2.5, so step counts from 0 to 50;
     # a reversed bracket; a constant and a plateau, whose probes tie
     # (yc == yd) at every step or from the first
@@ -650,27 +649,52 @@ class TestGoldenMaxMany:
     ]
 
     def test_each_search_matches_scalar_golden_max(self):
-        fs = [f for f, _b in self.CASES]
-        probes = [[] for _ in fs]
-        got = golden_max_many(_recording(fs, probes), [b for _f, b in self.CASES], self.XTOL)
+        counts = []
         for i, (f, (a, b)) in enumerate(self.CASES):
-            seen = []
-            want = _scalar_golden_max(lambda x, f=f: seen.append(x) or f(x), a, b, self.XTOL)
-            assert [v.hex() for v in got[i]] == [v.hex() for v in want], i
-            assert [v.hex() for v in golden_max(f, a, b, self.XTOL)] == [v.hex() for v in want], i
-            # the same probes in the same order: each search kept its own steps
-            assert probes[i] == seen, i
-        counts = [len(p) for p in probes]
+            probes, seen = [[]], []
+            got = golden_max(_recording([f], probes), [(a, b)])
+            want = _scalar_golden_max(lambda x, f=f: seen.append(x) or f(x), a, b, XTOL)
+            assert [[v.hex() for v in r] for r in got] == [[v.hex() for v in want]], i
+            # the same probes in the same order
+            assert probes[0] == seen, i
+            counts.append(len(seen))
         assert counts[4] == 1  # h <= xtol: the midpoint alone
         assert len(set(counts)) == 5
 
+    def test_shared_count_searches_match_scalar_golden_max(self):
+        # brackets x +- GRID_STEP, as row_sup_norms makes them, from block
+        # 2's first peak to block 12's farthest: 36 probes each, evaluated
+        # together
+        centres = [4.743416490252569, 8.2, 100.3, 4321.0001, 19429.03336504418]
+        fs = [lambda x, m=m: math.exp(-2.0 * (x - m - 3e-4) ** 2) for m in centres]
+        brackets = [(m - basis.GRID_STEP, m + basis.GRID_STEP) for m in centres]
+        probes = [[] for _ in fs]
+        record = _recording(fs, probes)
+        calls = []
+
+        def f(xs):
+            calls.append(len(xs))
+            return record(xs)
+
+        got = golden_max(f, brackets)
+        assert calls == [len(fs)] * 36
+        for i, (g, (a, b)) in enumerate(zip(fs, brackets)):
+            seen = []
+            want = _scalar_golden_max(lambda x, g=g: seen.append(x) or g(x), a, b, XTOL)
+            assert [v.hex() for v in got[i]] == [v.hex() for v in want], i
+            assert probes[i] == seen, i
+
+    def test_mismatched_step_counts_raise(self):
+        with pytest.raises(DomainError, match="different steps"):
+            golden_max(lambda xs: [0.0] * len(xs), [(0.0, 1.0), (0.0, 2e-3)])
+
     def test_ties_keep_the_right_probe(self):
         # yc == yd moves the bracket right, so a constant ends on d
-        (x, y), = golden_max_many(lambda _live, xs: [1.0] * len(xs), [(-1.0, 1.0)], self.XTOL)
+        (x, y), = golden_max(lambda xs: [1.0] * len(xs), [(-1.0, 1.0)])
         assert y == 1.0 and 1.0 - x < 1e-9
 
     def test_no_brackets(self):
-        assert golden_max_many(lambda _live, _xs: pytest.fail("evaluated"), []) == []
+        assert golden_max(lambda _xs: pytest.fail("evaluated"), []) == []
 
 
 class TestEnergyInvariance:

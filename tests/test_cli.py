@@ -235,6 +235,21 @@ class TestExitCodes:
         assert main(["weights", "--p", "2", "--max-block", "6",
                      "--out-dir", str(tmp_path)]) == 0
 
+    def test_weights_p1_sums_each_block_mass_once(self, tmp_path, monkeypatch):
+        # the table takes the divergence profile's masses: 8 block sums at
+        # block 8, not 16
+        calls = []
+        true_mass = analysis.block_mass
+
+        def spy(e, n, p):
+            calls.append((n, p))
+            return true_mass(e, n, p)
+
+        monkeypatch.setattr(analysis, "block_mass", spy)
+        assert main(["weights", "--p", "1", "--max-block", "8",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert calls == [(n, 1.0) for n in range(1, 9)]
+
     @pytest.mark.parametrize("p, max_block", [("400", "5"), ("60", "8")])
     def test_weights_p_beyond_double_range_rejected(self, tmp_path, capsys, p, max_block):
         # p = 400 overflowed sqrt(90 pi)^p; at p = 60 G(8, p) underflowed
@@ -446,6 +461,26 @@ class TestConfigFile:
         assert main(command + ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         assert message in _one_error_line(capsys)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cfg_doc, message",
+        [
+            ({"out_dir": None}, "out_dir=None is not valid for --out-dir"),
+            ({"n": True}, "n=True is not valid for --n"),
+            ({"n": [2]}, "n=[2] is not valid for --n"),
+            ({"out_dir": {"path": "x"}}, "out_dir={'path': 'x'} is not valid for --out-dir"),
+        ],
+        ids=["null", "boolean", "array", "object"],
+    )
+    def test_non_scalar_config_value_rejected(self, tmp_path, capsys, monkeypatch, cfg_doc, message):
+        # {"out_dir": null} wrote signs_n2.csv into a directory named None
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GKEXPAND_OUT_DIR", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_doc))
+        assert main(["signs", "--n", "2", "--config", str(cfg)]) == 1
+        assert message in _one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_config_value_gives_the_flag_bytes(self, tmp_path):
         # the integer step is converted as the text "1" would be: 1.0

@@ -131,10 +131,11 @@ class TestBuildCombo:
     def test_term_count_is_tiling(self):
         assert len(build_combo(4)) == 11475  # y_5 = 45 (4^4 - 1)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(RangeError):
             build_combo(9)
-        assert len(build_combo(9, cap=9)) == 45 * (4**9 - 1)
+        monkeypatch.setattr(expansion, "DEFAULT_BLOCK_CAP", 9)
+        assert len(build_combo(9)) == 45 * (4**9 - 1)
 
     def test_basis_values_match_scalar_combo(self, combo4):
         # term y + h c + slot of block n is that slot of row h, over its

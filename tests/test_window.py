@@ -195,6 +195,29 @@ class TestWindowShape:
             w = e.term_window(x)
             assert w.start == w.stop == 0 or {w.start, w.stop} <= starts
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_early_stop_keeps_the_all_blocks_window(self, n, combo8):
+        # term_window stops at the first block past the mode whose bound is
+        # below the floor; bounding every block gives the same slice
+        e = combo8 if n == 8 else build_combo(n)
+
+        def all_blocks(x, floor):
+            mode = 2.0 * x * x
+            kept = [(y, end) for y, end, log_c in e._spans
+                    if log_c + expansion._log_abs_psi(int(min(max(mode, y), end - 1)), x) >= floor]
+            return slice(kept[0][0], kept[-1][1]) if kept else slice(0, 0)
+
+        # the mode at each block start, a ulp either side, extreme points and
+        # random ones out past the last block's peaks
+        edges = [math.sqrt(y / 2.0) for y, _end, _c in e._spans] + [math.sqrt(len(e) / 2.0)]
+        points = [0.0, -0.0, 5e-324, 1e200, -1e200]
+        for m in edges:
+            points += [m, math.nextafter(m, 0.0), math.nextafter(m, math.inf)]
+        points += np.random.default_rng(n).uniform(-1.2 * edges[-1], 1.2 * edges[-1], 9000).tolist()
+        for floor in (_LOG_NEGLIGIBLE, _LOG_WIDE):
+            for x in points:
+                assert e.term_window(x, _floor=floor) == all_blocks(x, floor), (x, floor)
+
     def test_non_finite_point_rejected(self):
         for e in (build_raw(20), build_combo(2)):
             with pytest.raises(DomainError):

@@ -114,7 +114,9 @@ def block_mass_bounds(n: int, p: float) -> tuple[float, float]:
     computed masses: ln m_k^2 = k ln k - k - ln k! cancels terms of size
     ln k!, so it is good to a few eps * ln k! (4 is allowed; 1.7 is the
     largest seen against exact values on block 8), an error that m_k^(2p)
-    multiplies by p.
+    multiplies by p.  That allowance grows like 4^n and passes the whole
+    lower end from block 21 on; G(n, p) > 0, so the lower end is clamped
+    at 0.0.
     """
     if not p >= 1.0:  # NaN too
         raise DomainError("p must be >= 1")
@@ -127,7 +129,7 @@ def block_mass_bounds(n: int, p: float) -> tuple[float, float]:
     hi = scale * _power_integral(y - 1, y + r - 1, p)
     # ln k! at the block's largest k; the + 1 covers exp, power and fsum
     slack = 4.0 * sys.float_info.epsilon * p * (log_factorial(y + r - 1) + 1.0)
-    return lo * (1.0 - slack), hi * (1.0 + slack)
+    return max(lo * (1.0 - slack), 0.0), hi * (1.0 + slack)
 
 
 def lp_norm_check(e: Expansion, p: float) -> tuple[float, bool]:

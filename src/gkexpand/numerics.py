@@ -11,12 +11,16 @@ million.
 then the formulas of Cephes' ``lgam`` (S. L. Moshier, *Cephes Mathematical
 Library*), the code behind ``scipy.special.gammaln``, with its bits.
 
+``fsum_segments`` and ``fsum_blocks`` return the bits of ``math.fsum``
+from numpy arrays, without a list of Python floats.
+
 All functions here are pure and stateless.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -26,6 +30,8 @@ __all__ = [
     "log_factorial",
     "log_factorial_array",
     "CANCELLATION_FLUSH",
+    "fsum_segments",
+    "fsum_blocks",
 ]
 
 # Sums whose result is smaller than this fraction of the dominant term are
@@ -82,3 +88,129 @@ def log_factorial_array(ks: np.ndarray) -> np.ndarray:
     if np.any(big):
         out[big] = _lgam(ks[big] + 1.0, log=np.log)
     return out
+
+
+# ----------------------------------------------------------------------
+# Exact sums (Rump, Ogita & Oishi, "Accurate Floating-Point Summation",
+# SIAM J. Sci. Comput. 2008).  Only +, -, abs, max, frexp and ldexp touch
+# the terms, all exact or correctly rounded IEEE operations, so every numpy
+# SIMD level gives the same bits.
+
+# A segment whose largest |term| is not below this (or is not finite) is
+# summed by math.fsum: below it, no partial sum of fewer than 2^60 terms
+# overflows, here or inside fsum.
+_EXACT_LIMIT = 2.0**900
+
+_FIRST = np.zeros(1, dtype=np.int64)  # the start of a single segment
+
+
+def _extract(x, starts, lens, len_exp):
+    """One error-free pass of ExtractVector: (per-segment sum of q, r, max|x|).
+
+    sigma = 2^k >= 2 * len * max|x| per segment, and q = (sigma + x) - sigma
+    and r = x - q are exact, with q a multiple of 2^(k-53) and
+    sum |q| < sigma; so every partial sum of a segment's q is a multiple of
+    2^(k-53) below 2^k, representable, and the sum is exact in any order.
+    """
+    top = np.maximum.reduceat(np.abs(x), starts)
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + len_exp + 1)
+    if sigma.size > 1:  # a single segment's sigma broadcasts as it is
+        sigma = np.repeat(sigma, lens)
+    q = (sigma + x) - sigma
+    return np.add.reduceat(q, starts), x - q, top
+
+
+def _split(x, starts, lens):
+    """Per nonempty segment, (t1, t2, bound, ok): the segment's exact sum is
+    t1 + t2 + rho with |rho| <= bound, a power of two or 0, wherever ok;
+    where not ok (a term not finite or not below _EXACT_LIMIT) fsum decides.
+    """
+    len_exp = np.frexp(lens.astype(np.float64))[1]  # len < 2^len_exp
+    with np.errstate(invalid="ignore", over="ignore"):
+        t1, r, top = _extract(x, starts, lens, len_exp)
+        t2, r, _ = _extract(r, starts, lens, len_exp)
+        rest = np.maximum.reduceat(np.abs(r), starts)
+    bound = np.where(rest > 0.0, np.ldexp(1.0, np.frexp(rest)[1] + len_exp), 0.0)
+    return t1, t2, bound, top < _EXACT_LIMIT
+
+
+def _rounded(t1, t2, bound):
+    """(s, certain): s = fl(t1 + t2), and whether s is the correctly rounded
+    t1 + t2 + rho for every |rho| <= bound.
+
+    TwoSum gives t1 + t2 = s + err exactly.  For s = m 2^e, 1/2 <= |m| < 1,
+    half the smaller gap to s's neighbours is h = 2^(e-54), or 2^(e-55) when
+    |m| = 1/2 (s a power of two); at subnormal s, h comes out smaller than
+    the true half-gap, or 0.  The exact sum lies strictly inside s's
+    rounding interval, tie excluded, when |err| + bound < h, and rounding is
+    monotone, so fl(|err| + bound) < h implies it.  At bound == 0 the exact
+    sum is t1 + t2, whose correctly rounded value s is, ties to even as in
+    fsum.  s == 0 is never certain: fsum's sign-of-zero rules decide it.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = t1 + t2
+        b = s - t1
+        err = (t1 - (s - b)) + (t2 - b)
+        m, e = np.frexp(s)
+        h = np.ldexp(1.0, e - 54 - (np.abs(m) == 0.5))
+        return s, ((bound == 0.0) | (np.abs(err) + bound < h)) & (s != 0.0)
+
+
+def fsum_segments(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each consecutive segment of ``x``, ``lens[i]`` terms
+    long, bit and sign for bit and sign.
+
+    Two exact extraction passes and one certified rounding per segment, all
+    segments at once; a segment the rounding cannot certify (a near-tie, a
+    zero sum, a term not finite or at 2^900 and beyond) is summed by
+    ``math.fsum``.  An empty segment sums to 0.0, as in fsum.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lens = np.asarray(lens, dtype=np.int64)
+    if x.ndim != 1 or lens.ndim != 1 or np.any(lens < 0) or lens.sum() != x.size:
+        raise DomainError("segment lengths must be >= 0 and add up to the length of x")
+    out = np.zeros(lens.size)
+    live = np.flatnonzero(lens)
+    if live.size:
+        ends = np.cumsum(lens)
+        live_lens = lens[live]
+        t1, t2, bound, ok = _split(x, ends[live] - live_lens, live_lens)
+        s, certain = _rounded(t1, t2, bound)
+        out[live] = s
+        for k in live[~(ok & certain)]:
+            out[k] = math.fsum(x[ends[k] - lens[k] : ends[k]].tolist())
+    return out
+
+
+def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
+    """``math.fsum`` over every term of the 1-d arrays ``blocks()`` yields,
+    bit and sign for bit and sign, holding one block at a time.
+
+    Each block is split as one segment; its two pieces are kept and its
+    residual bound added to the total's, then the pieces are split once
+    more and the rounding certified against all the bounds together.  If a
+    block or the rounding cannot be certified, ``blocks()`` is called a
+    second time and its terms summed by ``math.fsum``.
+    """
+    pieces: list[float] = []
+    bounds: list[float] = []
+    for x in blocks():
+        if not x.size:
+            continue
+        t1, t2, bound, ok = _split(x, _FIRST, np.array([x.size]))
+        if not ok[0]:
+            break
+        pieces += (float(t1[0]), float(t2[0]))
+        bounds.append(float(bound[0]))
+    else:
+        if not pieces:
+            return 0.0
+        p = np.array(pieces)
+        t1, t2, bound, ok = _split(p, _FIRST, np.array([p.size]))
+        bounds.append(float(bound[0]))
+        # every bound is at most the largest, so their sum is below this
+        total = math.ldexp(max(bounds), math.frexp(len(bounds))[1])
+        s, certain = _rounded(t1, t2, total)
+        if ok[0] and certain[0]:
+            return float(s[0])
+    return math.fsum(v for x in blocks() for v in x.tolist())

@@ -16,7 +16,6 @@ instance, from the stored points and coefficients alone.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -26,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, DomainError
+from .numerics import fsum_blocks, fsum_segments
 
 __all__ = [
     "RadialProfile",
@@ -308,7 +308,7 @@ def _pair_blocks(pts: tuple[float, ...], profile: RadialProfile):
                 fu = f(u)
         else:
             fu = np.fromiter(map(f, u.tolist()), float, size)
-        yield lens.tolist(), ii, jj, fu
+        yield lens, ii, jj, fu
         rows, los, size = [], [], 0
 
 
@@ -317,12 +317,15 @@ def _quad_form(
 ) -> float:
     c = np.array(coeffs)
     c2 = 2.0 * c  # exact, so each term keeps the bits of 2 * ci * cj * F
-    terms = [ci * ci for ci in coeffs]  # F(0) = 1
-    for _lens, i, j, fu in _pair_blocks(pts, profile):
-        terms.extend((c2[i] * c[j] * fu).tolist())
-    # fsum is correctly rounded: neither the term order nor the exact
+
+    def terms():
+        yield c * c  # F(0) = 1
+        for _lens, i, j, fu in _pair_blocks(pts, profile):
+            yield c2[i] * c[j] * fu
+
+    # fsum's correctly rounded value: neither the term order nor the exact
     # zeros left out can move a bit
-    return math.fsum(terms)
+    return fsum_blocks(terms)
 
 
 def _points_fault(pts: tuple[float, ...]) -> str | None:
@@ -395,8 +398,7 @@ def offdiag_row_sums(
         raise DomainError(f"certificate points fail the row sums: {fault}")
     sums = []
     for lens, _i, _j, fu in _pair_blocks(pts, profile):
-        row = iter(fu.tolist())
-        sums.extend(math.fsum(itertools.islice(row, k)) for k in lens)
+        sums.extend(fsum_segments(np.abs(fu), lens).tolist())
     return [
         (i, s, (i - 1) * cert.epsilon / 2.0**i)
         for i, s in enumerate(sums, start=1)

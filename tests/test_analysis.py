@@ -93,6 +93,15 @@ class TestMassBounds:
         lo, hi = block_mass_bounds(2, 3.0)
         assert lo <= direct <= hi
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_bracket_is_ordered_and_nonnegative(self, p):
+        # the rounding allowance passes the whole lower end from block 21
+        # on; the mass is positive, so the lower end stops at 0
+        for n in range(2, 29):
+            lo, hi = block_mass_bounds(n, p)
+            assert 0.0 <= lo <= hi, n
+        assert block_mass_bounds(21, p)[0] == 0.0
+
     def test_block1_rejected(self):
         with pytest.raises(DomainError):
             block_mass_bounds(1, 2.0)

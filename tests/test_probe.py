@@ -338,6 +338,24 @@ class TestSupportWindow:
         # ... and at this n the pairs span several blocks
         assert 0 < calls[1] <= _PAIR_BUDGET + n - 1 < calls[0]
 
+    def test_row_sums_take_the_magnitude_of_a_signed_profile(self):
+        # a user profile with F(0) = 1 that takes negative values: the row
+        # sums are sums of |F|, so |Q - 1| <= (2/n) * (sum of the row sums)
+        user = RadialProfile("wave", lambda u: math.cos(u) / (1.0 + u * u),
+                             PROFILES["cauchy"].closed_form_radius)
+        cert = _cached_cert("cauchy", "cos", 0.1, 100)
+        pts = cert.points
+        values = [[user(pts[i - 1] - yj) for yj in pts[: i - 1]] for i in range(2, cert.n + 1)]
+        assert any(v < 0.0 for row in values for v in row)
+        rows = offdiag_row_sums(cert, user)
+        assert [s for _i, s, _b in rows] == [math.fsum(map(abs, row)) for row in values]
+        assert any(s != math.fsum(row) for (_i, s, _b), row in zip(rows, values))
+        quad = _quad_form(pts, cert.coefficients, user)
+        assert quad == _full_quad_form(pts, cert.coefficients, user)
+        # on these lattice points cos(y_i - y_j) carries the sign of
+        # c_i c_j, so the bound is met with equality, up to rounding
+        assert abs(quad - 1.0) <= 2.0 / cert.n * math.fsum(s for _i, s, _b in rows) * (1 + 1e-12)
+
     @pytest.mark.parametrize("kernel", sorted(PROFILES))
     def test_support_is_tight(self, kernel):
         profile = PROFILES[kernel]

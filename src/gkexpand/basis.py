@@ -33,7 +33,7 @@ __all__ = [
     "log_psi",
     "log_index_half",
     "log_psi_from_half",
-    "log_psi_at",
+    "log_abs_psi_terms",
     "log_abs_psi_many",
     "log_m_squared_many",
     "log_h_sup_many",
@@ -83,7 +83,7 @@ def log_psi(ks, x) -> tuple[np.ndarray, np.ndarray]:
     Signs are floats in {-1, 0, +1}; the log is -inf where psi_k(x) = 0.  Every
     psi evaluation in the package goes through this function or, with
     the index half computed once, through :func:`log_psi_from_half` or
-    :func:`log_psi_at`.
+    (x > 0 only, no signs) :func:`log_abs_psi_terms`.
     """
     return log_psi_from_half(ks, log_index_half(ks), x)
 
@@ -102,7 +102,9 @@ def log_psi_from_half(ks, half, x) -> tuple[np.ndarray, np.ndarray]:
     if xs.ndim == 0:
         x = float(xs)
         flip = None if x > 0.0 else 1.0
-        return _log_psi_terms(ks, half, _log_abs(x), x * x, flip, True if x == 0.0 else None)
+        # math.log, not np.log: they differ in the last bit on some doubles
+        lx = math.log(abs(x)) if x else 0.0  # psi's log at x = 0 is set apart
+        return _log_psi_terms(ks, half, lx, x * x, flip, True if x == 0.0 else None)
     zero = xs == 0.0
     with np.errstate(divide="ignore"):
         lx = np.log(np.abs(xs))
@@ -114,35 +116,14 @@ def log_psi_from_half(ks, half, x) -> tuple[np.ndarray, np.ndarray]:
     return _log_psi_terms(ks, half, lx, xs * xs, flip, zero)
 
 
-def log_psi_at(ks, half, xs) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`log_psi_from_half` at each point of the 1-D sequence ``xs``
-    in turn: (signs, logs) of shape (len(xs),) + shape(ks), row i holding
-    the bits of ``log_psi_from_half(ks, half, xs[i])``."""
-    col = (len(xs),) + (1,) * np.ndim(ks)  # one row per point
-    pts = np.asarray(xs, dtype=np.float64).reshape(col)
-    lx = np.array([_log_abs(x) for x in xs]).reshape(col)
-    flip = None if all(x > 0.0 for x in xs) else np.where(pts > 0.0, 0.0, 1.0)
-    zero = pts == 0.0 if 0.0 in xs else None
-    return _log_psi_terms(ks, half, lx, pts * pts, flip, zero)
-
-
-def _log_abs(x: float) -> float:
-    """ln|x|, read as 0 at x = 0 (where psi's log is set apart)."""
-    # math.log, not np.log: they differ in the last bit on some doubles,
-    # and every scalar-x path has always taken math.log
-    return math.log(abs(x)) if x else 0.0
-
-
 def _log_psi_terms(ks, half, lx, sq, flip, zero) -> tuple[np.ndarray, np.ndarray]:
     """(signs, logs) of psi_k from the per-point terms ln|x|, x^2, ``flip``
     (1.0 where odd k flip the sign, x not above 0) and ``zero`` (x = 0):
     floats for one point, or arrays that broadcast against ``ks``.  ``flip`` and
-    ``zero`` are None where no point has them.  The formula of
-    :func:`log_psi_from_half` and of :func:`log_psi_at`."""
+    ``zero`` are None where no point has them.  :func:`log_abs_psi_terms`,
+    then the signs."""
     kf = np.asarray(ks, dtype=np.float64)
-    logs = kf * lx
-    logs += half
-    logs -= sq
+    logs = log_abs_psi_terms(kf, half, lx, sq)
     if flip is None:
         return np.ones(logs.shape), logs
     signs = 1.0 - (2.0 * flip) * _parity(ks)
@@ -151,6 +132,16 @@ def _log_psi_terms(ks, half, lx, sq, flip, zero) -> tuple[np.ndarray, np.ndarray
         logs = np.where(zero, np.where(k_zero, 0.0, -np.inf), logs)
         signs = np.where(zero, k_zero, signs)
     return signs, logs
+
+
+def log_abs_psi_terms(kf: np.ndarray, half, lx, sq) -> np.ndarray:
+    """log |psi_k(x)| = k ln|x| + half - x^2 from float indices ``kf``, their
+    index half and the terms ln|x| and x^2 (floats, or arrays that broadcast
+    against ``kf``): the one place the formula is written."""
+    logs = kf * lx
+    logs += half
+    logs -= sq
+    return logs
 
 
 def _parity(ks) -> np.ndarray:

@@ -218,14 +218,19 @@ def _linear(signs: np.ndarray, logs: np.ndarray) -> np.ndarray:
 def _combo_abs_at(
     srows: np.ndarray, idx: np.ndarray, half: np.ndarray, scale: float, xs: Sequence[float]
 ) -> np.ndarray:
-    """|combo_s(xs[s])| in linear space for each sign row s of ``srows``,
-    given the index half of ``idx`` (`basis.log_index_half`); accurate near
-    the peaks where it is used.
-
-    One exp over the (len(srows), c) logs; each row's sum is numpy's
-    pairwise sum over its c terms in order, the bits of a 1-D ``np.sum``.
+    """|combo_s(xs[s])| for each sign row s of ``srows`` at points x > 0
+    (else DomainError), given the index half of ``idx``, under the caller's
+    underflow errstate.  Only the arithmetic that depends on the points:
+    ``math.log`` per point, `basis.log_abs_psi_terms`, one exp in place, the
+    signs and each row's pairwise sum over its c terms in order, so row s has
+    the bits of `basis.log_psi_from_half` at xs[s] and a 1-D ``np.sum``.
     """
-    vals = _linear(*basis.log_psi_at(idx, half, xs))
+    if not all(x > 0.0 for x in xs):
+        raise DomainError(f"combo rows are evaluated at x > 0 only, got {list(xs)!r}")
+    pts = np.array(xs, dtype=np.float64)[:, None]
+    lx = np.array([math.log(x) for x in xs])[:, None]
+    logs = basis.log_abs_psi_terms(idx, half, lx, pts * pts)
+    vals = np.exp(logs, out=logs)
     vals *= srows
     return np.abs(vals.sum(axis=1)) * scale
 
@@ -244,9 +249,10 @@ def row_sup_norms(
     of it at block 12.  The golden-section refinements to 1e-10, one per
     slot on its best grid point +-GRID_STEP, then run in lockstep
     (`optimize.golden_max`): each step evaluates the whole row once for
-    every slot in one batch, 36 batched evaluations per row.  The index
-    half of log psi is computed once for the row and serves every
-    evaluation.
+    every slot in one batch (`_combo_abs_at`: every bracket lies within
+    WINDOW_HALFWIDTH + GRID_STEP of a peak sqrt(k/2) >= sqrt(67.5), so at
+    x > 0), 36 batched evaluations per row under one errstate.  The index
+    half of log psi is computed once for the row and serves every evaluation.
     """
     spec = block_spec(n)
     slots = range(spec.c) if slots is None else list(slots)
@@ -269,7 +275,8 @@ def row_sup_norms(
     def f(xs: list[float]) -> list[float]:
         return _combo_abs_at(srows, idx, half, scale, xs).tolist()
 
-    refined = golden_max(f, [(x - basis.GRID_STEP, x + basis.GRID_STEP) for x in best_x])
+    with np.errstate(under="ignore"):
+        refined = golden_max(f, [(x - basis.GRID_STEP, x + basis.GRID_STEP) for x in best_x])
     out = []
     for s, (x_star, v_star), x, v in zip(slots, refined, best_x, best_v):
         if v_star < v:  # refinement may only improve on the grid point

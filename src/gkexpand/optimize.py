@@ -3,7 +3,8 @@
 `golden_steps` is the search itself, as a generator of probe points, so
 that `golden_max` can step several searches in lockstep and evaluate all
 their probes in one call: `blocks.row_sup_norms` refines every slot of a
-row this way, with 36 batched evaluations per row instead of 36 per slot.
+row this way, 36 calls of its row evaluator `blocks._combo_abs_at` (x > 0,
+one probe per slot, one errstate for the search) instead of 36 per slot.
 """
 
 from __future__ import annotations

@@ -11,10 +11,7 @@ from gkexpand.basis import (
     bump_error,
     fit_h_envelope,
     log_h_sup_many,
-    log_index_half,
     log_psi,
-    log_psi_at,
-    log_psi_from_half,
     peak,
 )
 from gkexpand.errors import DomainError
@@ -121,40 +118,6 @@ class TestLogPsiKernel:
         signs, logs = log_psi(np.array(self.KS, dtype=np.float64), x)
         for i, k in enumerate(self.KS):
             self._check(k, x, signs[i], logs[i])
-
-    def test_points_batch_keeps_each_points_bits(self):
-        # row i of log_psi_at is log_psi_from_half at xs[i] alone, and the
-        # float formula k * math.log|x| + half - x * x, at x = 0, -0.0,
-        # negative x (odd k flips the sign) and positive x; numpy's SIMD
-        # log (AVX-512) differs from math.log in the last bit at the three
-        # hex points
-        ks = np.array(self.KS, dtype=np.int64)
-        half = log_index_half(ks)
-        xs = [0.0, -0.0, -3.2, -0.5, 0.5, 3.2, 1200.0, 8.215, -1e-300,
-              float.fromhex("0x1.d41161dfa8ebbp-1"), -float.fromhex("0x1.f023bb0c489cfp+3"),
-              float.fromhex("0x1.1c566bc69fb6ep+3")]
-        signs, logs = log_psi_at(ks, half, xs)
-        assert signs.shape == logs.shape == (len(xs), len(ks))
-        for i, x in enumerate(xs):
-            one_signs, one_logs = log_psi_from_half(ks, half, x)
-            assert signs[i].tobytes() == np.asarray(one_signs, dtype=np.float64).tobytes()
-            assert logs[i].tobytes() == np.asarray(one_logs).tobytes()
-            for j, k in enumerate(self.KS):
-                if x == 0.0:
-                    want = (1.0, 0.0) if k == 0 else (0.0, -math.inf)
-                else:
-                    sign = -1.0 if x < 0.0 and k % 2 else 1.0
-                    want = (sign, float(k) * math.log(abs(x)) + float(half[j]) - x * x)
-                assert (float(signs[i, j]), float(logs[i, j]).hex()) == (want[0], want[1].hex()), (k, x)
-
-    def test_points_batch_of_one_index(self):
-        half = log_index_half(7)
-        signs, logs = log_psi_at(7, half, [-1.5, 0.0, 2.0])
-        assert signs.shape == logs.shape == (3,)
-        assert signs.tolist() == [-1.0, 0.0, 1.0]
-        assert [v.hex() for v in logs.tolist()] == [
-            float(log_psi_from_half(7, half, x)[1]).hex() for x in (-1.5, 0.0, 2.0)
-        ]
 
 
 class TestPeak:

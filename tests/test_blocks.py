@@ -572,17 +572,58 @@ class TestLocalScan:
         # with the index halves shifted so that all 64 terms are of one
         # size, a sum in any other order moves last bits
         rng = np.random.default_rng(16)
-        idx = (np.arange(64) % 2).astype(np.float64)  # odd k flips at x < 0
+        idx = (np.arange(64) % 2).astype(np.float64)
         half = rng.uniform(-2.0, 0.0, 64)
         srows = sign_rows(7, range(0, 64, 4)).astype(np.float64)
-        xs = rng.uniform(-1.5, 1.5, len(srows)).tolist()
-        xs[3] = 0.0
+        xs = rng.uniform(0.1, 1.5, len(srows)).tolist()
         got = blocks._combo_abs_at(srows, idx, half, 0.125, xs)
         for si, x in enumerate(xs):
             psign, logs = basis.log_psi_from_half(idx, half, x)
             with np.errstate(under="ignore"):
                 want = abs(float(np.sum(srows[si] * psign * np.exp(logs)))) * 0.125
             assert float(got[si]).hex() == want.hex(), si
+
+    def test_combo_rows_keep_each_points_bits(self):
+        # one index at a time, so the value is exp of one log and a last
+        # bit of ln x shows: each row has the bits of the one-point path
+        # and of the float formula k * math.log(x) + half - x * x; numpy's
+        # SIMD log (AVX-512) differs from math.log in the last bit at the
+        # two hex points
+        xs = [0.5, 3.2, 8.215, 1200.0, float.fromhex("0x1.d41161dfa8ebbp-1"),
+              float.fromhex("0x1.1c566bc69fb6ep+3")]
+        ones = np.ones((len(xs), 1))
+        for k in (0, 1, 2, 7, 10**3, 3 * 10**6):
+            idx = np.array([float(k)])
+            half = basis.log_index_half(idx)
+            with np.errstate(under="ignore"):
+                got = blocks._combo_abs_at(ones, idx, half, 0.125, xs)
+                for i, x in enumerate(xs):
+                    psign, logs = basis.log_psi_from_half(idx, half, x)
+                    one = abs(float(np.sum(psign * np.exp(logs)))) * 0.125
+                    formula = float(k) * math.log(x) + float(half[0]) - x * x
+                    want = float(np.exp(np.array([formula]))[0]) * 0.125
+                    assert float(got[i]).hex() == one.hex() == want.hex(), (k, x)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -0.5, -3.2, math.nan, -math.inf])
+    def test_combo_rows_need_positive_points(self, bad):
+        srows = sign_rows(3, range(4)).astype(np.float64)
+        idx = np.arange(1.0, 5.0)
+        with pytest.raises(DomainError):
+            blocks._combo_abs_at(srows, idx, basis.log_index_half(idx), 0.5, [1.0, bad, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_refinement_brackets_are_positive(self, n):
+        # every bracket is a grid point +- GRID_STEP, within WINDOW_HALFWIDTH
+        # of a peak sqrt(k/2), and the smallest k of block n is y_n: so
+        # _combo_abs_at's x > 0 holds by construction
+        assert math.sqrt(block_spec(n).y / 2.0) - WINDOW_HALFWIDTH - basis.GRID_STEP > 0.0
+
+    def test_refinement_probes_stay_above_six(self, monkeypatch):
+        # the first row of block 2 has the smallest peak, sqrt(67.5) ~ 8.22
+        calls = _spy(monkeypatch, blocks, "_combo_abs_at")
+        row_sup_norms(2, 0, range(2))
+        assert len(calls) == 36
+        assert min(min(xs) for *_args, xs in calls) > 6.0
 
     def test_refinement_falls_back_per_slot(self, monkeypatch):
         # a slot whose refinement ends below its grid value keeps the grid

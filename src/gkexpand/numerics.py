@@ -182,7 +182,9 @@ def fsum_segments(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
+def fsum_blocks(
+    blocks: Callable[[], Iterable[np.ndarray]], rest: float | None = None
+) -> float | None:
     """``math.fsum`` over every term of the 1-d arrays ``blocks()`` yields,
     bit and sign for bit and sign, holding one block at a time.
 
@@ -191,9 +193,19 @@ def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
     more and the rounding certified against all the bounds together.  If a
     block or the rounding cannot be certified, ``blocks()`` is called a
     second time and its terms summed by ``math.fsum``.
+
+    ``rest`` (>= 0) bounds the sum of |t| over the terms t left out of
+    ``blocks()``.  It joins the bounds, so a certified result is fsum's
+    value over the terms given and any such terms left out together; where
+    that cannot be certified, None is returned and ``blocks()`` is not
+    called again.
     """
     pieces: list[float] = []
     bounds: list[float] = []
+    if rest is not None:
+        if not rest >= 0.0:
+            raise DomainError(f"rest must be a bound >= 0, got {rest!r}")
+        bounds.append(rest)
     for x in blocks():
         if not x.size:
             continue
@@ -204,7 +216,7 @@ def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
         bounds.append(float(bound[0]))
     else:
         if not pieces:
-            return 0.0
+            return 0.0 if rest is None else None
         p = np.array(pieces)
         t1, t2, bound, ok = _split(p, _FIRST, np.array([p.size]))
         bounds.append(float(bound[0]))
@@ -213,4 +225,6 @@ def fsum_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
         s, certain = _rounded(t1, t2, total)
         if ok[0] and certain[0]:
             return float(s[0])
+    if rest is not None:
+        return None
     return math.fsum(v for x in blocks() for v in x.tolist())

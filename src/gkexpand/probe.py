@@ -63,6 +63,12 @@ class RadialProfile:
     and returns, element by element, the bits it returns on each float.
     The pair sums then call f once per block of pairs, with numpy's
     overflow warnings off; otherwise they call f once per pair, on floats.
+
+    ``decreasing`` is a declared fact as well: |f| does not increase on
+    [0, inf], up to f's own last-bit rounding, that is
+    |f(u)| <= |f(v)| + ulp(f(v)) for every 0 <= v <= u.  The quadratic form
+    then bounds the rows it leaves out from one f call per gap between
+    consecutive points (see ``_quad_form``); without it every row is summed.
     """
 
     name: str
@@ -70,6 +76,7 @@ class RadialProfile:
     closed_form_radius: Callable[[float], float]
     support: float = math.inf
     elementwise: bool = False
+    decreasing: bool = False
 
     def __call__(self, u: float) -> float:
         return self.f(u)
@@ -94,12 +101,16 @@ def _cauchy(u: float | np.ndarray) -> float | np.ndarray:
 PROFILES: dict[str, RadialProfile] = {
     # the float square of sqrt(745.0) is >= 745.0, _gauss's zero branch
     "gaussian": RadialProfile(
-        "gaussian", _gauss, lambda t: math.sqrt(math.log(1.0 / t)), math.sqrt(745.0)
+        "gaussian", _gauss, lambda t: math.sqrt(math.log(1.0 / t)), math.sqrt(745.0),
+        decreasing=True,
     ),
-    "laplace": RadialProfile("laplace", _laplace, lambda t: math.log(1.0 / t), 745.0),
+    "laplace": RadialProfile(
+        "laplace", _laplace, lambda t: math.log(1.0 / t), 745.0, decreasing=True
+    ),
     # from 2^512 on, u * u overflows to inf and _cauchy returns 0.0
     "cauchy": RadialProfile(
-        "cauchy", _cauchy, lambda t: math.sqrt(1.0 / t - 1.0), 2.0**512, elementwise=True
+        "cauchy", _cauchy, lambda t: math.sqrt(1.0 / t - 1.0), 2.0**512, elementwise=True,
+        decreasing=True,
     ),
 }
 
@@ -268,6 +279,15 @@ def _certify(
 _PAIR_BUDGET = 8192
 
 
+def _values(profile: RadialProfile, u: np.ndarray) -> np.ndarray:
+    """F at every element of u: one call on the array for an elementwise
+    profile, else one call per float."""
+    if profile.elementwise:
+        with np.errstate(over="ignore"):
+            return profile.f(u)
+    return np.fromiter(map(profile.f, u.tolist()), float, u.size)
+
+
 def _pair_blocks(pts: tuple[float, ...], profile: RadialProfile):
     """Yield, for consecutive groups of whole rows, (lens, i, j, F): the
     pairs j < i inside F's support as flat index arrays i and j, row after
@@ -282,7 +302,6 @@ def _pair_blocks(pts: tuple[float, ...], profile: RadialProfile):
     has the bits of the scalar y_i - y_j.
     """
     y = np.array(pts)
-    f = profile.f
     support = profile.support
     last = len(pts) - 1
     lo = 0
@@ -302,30 +321,94 @@ def _pair_blocks(pts: tuple[float, ...], profile: RadialProfile):
         # row r's pairs start at offset starts[r] with j = los[r]
         starts = np.cumsum(lens) - lens
         jj = np.arange(size) + np.repeat(np.subtract(los, starts), lens)
-        u = y[ii] - y[jj]
-        if profile.elementwise:
-            with np.errstate(over="ignore"):
-                fu = f(u)
-        else:
-            fu = np.fromiter(map(f, u.tolist()), float, size)
-        yield lens, ii, jj, fu
+        yield lens, ii, jj, _values(profile, y[ii] - y[jj])
         rows, los, size = [], [], 0
+
+
+# Rows are left out once their bound is at most this fraction of sum c_i^2,
+# far below half an ulp of a form near sum c_i^2, so the certified rounding
+# of the kept rows almost always succeeds.
+_TAIL_FRACTION = 2.0**-64
+
+# Covers every rounding between the computed tail bound and the sum it
+# bounds, for any n < 2^51 (see _tail_rows).
+_TAIL_SLACK = 2.0
+
+
+def _row_bounds(y: np.ndarray, profile: RadialProfile) -> np.ndarray:
+    """b[i - 1] = i (|f(g_i)| + 2^-1074) for rows i = 1..n-1, with the gap
+    g_i = fl(y_i - y_{i-1}): one f call per gap.
+
+    For a ``decreasing`` profile on finite, strictly increasing points,
+    every u_ij = fl(y_i - y_j), j < i, is at least g_i > 0, since rounding
+    is monotone; so |F(u_ij)| <= |f(g_i)| (1 + 2^-52) + 2^-1074, and row i's
+    i terms sum to at most b[i - 1] up to that factor.
+    """
+    gaps = np.abs(_values(profile, np.diff(y)))
+    return np.arange(1, y.size) * (gaps + 2.0**-1074)
+
+
+def _tail_rows(y: np.ndarray, c: np.ndarray, profile: RadialProfile) -> tuple[int, float]:
+    """(R, rest): rows R..n-1 of the pair triangle (row i holds the pairs
+    j < i, 0-based) may be left out of the quadratic form, and rest bounds
+    the sum of their terms' magnitudes.  (n, 0.0) leaves nothing out.
+
+    Only for a ``decreasing`` profile, on finite, strictly increasing
+    points, with 2^-900 <= M = max c_i^2 <= 2^900.  With u = 2^-53,
+    |fl(2 c_i c_j)| <= fl(2M) <= 2M (1 + u) by monotone rounding, so with
+    ``_row_bounds`` the term fl(fl(2 c_i c_j) F(u_ij)) is at most
+    2M (1 + 5u) (|f(g_i)| + 2^-1074) + 2^-1075, and rows R.. together at
+    most 2M (1 + 5u) sum_{i>=R} i (|f(g_i)| + 2^-1074) + n^2 2^-1076.  The
+    computed rest is _TAIL_SLACK (2 fl(M) T + n^2 2^-1074), with T the
+    suffix sum of the computed row bounds; it falls short of the exact
+    expression by a factor of at most 1 - (n + 8)u, which _TAIL_SLACK = 2
+    makes up for any n < 2^51.  R is the smallest row whose rest is at
+    most _TAIL_FRACTION sum c_i^2.  A NaN or infinite row bound only keeps
+    its row: every candidate rest covers exactly the rows it leaves out.
+    """
+    n = y.size
+    if not profile.decreasing or n < 2:
+        return n, 0.0
+    c_sq = c * c
+    top = float(c_sq.max())
+    if not 2.0**-900 <= top <= 2.0**900:
+        return n, 0.0
+    tails = np.cumsum(_row_bounds(y, profile)[::-1])[::-1]  # tails[k]: rows k+1..n-1
+    rest = _TAIL_SLACK * (2.0 * top * tails + n * n * 2.0**-1074)
+    fits = np.flatnonzero(rest <= _TAIL_FRACTION * float(c_sq.sum()))
+    if not fits.size:
+        return n, 0.0
+    k = int(fits[0])
+    return k + 1, float(rest[k])
 
 
 def _quad_form(
     pts: tuple[float, ...], coeffs: tuple[float, ...], profile: RadialProfile
 ) -> float:
+    """fsum of the terms c_i^2 and 2 c_i c_j F(y_i - y_j), j < i, over the
+    pairs inside F's support: the bits of the full double loop.
+
+    Rows past ``_tail_rows``' R are left out, their sum bounded by rest, and
+    fsum_blocks certifies that the rounded sum of the kept terms is fsum's
+    value over all of them; if it cannot, every row is summed.  A profile
+    that is not ``decreasing`` sums every row and calls f on no gap.
+    """
     c = np.array(coeffs)
     c2 = 2.0 * c  # exact, so each term keeps the bits of 2 * ci * cj * F
 
-    def terms():
+    def terms(rows):
         yield c * c  # F(0) = 1
-        for _lens, i, j, fu in _pair_blocks(pts, profile):
+        for _lens, i, j, fu in _pair_blocks(pts[:rows], profile):
             yield c2[i] * c[j] * fu
 
     # fsum's correctly rounded value: neither the term order nor the exact
     # zeros left out can move a bit
-    return fsum_blocks(terms)
+    rows, rest = _tail_rows(np.array(pts), c, profile)
+    if rows < len(pts):
+        quad = fsum_blocks(lambda: terms(rows), rest)
+        if quad is not None:
+            return quad
+    return fsum_blocks(lambda: terms(len(pts)))
 
 
 def _points_fault(pts: tuple[float, ...]) -> str | None:
@@ -400,7 +483,7 @@ def offdiag_row_sums(
     for lens, _i, _j, fu in _pair_blocks(pts, profile):
         sums.extend(fsum_segments(np.abs(fu), lens).tolist())
     return [
-        (i, s, (i - 1) * cert.epsilon / 2.0**i)
+        (i, s, math.ldexp((i - 1) * cert.epsilon, -i))
         for i, s in enumerate(sums, start=1)
         if i >= 2
     ]

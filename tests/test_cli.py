@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkexpand import analysis, blocks
+from gkexpand import analysis, blocks, probe
 from gkexpand.cli import main
 
 TABLE_N4_CSV = (
@@ -379,6 +379,20 @@ class TestProbeCommand:
         out, err = capsys.readouterr()
         assert err == ""
         assert out == f"probe: FAIL verify {cert}: inequalities=size_mismatch row_bounds=skipped\n"
+
+
+    def test_verify_past_row_1023_fails_row_bounds_in_one_line(self, tmp_path, capsys):
+        # a valid 1,100-point Gaussian certificate: its budgets underflow to
+        # 0.0 from about row 1,080 on, and 2.0**i once raised OverflowError
+        n = 1100
+        pts = tuple(100.0 * math.pi * k for k in range(1, n + 1))
+        cert = probe._certify(probe.PROFILES["gaussian"], probe.TEMPLATES["cos"], 0.1, 0.9, n, pts)
+        path = tmp_path / "cert.json"
+        probe.certificate_to_json(cert, path)
+        assert main(["probe", "--verify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == f"probe: FAIL verify {path}: inequalities=ok row_bounds=violated\n"
 
 
 class TestOutputs:

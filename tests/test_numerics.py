@@ -303,6 +303,55 @@ class TestExactSums:
         assert made[0] == 2
         assert calls[0] == 1
 
+    def test_a_rest_that_certifies(self, monkeypatch):
+        # terms left out of the blocks whose sum is within rest: the result
+        # is fsum over the terms given and the terms left out together
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(1000)
+        left_out = rng.standard_normal(50) * 2.0**-80
+        rest = 2.0 * math.fsum(np.abs(left_out).tolist())
+        made = [0]
+
+        def blocks():
+            made[0] += 1
+            yield x[:500]
+            yield x[500:]
+
+        calls = _counting_fsum(monkeypatch)
+        got = fsum_blocks(blocks, rest)
+        assert calls[0] == 0
+        monkeypatch.undo()
+        assert made[0] == 1
+        assert _bits(got) == _bits(math.fsum(x.tolist() + left_out.tolist()))
+        # a rest of 0.0 leaves nothing out
+        assert _bits(fsum_blocks(lambda: iter([x]), 0.0)) == _bits(math.fsum(x.tolist()))
+
+    @pytest.mark.parametrize("terms, rest", [
+        ([1.0, TIE], 2.0**-200),  # an exact tie: any rest > 0 straddles it
+        ([1.0, TIE, 2.0**-200], 2.0**-100),  # a near-tie the rest straddles
+        ([1.0], 2.0**-50),  # past half an ulp of the sum
+        ([1.0], math.inf),
+        ([1.0, -1.0], 0.0),  # a zero sum: fsum's sign rules decide
+        ([], 2.0**-60),  # nothing given
+        ([1.0, math.inf], 0.0),  # a term only fsum may sum
+    ], ids=["tie", "near-tie", "wide", "infinite", "zero", "empty", "not-finite"])
+    def test_a_rest_that_cannot_certify_is_refused(self, monkeypatch, terms, rest):
+        made = [0]
+
+        def blocks():
+            made[0] += 1
+            yield np.array(terms, dtype=float)
+
+        calls = _counting_fsum(monkeypatch)
+        assert fsum_blocks(blocks, rest) is None
+        assert made[0] == 1  # no second pass
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("rest", [-(2.0**-60), math.nan])
+    def test_rest_must_be_a_bound(self, rest):
+        with pytest.raises(DomainError):
+            fsum_blocks(lambda: iter([np.ones(2)]), rest)
+
     @pytest.mark.parametrize("lens", [[2], [4], [-1, 4], [[3]]])
     def test_lengths_must_tile_x(self, lens):
         with pytest.raises(DomainError):

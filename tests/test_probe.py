@@ -5,17 +5,23 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gkexpand import probe
 from gkexpand.errors import ConstructionError, DomainError
+from gkexpand.numerics import fsum_blocks
 from gkexpand.probe import (
     PROFILES,
     TEMPLATES,
     _PAIR_BUDGET,
     RadialProfile,
+    _certify,
     _quad_form,
+    _row_bounds,
+    _tail_rows,
     build_certificate,
     certificate_from_json,
     certificate_to_json,
@@ -76,6 +82,23 @@ class TestDecayRadius:
             vals = [p(u) for u in (0.5, 1.0, 2.0, 5.0, 10.0)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
             assert p(1e4) < 1e-4
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_declared_decrease_holds(self, name):
+        # |f(u)| <= |f(v)| + ulp(f(v)) for v <= u: on sorted samples over the
+        # whole range, through the support's edge, and at inf
+        profile = PROFILES[name]
+        assert profile.decreasing
+        rng = np.random.default_rng(31)
+        edge = profile.support
+        us = np.concatenate([
+            np.exp2(rng.uniform(-40.0, 10.0, 4000)),
+            rng.uniform(0.0, 40.0, 4000),
+            [0.0, edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf),
+             1e300, math.inf],
+        ])
+        vals = [abs(profile(u)) for u in np.sort(us).tolist()]
+        assert all(b <= a + math.ulp(a) for a, b in zip(vals, vals[1:]))
 
 
 class TestBuildCertificate:
@@ -257,6 +280,12 @@ def _cached_cert(kernel, template, eps, n):
     return build_certificate(PROFILES[kernel], TEMPLATES[template], eps, n)
 
 
+@functools.cache
+def _cached_full(kernel, template, eps, n):
+    cert = _cached_cert(kernel, template, eps, n)
+    return _full_quad_form(cert.points, cert.coefficients, PROFILES[kernel])
+
+
 def _counting(profile):
     """A copy of the profile whose f counts in ``calls[0]`` the elements it
     evaluates (a whole block per call for an elementwise profile, one per
@@ -281,12 +310,16 @@ class TestSupportWindow:
         "kernel, template, eps, n",
         [(k, "cos", eps, n) for k in sorted(PROFILES) for eps in (0.05, 0.1, 0.2)
          for n in (10, 100, 1000)]
-        + [(k, "square", 0.1, n) for k in sorted(PROFILES) for n in (100, 1000)],
+        + [(k, "square", 0.1, n) for k in sorted(PROFILES) for n in (100, 1000)]
+        # around the rows the quadratic form keeps, and the largest Cauchy size
+        + [(k, t, 0.1, n) for k in sorted(PROFILES) for t in sorted(TEMPLATES)
+           for n in (1, 2, 60, 500)]
+        + [("cauchy", "cos", 0.1, 1020)],
     )
     def test_bits_match_full_loop(self, kernel, template, eps, n):
         cert = _cached_cert(kernel, template, eps, n)
         profile = PROFILES[kernel]
-        expected = _full_quad_form(cert.points, cert.coefficients, profile)
+        expected = _cached_full(kernel, template, eps, n)
         assert cert.quad_form == expected
         assert _quad_form(cert.points, cert.coefficients, profile) == expected
         assert offdiag_row_sums(cert, profile) == _full_offdiag_row_sums(cert, profile)
@@ -294,19 +327,35 @@ class TestSupportWindow:
     @pytest.mark.parametrize("kernel", sorted(PROFILES))
     def test_f_calls_are_the_pairs_inside_support(self, kernel):
         # bit equality alone cannot see a window that is too wide
-        cert = _cached_cert(kernel, "cos", 0.1, 1000)
+        n = 1000
+        cert = _cached_cert(kernel, "cos", 0.1, n)
         profile, calls = _counting(PROFILES[kernel])
         inside = _pairs_inside(cert.points, profile.support)
+        # the quadratic form: the pairs inside the support of its kept
+        # rows, and one f call per gap for the bound on the rest
+        rows, _rest = _tail_rows(
+            np.array(cert.points), np.array(cert.coefficients), PROFILES[kernel]
+        )
+        assert 1 < rows <= 64
+        kept = _pairs_inside(cert.points[:rows], profile.support)
         _quad_form(cert.points, cert.coefficients, profile)
-        assert calls[0] == inside
+        assert calls[0] == kept + n - 1
         calls[0] = 0
         offdiag_row_sums(cert, profile)
         assert calls[0] == inside
         calls[0] = 0
         assert verify_certificate(cert, profile, TEMPLATES["cos"]).ok
+        assert calls[0] == kept + n - 1
+        # without the declared decrease, every pair inside the support
+        full, calls = _counting(dataclasses.replace(PROFILES[kernel], decreasing=False))
+        _quad_form(cert.points, cert.coefficients, full)
+        assert calls[0] == inside
+        calls[0] = 0
+        assert verify_certificate(cert, full, TEMPLATES["cos"]).ok
         assert calls[0] == inside
         if kernel != "cauchy":  # every Cauchy pair is inside 2^512
             assert inside < 1000 * 999 // 2
+        assert kept + n - 1 < inside
 
     def test_default_support_evaluates_every_pair(self):
         builtin = PROFILES["gaussian"]
@@ -332,11 +381,26 @@ class TestSupportWindow:
         # the budget keeps every numpy temporary O(budget + n)
         n = 1000
         cert = _cached_cert("cauchy", "cos", 0.1, n)
-        profile, calls = _counting(PROFILES["cauchy"])
+        builtin = PROFILES["cauchy"]
+        without = dataclasses.replace(builtin, decreasing=False)
+        # the row sums, and the quadratic form without the declared
+        # decrease, evaluate every pair
+        for counted, run in (
+            (builtin, offdiag_row_sums),
+            (without, offdiag_row_sums),
+            (without, lambda c, p: _quad_form(c.points, c.coefficients, p)),
+        ):
+            profile, calls = _counting(counted)
+            run(cert, profile)
+            assert calls[0] == n * (n - 1) // 2
+            # ... and at this n the pairs span several blocks
+            assert 0 < calls[1] <= _PAIR_BUDGET + n - 1 < calls[0]
+        # the quadratic form with it: the kept rows' pairs and the n - 1 gaps, no call larger
+        profile, calls = _counting(builtin)
+        rows, _rest = _tail_rows(np.array(cert.points), np.array(cert.coefficients), builtin)
         _quad_form(cert.points, cert.coefficients, profile)
-        assert calls[0] == n * (n - 1) // 2
-        # ... and at this n the pairs span several blocks
-        assert 0 < calls[1] <= _PAIR_BUDGET + n - 1 < calls[0]
+        assert calls[0] == rows * (rows - 1) // 2 + n - 1
+        assert 0 < calls[1] <= _PAIR_BUDGET + n - 1
 
     def test_row_sums_take_the_magnitude_of_a_signed_profile(self):
         # a user profile with F(0) = 1 that takes negative values: the row
@@ -362,6 +426,141 @@ class TestSupportWindow:
         s = profile.support
         assert profile(s) == profile(math.nextafter(s, math.inf)) == profile(1e300) == 0.0
         assert profile(math.nextafter(s, -math.inf)) > 0.0
+
+
+def _exact_skipped(pts, coeffs, profile, rows):
+    """The exact sum of |term| over rows >= ``rows``: the terms the full
+    loop rounds, each fl(fl(2 c_i c_j) F), summed as Fractions."""
+    return sum(
+        abs(Fraction(2.0 * coeffs[i] * coeffs[j] * profile(pts[i] - pts[j])))
+        for i in range(rows, len(pts))
+        for j in range(i)
+    )
+
+
+def _spy_fsum_blocks(monkeypatch):
+    """Record what each of probe's fsum_blocks calls returns."""
+    seen = []
+
+    def spy(blocks, rest=None):
+        seen.append(fsum_blocks(blocks, rest))
+        return seen[-1]
+
+    monkeypatch.setattr(probe, "fsum_blocks", spy)
+    return seen
+
+
+class TestTail:
+    @pytest.mark.parametrize("kernel", sorted(PROFILES))
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_perturbed_loaded_certificates(self, tmp_path, kernel, template):
+        # the verifier accepts coefficients within 1e-15 of 1/sqrt(n): the
+        # tail must keep fsum's bits on those too
+        path = tmp_path / "cert.json"
+        certificate_to_json(_cached_cert(kernel, template, 0.1, 500), path)
+        cert = certificate_from_json(path)
+        rng = np.random.default_rng(sorted(PROFILES).index(kernel) * 2 + len(template))
+        coeffs = tuple(
+            (np.array(cert.coefficients) + rng.uniform(-1e-15, 1e-15, cert.n)).tolist()
+        )
+        assert coeffs != cert.coefficients
+        profile = PROFILES[kernel]
+        expected = _full_quad_form(cert.points, coeffs, profile)
+        assert _quad_form(cert.points, coeffs, profile) == expected
+        res = verify_certificate(dataclasses.replace(cert, coefficients=coeffs),
+                                 profile, TEMPLATES[template])
+        assert res.ok
+        assert res.quad_form == expected
+
+    @pytest.mark.parametrize("kernel", sorted(PROFILES))
+    @pytest.mark.parametrize("n", [100, 500])
+    def test_bounds_cover_the_rows_they_stand_for(self, kernel, n):
+        cert = _cached_cert(kernel, "cos", 0.1, n)
+        profile = PROFILES[kernel]
+        y = np.array(cert.points)
+        bounds = _row_bounds(y, profile).tolist()
+        # every row, not only the skipped ones: row i sums |F| to at most b[i-1]
+        rows = offdiag_row_sums(cert, profile)
+        assert all(s <= b for (_i, s, _budget), b in zip(rows, bounds))
+        # rest bounds the exact sum of the skipped terms, and is small
+        kept, rest = _tail_rows(y, np.array(cert.coefficients), profile)
+        assert kept < n
+        assert _exact_skipped(cert.points, cert.coefficients, profile, kept) <= Fraction(rest)
+        assert 0.0 < rest <= 2.0**-64 * math.fsum(a * a for a in cert.coefficients)
+
+    @pytest.mark.parametrize("kernel", sorted(PROFILES))
+    def test_a_refused_tail_falls_back_to_every_row(self, monkeypatch, kernel):
+        # a target of half the diagonal leaves out all but one row, with a
+        # bound no rounding can be certified against
+        n = 200
+        cert = _cached_cert(kernel, "cos", 0.1, n)
+        monkeypatch.setattr(probe, "_TAIL_FRACTION", 0.5)
+        rows, rest = _tail_rows(
+            np.array(cert.points), np.array(cert.coefficients), PROFILES[kernel]
+        )
+        assert rows == 1 and rest > 0.0
+        seen = _spy_fsum_blocks(monkeypatch)
+        profile, calls = _counting(PROFILES[kernel])
+        quad = _quad_form(cert.points, cert.coefficients, profile)
+        assert seen[0] is None
+        assert quad == seen[1] == _cached_full(kernel, "cos", 0.1, n)
+        assert calls[0] == n - 1 + _pairs_inside(cert.points, profile.support)
+
+    def test_a_near_tie_falls_back_to_every_row(self, monkeypatch):
+        # the kept diagonal 1 + 2^-54 + 2^-54 is an exact tie, which rounds
+        # to even, 1.0; the left-out pair terms, about 1e-68, tip the full
+        # sum above it, to 1 + 2^-52.  No rest > 0 certifies a tie.
+        pts = (0.0, 1e30, 2e30)
+        coeffs = (1.0, 2.0**-27, 2.0**-27)
+        profile = PROFILES["cauchy"]
+        expected = _full_quad_form(pts, coeffs, profile)
+        assert expected == 1.0 + 2.0**-52
+        rows, rest = _tail_rows(np.array(pts), np.array(coeffs), profile)
+        assert rows == 1 and 0.0 < rest < 2.0**-64
+        seen = _spy_fsum_blocks(monkeypatch)
+        assert _quad_form(pts, coeffs, profile) == expected
+        assert seen == [None, expected]
+
+    def test_a_profile_without_the_declared_decrease_sums_every_row(self):
+        # cos(u) / (1 + u^2) is not decreasing: no gap call, every pair
+        user = RadialProfile("wave", lambda u: math.cos(u) / (1.0 + u * u),
+                             PROFILES["cauchy"].closed_form_radius)
+        assert not user.decreasing
+        n = 200
+        cert = _cached_cert("cauchy", "cos", 0.1, n)
+        pts, coeffs = cert.points, cert.coefficients
+        assert _tail_rows(np.array(pts), np.array(coeffs), user) == (n, 0.0)
+        profile, calls = _counting(user)
+        assert _quad_form(pts, coeffs, profile) == _full_quad_form(pts, coeffs, user)
+        assert calls[0] == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("c", [1e-140, 1e140])
+    def test_coefficients_out_of_range_sum_every_row(self, c):
+        cert = _cached_cert("cauchy", "cos", 0.1, 60)
+        coeffs = tuple(c * a for a in cert.coefficients)
+        profile = PROFILES["cauchy"]
+        assert _tail_rows(np.array(cert.points), np.array(coeffs), profile) == (60, 0.0)
+        assert _quad_form(cert.points, coeffs, profile) == _full_quad_form(
+            cert.points, coeffs, profile
+        )
+
+
+class TestRowBudgets:
+    def test_budgets_past_row_1023(self):
+        # 2.0**i overflowed from i = 1024 on: the budget is an ldexp now,
+        # the same bits up to row 1023, and 0.0 once it underflows
+        # Gaussian points 100 pi apart: every F between two of them is 0.0,
+        # so the certificate is valid at any size
+        n = 1100
+        pts = tuple(100.0 * math.pi * k for k in range(1, n + 1))
+        cert = _certify(PROFILES["gaussian"], TEMPLATES["cos"], 0.1, 0.9, n, pts)
+        assert verify_certificate(cert, PROFILES["gaussian"], TEMPLATES["cos"]).ok
+        rows = offdiag_row_sums(cert, PROFILES["gaussian"])
+        assert [i for i, _s, _b in rows] == list(range(2, n + 1))
+        assert all(s == 0.0 for _i, s, _b in rows)
+        for i, _s, b in rows[:1022]:
+            assert b == (i - 1) * cert.epsilon / 2.0**i
+        assert rows[-1][2] == 0.0  # so row_bounds fail, as s < b cannot hold
 
 
 def _guarded_cauchy(u):

@@ -36,7 +36,6 @@ from .analysis import (
     WeightStats,
     block_mass,
     divergence_profile,
-    lp_norm_check,
 )
 from .reconstruct import (
     ReconstructionReport,

@@ -1,5 +1,9 @@
-"""Weight statistics of combo expansions: per-block masses, l_p sums and
-the logarithmic divergence law.
+"""Weight statistics of combo expansions: per-block masses and the
+logarithmic divergence law.
+
+A block's r rows each hold one weight, ``blocks.row_log_weights``, shared
+by the row's c slots, so a block mass is a sum over r rows of c lambda^p,
+and no expansion is built.
 
 The block masses follow G(n, p) ~ A(p) / b(p)^n with A(p) =
 135 * 4^(p-1) / sqrt(90 pi)^p and b(p) = 4^(p-1).  These are large-n
@@ -21,14 +25,13 @@ import numpy as np
 
 from . import blocks
 from .errors import DomainError, RangeError
-from .expansion import Expansion
+from .expansion import DEFAULT_BLOCK_CAP, check_max_block
 from .numerics import log_factorial
 
 __all__ = [
     "WeightStats",
     "block_mass",
     "block_mass_bounds",
-    "lp_norm_check",
     "divergence_profile",
     "predicted_block_mass",
     "model_divergence_slope",
@@ -73,21 +76,22 @@ class WeightStats:
     running_slopes: tuple[float | None, ...]
 
 
-def _require_combo(e: Expansion) -> None:
-    if e.scheme != "combo":
-        raise DomainError("weight statistics are defined for combo expansions")
+def block_mass(n: int, p: float) -> float:
+    """Exact sum of lambda^p over block n's terms (compensated), for blocks
+    1..DEFAULT_BLOCK_CAP: c times each row's lambda^p, summed over the rows.
 
-
-def block_mass(e: Expansion, n: int, p: float) -> float:
-    """Exact sum of lambda^p over block n's terms (compensated)."""
-    _require_combo(e)
+    fsum is correctly rounded, so one c v term gives the bits of c copies
+    of v.  Each term is scaled, never the sum: c is a power of two, so c v
+    is exact even for a subnormal v, but c times a rounded subnormal sum
+    is not.
+    """
     if not p >= 1.0:  # NaN too
         raise DomainError("p must be >= 1")
-    if not 1 <= n <= int(e.max_block):
-        raise RangeError(f"block {n} not present (max {e.max_block})")
+    if not 1 <= n <= DEFAULT_BLOCK_CAP:
+        raise RangeError(f"block {n} outside 1..{DEFAULT_BLOCK_CAP}")
+    c = blocks.block_spec(n).c
     with np.errstate(under="ignore"):
-        lam = np.exp(e.log_weights[e.block_slice(n)])
-    return math.fsum(np.power(lam, p).tolist())
+        return math.fsum((c * np.power(np.exp(blocks.row_log_weights(n)), p)).tolist())
 
 
 def _power_integral(a: float, b: float, p: float) -> float:
@@ -132,43 +136,28 @@ def block_mass_bounds(n: int, p: float) -> tuple[float, float]:
     return max(lo * (1.0 - slack), 0.0), hi * (1.0 + slack)
 
 
-def lp_norm_check(e: Expansion, p: float) -> tuple[float, bool]:
-    """Total l_p weight mass plus a geometric tail estimate.
-
-    The tail beyond the last computed block N is sum_{n > N} A(p)/b(p)^n;
-    ``converged`` means the tail is under 1% of the total.  p <= 1 is
-    rejected: the mass diverges there.
-    """
-    _require_combo(e)
-    if not p > 1.0:  # NaN too
-        raise DomainError("l_p check needs p > 1 (the p = 1 mass diverges)")
-    total_blocks = math.fsum(np.power(e.weights, p).tolist())
-    tail = predicted_block_mass(int(e.max_block) + 1, p) / (1.0 - 4.0 ** (1.0 - p))
-    total = total_blocks + tail
-    return total, tail < 0.01 * total
-
-
-def divergence_profile(e: Expansion) -> WeightStats:
-    """Partial weight sums at block boundaries and their log-law fit.
+def divergence_profile(max_block: int) -> WeightStats:
+    """Partial weight sums at block boundaries and their log-law fit, over
+    blocks 1..max_block.
 
     The partial sum S(m) is recorded at m = y_2, y_3, ...; the slope of S
     against ln m, fitted over blocks >= 3, estimates the D of the
     surrogate law lambda*_k = D/k.  The fit is also reported as it runs,
     block by block.
     """
-    _require_combo(e)
-    if int(e.max_block) < 4:
+    if max_block < 4:
         raise DomainError("divergence profile needs at least 4 blocks")
+    check_max_block(max_block)
     per_block = []
     partial = []
     slopes: list[float | None] = []
     running = 0.0
     fit_pts: list[tuple[float, float]] = []
-    for n in range(1, int(e.max_block) + 1):
-        g = block_mass(e, n, 1.0)
+    for n in range(1, max_block + 1):
+        g = block_mass(n, 1.0)
         per_block.append((n, g))
         running = math.fsum([running, g])
-        boundary = e.block_slice(n).stop
+        boundary = blocks.block_spec(n).next_start
         partial.append((boundary, running))
         if n >= 3:
             fit_pts.append((math.log(boundary), running))

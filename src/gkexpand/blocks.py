@@ -31,6 +31,7 @@ __all__ = [
     "SignMatrix",
     "block_spec",
     "row_indices",
+    "row_log_weights",
     "sign_rows",
     "sign_matrix",
     "row_sup_norms",
@@ -138,6 +139,15 @@ def row_indices(spec: BlockSpec, h: int) -> list[int]:
     if not 0 <= h < spec.r:
         raise RangeError(f"row {h} outside [0, {spec.r}) for block {spec.n}")
     return [spec.y + h + k * spec.r for k in range(spec.c)]
+
+
+def row_log_weights(n: int) -> np.ndarray:
+    """ln lambda = ln(m^2_{y+h} / c) of each row h = 0..r-1 of block n: the
+    squared leading-peak sup-norm of the row's combos, which all c slots of
+    the row share."""
+    spec = block_spec(n)
+    lm2 = basis.log_m_squared_many(spec.y + np.arange(spec.r, dtype=np.float64))
+    return lm2 - math.log(spec.c)
 
 
 def sign_rows(n: int, slots: Sequence[int] | None = None) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, basis, blocks, probe, reconstruct
 from .errors import ConstructionError, DomainError, RangeError
-from .expansion import DEFAULT_BLOCK_CAP, build_bounded, build_combo, build_raw
+from .expansion import DEFAULT_BLOCK_CAP, build_bounded, build_combo, build_raw, check_max_block
 
 RAW_NORM_TOL = 1e-3          # |m_k^2 sqrt(2 pi k) - 1| gate for k >= 1000
 COMBO_NORM_WINDOW = (0.95, 1.05)   # value^2 c sqrt(2 pi (y+h)) gate, n >= 3
@@ -227,12 +227,12 @@ def _check_mass_range(p: float, max_block: int) -> None:
 
 def cmd_weights(args: argparse.Namespace) -> int:
     p = args.p
+    check_max_block(args.max_block)
     _check_mass_range(p, args.max_block)
-    e = build_combo(args.max_block)
     # at p = 1 the profile's masses are these, from the same block_mass calls
-    stats = analysis.divergence_profile(e) if p == 1.0 and args.max_block >= 4 else None
+    stats = analysis.divergence_profile(args.max_block) if p == 1.0 and args.max_block >= 4 else None
     masses = dict(stats.per_block if stats else
-                  ((n, analysis.block_mass(e, n, p)) for n in range(1, args.max_block + 1)))
+                  ((n, analysis.block_mass(n, p)) for n in range(1, args.max_block + 1)))
     rows = []
     for n, g in masses.items():
         predicted = analysis.predicted_block_mass(n, p)

@@ -44,11 +44,14 @@ __all__ = [
     "build_raw",
     "build_bounded",
     "build_combo",
+    "check_max_block",
     "DEFAULT_BLOCK_CAP",
 ]
 
 # Deepest block built by default; raw indices then reach ~2.95e6, which is
-# where the asymptotic constants have long stabilised.
+# where the asymptotic constants have long stabilised.  A row weight's
+# basis.log_m_squared_many loses about eps * ln k! to cancellation, which
+# grows like 4^n past the cap.
 DEFAULT_BLOCK_CAP = 8
 
 # Terms whose log magnitude is provably below this are skipped.  exp()
@@ -133,15 +136,6 @@ class Expansion:
 
     def __len__(self) -> int:
         return self.horizon
-
-    def block_slice(self, n: int) -> slice:
-        """Positions of the terms contributed by block n (combo scheme)."""
-        if self.scheme != "combo":
-            raise DomainError("block slices only exist for combo expansions")
-        if not 1 <= n <= int(self.max_block):
-            raise RangeError(f"block {n} not in expansion (max {self.max_block})")
-        spec = self._specs[n - 1]
-        return slice(spec.y, spec.next_start)
 
     # ------------------------------------------------------------------
     # Normalisation
@@ -347,6 +341,14 @@ def build_bounded(domain_edge: float, horizon: int) -> Expansion:
     return Expansion("bounded", log_w, domain_edge=float(domain_edge))
 
 
+def check_max_block(max_block: int) -> None:
+    """RangeError unless 1 <= max_block <= DEFAULT_BLOCK_CAP."""
+    if max_block < 1:
+        raise RangeError("max_block must be >= 1")
+    if max_block > DEFAULT_BLOCK_CAP:
+        raise RangeError(f"max_block {max_block} exceeds cap {DEFAULT_BLOCK_CAP}")
+
+
 def build_combo(max_block: int) -> Expansion:
     """Normalised block-recombined expansion covering blocks 1..max_block.
 
@@ -356,14 +358,7 @@ def build_combo(max_block: int) -> Expansion:
     than any consumer resolves (the agreement is itself under test).
     Term count is exactly y_{max_block+1}.
     """
-    if max_block < 1:
-        raise RangeError("max_block must be >= 1")
-    if max_block > DEFAULT_BLOCK_CAP:
-        raise RangeError(f"max_block {max_block} exceeds cap {DEFAULT_BLOCK_CAP}")
-    parts = []
-    for n in range(1, max_block + 1):
-        spec = blocks.block_spec(n)
-        lm2 = basis.log_m_squared_many(spec.y + np.arange(spec.r, dtype=np.float64))
-        log_lam_rows = lm2 - math.log(spec.c)  # ln(m^2 / c) per row
-        parts.append(np.repeat(log_lam_rows, spec.c))
+    check_max_block(max_block)
+    parts = [np.repeat(blocks.row_log_weights(n), blocks.block_spec(n).c)
+             for n in range(1, max_block + 1)]
     return Expansion("combo", np.concatenate(parts), max_block=max_block)

@@ -146,16 +146,16 @@ def test_c05_sup_norm_laws():
     assert elapsed < 300.0
 
 
-def test_c06a_weight_masses(combo8):
+def test_c06a_weight_masses():
     """Per-block l_1 masses sit in [7.2, 8.8] for blocks 4..8."""
-    masses = {n: block_mass(combo8, n, 1.0) for n in range(4, 9)}
+    masses = {n: block_mass(n, 1.0) for n in range(4, 9)}
     ok = all(7.2 <= g <= 8.8 for g in masses.values())
     _report("C6a weight masses", ok,
             " ".join(f"G({n},1)={g:.3f}" for n, g in masses.items()))
     assert ok
 
 
-def test_c06b_weight_ratio_gate(combo8):
+def test_c06b_weight_ratio_gate():
     """Successive mass ratios G(n+1,p)/G(n,p), p in {1.5, 2, 3}, n = 4..7,
     inside the rigorous bracket [lo(n+1)/hi(n), hi(n+1)/lo(n)] from
     ``block_mass_bounds``, with their deviation from 4^(1-p) strictly
@@ -171,7 +171,7 @@ def test_c06b_weight_ratio_gate(combo8):
         target = 4.0 ** (1.0 - p)
         bounds = {n: block_mass_bounds(n, p) for n in range(4, 9)}
         for n in range(4, 8):
-            ratio = block_mass(combo8, n + 1, p) / block_mass(combo8, n, p)
+            ratio = block_mass(n + 1, p) / block_mass(n, p)
             lo = bounds[n + 1][0] / bounds[n][1]
             hi = bounds[n + 1][1] / bounds[n][0]
             margins[(p, n)] = min(ratio - lo, hi - ratio) / ratio
@@ -190,9 +190,9 @@ def test_c06b_weight_ratio_gate(combo8):
     assert not not_decreasing, f"deviation from 4^(1-p) not decreasing at {not_decreasing}"
 
 
-def test_c06c_divergence_slope(combo8):
+def test_c06c_divergence_slope():
     """Fitted log-law slope within 15% of 135/(sqrt(90 pi) ln 4)."""
-    stats = divergence_profile(combo8)
+    stats = divergence_profile(8)
     rel = abs(stats.fitted_slope / stats.model_D - 1.0)
     ok = rel <= 0.15
     _report("C6c divergence slope", ok,

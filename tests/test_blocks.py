@@ -15,6 +15,7 @@ from gkexpand.blocks import (
     block_spec,
     min_row_separation,
     row_indices,
+    row_log_weights,
     row_sup_norms,
     row_values,
     sign_matrix,
@@ -116,6 +117,18 @@ class TestRowIndices:
         for call in calls:
             with pytest.raises(RangeError, match=re.escape(f"{value!r} is not an integer")):
                 call()
+
+
+class TestRowLogWeights:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_one_weight_per_row_from_the_leading_peak(self, n):
+        # lambda = m_{y+h}^2 / c: the squared leading-peak sup-norm
+        spec = block_spec(n)
+        got = row_log_weights(n)
+        assert got.shape == (spec.r,)
+        for h in (0, spec.r // 2, spec.r - 1):
+            expected = 2.0 * math.log(peak(spec.y + h).m) - math.log(spec.c)
+            assert got[h] == pytest.approx(expected, rel=1e-12, abs=1e-12), h
 
 
 def pairing_recursion(n):

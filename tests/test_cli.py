@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkexpand import analysis, blocks, probe
+from gkexpand import analysis, blocks, cli, probe
 from gkexpand.cli import main
 
 TABLE_N4_CSV = (
@@ -222,8 +222,8 @@ class TestExitCodes:
         # ... and a block mass off by 1e-3 must still be reported
         true_mass = analysis.block_mass
 
-        def skewed(e, n, p):
-            return true_mass(e, n, p) * (1.0 + 1e-3 if n == 4 else 1.0)
+        def skewed(n, p):
+            return true_mass(n, p) * (1.0 + 1e-3 if n == 4 else 1.0)
 
         monkeypatch.setattr(analysis, "block_mass", skewed)
         assert main(argv + ["--out-dir", str(tmp_path / "bad")]) == 1
@@ -241,14 +241,35 @@ class TestExitCodes:
         calls = []
         true_mass = analysis.block_mass
 
-        def spy(e, n, p):
+        def spy(n, p):
             calls.append((n, p))
-            return true_mass(e, n, p)
+            return true_mass(n, p)
 
         monkeypatch.setattr(analysis, "block_mass", spy)
         assert main(["weights", "--p", "1", "--max-block", "8",
                      "--out-dir", str(tmp_path)]) == 0
         assert calls == [(n, 1.0) for n in range(1, 9)]
+
+    @pytest.mark.parametrize("p", ["1", "2"])
+    def test_weights_builds_no_expansion(self, tmp_path, monkeypatch, p):
+        # the masses are per-row sums: no combo expansion is built
+        def refuse(max_block):
+            raise AssertionError("weights built a combo expansion")
+
+        monkeypatch.setattr(cli, "build_combo", refuse)
+        assert main(["weights", "--p", p, "--max-block", "8",
+                     "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("max_block, message", [
+        ("0", "max_block must be >= 1"),
+        ("9", "max_block 9 exceeds cap 8"),
+        ("30", "max_block 30 exceeds cap 8"),  # checked before block_spec's 64-bit range
+    ])
+    def test_weights_block_range(self, tmp_path, capsys, max_block, message):
+        code = main(["weights", "--max-block", max_block, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert _one_error_line(capsys) == f"error: {message}\n"
+        assert not (tmp_path / "weights_summary.json").exists()
 
     @pytest.mark.parametrize("p, max_block", [("400", "5"), ("60", "8")])
     def test_weights_p_beyond_double_range_rejected(self, tmp_path, capsys, p, max_block):

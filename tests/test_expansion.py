@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gkexpand.basis import log_psi, peak
-from gkexpand.blocks import block_spec, row_indices, sign_rows
+from gkexpand.blocks import block_spec, row_indices, row_log_weights, sign_rows
 from gkexpand.errors import DomainError, RangeError
 from gkexpand import expansion
 from gkexpand.expansion import Expansion, build_bounded, build_combo, build_raw
@@ -128,6 +128,13 @@ class TestBuildCombo:
             _values(ec, x), _values(er, x), rtol=1e-12, atol=1e-300
         )
 
+    def test_weights_repeat_each_row_weight_c_fold(self, combo4):
+        # every slot of row h carries row_log_weights(n)[h], bit for bit
+        for n in range(1, 5):
+            spec = block_spec(n)
+            block = combo4.log_weights[spec.y : spec.next_start].reshape(spec.r, spec.c)
+            assert np.array_equal(block, np.repeat(row_log_weights(n)[:, None], spec.c, axis=1))
+
     def test_term_count_is_tiling(self):
         assert len(build_combo(4)) == 11475  # y_5 = 45 (4^4 - 1)
 
@@ -176,11 +183,6 @@ class TestDiagonalSandwich:
 
 
 class TestTermAccess:
-    def test_out_of_range(self, combo4):
-        for n in (0, 5):
-            with pytest.raises(RangeError):
-                combo4.block_slice(n)
-
     def test_weight_at_both_ends(self, combo4):
         # a combo's weight is its leading peak's m^2 / c: psi_0 alone first,
         # row 1079 of block 4 (leading index 2835 + 1079) last

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gkexpand import expansion, reconstruct
+from gkexpand.blocks import block_spec
 from gkexpand.errors import DomainError, RangeError
 from gkexpand.expansion import _LOG_NEGLIGIBLE, _LOG_WIDE, Expansion, build_bounded, build_combo, build_raw
 from gkexpand.reconstruct import _overlap_sum, _pair_sum, _Point, grid_report, series_kernel
@@ -163,7 +164,7 @@ class TestWindowShape:
         # psi_k(0) = 0 for k >= 1, so only the block holding psi_0 counts
         e = build_combo(7)
         for x in (0.0, -0.0):
-            assert e.term_window(x) == e.block_slice(1)
+            assert e.term_window(x) == slice(0, block_spec(1).next_start)
 
     @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300).normalize()])
     def test_raw_and_bounded_are_not_windowed(self, e):
@@ -190,7 +191,7 @@ class TestWindowShape:
 
     def test_combo_window_is_whole_blocks(self):
         e = build_combo(6)
-        starts = {e.block_slice(n).start for n in range(1, 7)} | {len(e)}
+        starts = {block_spec(n).y for n in range(1, 7)} | {len(e)}
         for x in COMBO_POINTS:
             w = e.term_window(x)
             assert w.start == w.stop == 0 or {w.start, w.stop} <= starts

@@ -32,6 +32,7 @@ __all__ = [
     "CANCELLATION_FLUSH",
     "fsum_segments",
     "fsum_blocks",
+    "half_gap",
 ]
 
 # Sums whose result is smaller than this fraction of the dominant term are
@@ -138,22 +139,30 @@ def _rounded(t1, t2, bound):
     """(s, certain): s = fl(t1 + t2), and whether s is the correctly rounded
     t1 + t2 + rho for every |rho| <= bound.
 
-    TwoSum gives t1 + t2 = s + err exactly.  For s = m 2^e, 1/2 <= |m| < 1,
-    half the smaller gap to s's neighbours is h = 2^(e-54), or 2^(e-55) when
-    |m| = 1/2 (s a power of two); at subnormal s, h comes out smaller than
-    the true half-gap, or 0.  The exact sum lies strictly inside s's
-    rounding interval, tie excluded, when |err| + bound < h, and rounding is
-    monotone, so fl(|err| + bound) < h implies it.  At bound == 0 the exact
-    sum is t1 + t2, whose correctly rounded value s is, ties to even as in
-    fsum.  s == 0 is never certain: fsum's sign-of-zero rules decide it.
+    TwoSum gives t1 + t2 = s + err exactly.  With h = ``half_gap(s)``, the
+    exact sum lies strictly inside s's rounding interval, tie excluded,
+    when |err| + bound < h, and rounding is monotone, so
+    fl(|err| + bound) < h implies it.  At bound == 0 the exact sum is
+    t1 + t2, whose correctly rounded value s is, ties to even as in fsum.
+    s == 0 is never certain: fsum's sign-of-zero rules decide it.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         s = t1 + t2
         b = s - t1
         err = (t1 - (s - b)) + (t2 - b)
-        m, e = np.frexp(s)
-        h = np.ldexp(1.0, e - 54 - (np.abs(m) == 0.5))
-        return s, ((bound == 0.0) | (np.abs(err) + bound < h)) & (s != 0.0)
+        return s, ((bound == 0.0) | (np.abs(err) + bound < half_gap(s))) & (s != 0.0)
+
+
+def half_gap(x: np.ndarray) -> np.ndarray:
+    """Half the smaller gap between each finite x != 0 and its two neighbour
+    doubles: 2^(e-54) for x = m 2^e, 1/2 <= |m| < 1, or 2^(e-55) when
+    |m| = 1/2 (x a power of two, whose gap below is half its gap above).
+    Every real strictly closer to x than this rounds to x.  For
+    |x| <= 2^-1021 the true half-gap, 2^-1075, is no double, and this
+    comes out 0.
+    """
+    m, e = np.frexp(x)
+    return np.ldexp(1.0, e - 54 - (np.abs(m) == 0.5))
 
 
 def fsum_segments(x: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numerics import fsum_blocks, fsum_segments
+from .numerics import fsum_blocks, fsum_segments, half_gap
 
 __all__ = [
     "RadialProfile",
@@ -272,10 +272,12 @@ def _certify(
     )
 
 
-# A pair block takes whole rows until it holds at least this many pairs, so
-# it never holds more than _PAIR_BUDGET + n - 2 and every numpy temporary of
-# a pair pass stays O(_PAIR_BUDGET + n) (one pass over the whole triangle
-# raised a Cauchy op's peak memory by about 13% at n = 500).
+# A pair block takes whole rows until it holds at least this many distinct
+# pairs (the pairs a row sum collapses are not counted, see
+# offdiag_row_sums), so it never holds more than _PAIR_BUDGET + n - 2 and
+# every numpy temporary of a pair pass stays O(_PAIR_BUDGET + n) (one pass
+# over the whole triangle raised a Cauchy op's peak memory by about 13% at
+# n = 500).
 _PAIR_BUDGET = 8192
 
 
@@ -288,41 +290,47 @@ def _values(profile: RadialProfile, u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(profile.f, u.tolist()), float, u.size)
 
 
-def _pair_blocks(pts: tuple[float, ...], profile: RadialProfile):
-    """Yield, for consecutive groups of whole rows, (lens, i, j, F): the
-    pairs j < i inside F's support as flat index arrays i and j, row after
-    row with j rising, F(y_i - y_j) beside them, and the number of pairs of
-    each row of the group in ``lens``.
+def _window_starts(pts: tuple[float, ...], support: float) -> np.ndarray:
+    """lo[i]: the first j whose pair with i lies inside F's support.
 
     The points must be finite and strictly increasing.  Then u = y_i - y_j
     is |y_i - y_j|, and since rounding is monotone it never shrinks as j
     falls or i grows: the pairs inside the support form a window [lo, i)
     whose start only moves up, and every F outside it is exactly 0.0.
-    numpy's subtraction is correctly rounded, as Python's is, so each u
-    has the bits of the scalar y_i - y_j.
     """
-    y = np.array(pts)
-    support = profile.support
-    last = len(pts) - 1
     lo = 0
-    rows: list[int] = []
-    los: list[int] = []
-    size = 0
+    starts = []
     for i, yi in enumerate(pts):
         while lo < i and yi - pts[lo] >= support:
             lo += 1
-        rows.append(i)
-        los.append(lo)
-        size += i - lo
-        if size < _PAIR_BUDGET and i < last:
-            continue
-        lens = np.subtract(rows, los)
-        ii = np.repeat(rows, lens)
-        # row r's pairs start at offset starts[r] with j = los[r]
-        starts = np.cumsum(lens) - lens
-        jj = np.arange(size) + np.repeat(np.subtract(los, starts), lens)
+        starts.append(lo)
+    return np.array(starts, dtype=np.int64)
+
+
+def _pair_blocks(y: np.ndarray, starts: np.ndarray, profile: RadialProfile):
+    """Yield, for consecutive groups of whole rows, (lens, i, j, F): the
+    pairs starts[i] <= j < i as flat index arrays i and j, row after row
+    with j rising, F(y_i - y_j) beside them, and the number of pairs of
+    each row of the group in ``lens``.
+
+    With ``_window_starts`` these are the pairs inside F's support.
+    numpy's subtraction is correctly rounded, as Python's is, so each u has
+    the bits of the scalar y_i - y_j.
+    """
+    lens_all = np.arange(y.size) - starts
+    ends = np.cumsum(lens_all)
+    first, done = 0, 0
+    while first < y.size:
+        # the group ends at the first row that brings it to the budget
+        stop = min(int(np.searchsorted(ends, done + _PAIR_BUDGET)) + 1, y.size)
+        lens = lens_all[first:stop]
+        size = int(ends[stop - 1]) - done
+        ii = np.repeat(np.arange(first, stop), lens)
+        # row r's pairs start at offset offsets[r] with j = starts[r]
+        offsets = np.cumsum(lens) - lens
+        jj = np.arange(size) + np.repeat(starts[first:stop] - offsets, lens)
         yield lens, ii, jj, _values(profile, y[ii] - y[jj])
-        rows, los, size = [], [], 0
+        first, done = stop, done + size
 
 
 # Rows are left out once their bound is at most this fraction of sum c_i^2,
@@ -396,14 +404,17 @@ def _quad_form(
     c = np.array(coeffs)
     c2 = 2.0 * c  # exact, so each term keeps the bits of 2 * ci * cj * F
 
+    y = np.array(pts)
+
     def terms(rows):
         yield c * c  # F(0) = 1
-        for _lens, i, j, fu in _pair_blocks(pts[:rows], profile):
+        starts = _window_starts(pts[:rows], profile.support)
+        for _lens, i, j, fu in _pair_blocks(y[:rows], starts, profile):
             yield c2[i] * c[j] * fu
 
     # fsum's correctly rounded value: neither the term order nor the exact
     # zeros left out can move a bit
-    rows, rest = _tail_rows(np.array(pts), c, profile)
+    rows, rest = _tail_rows(y, c, profile)
     if rows < len(pts):
         quad = fsum_blocks(lambda: terms(rows), rest)
         if quad is not None:
@@ -464,6 +475,37 @@ def verify_certificate(
     return VerificationResult(True, None, quad, lin_sq)
 
 
+# Veltkamp's factor 2^27 + 1 splits a double into two halves of at most
+# 26 and 27 significant bits
+_SPLITTER = 134217729.0
+
+# A collapsed prefix holds fewer pairs than this, so that m times either
+# half of the split fits in 53 bits
+_COLLAPSE_LIMIT = 2**26
+
+
+def _collapsed_prefixes(
+    y: np.ndarray, starts: np.ndarray, profile: RadialProfile
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, m, terms): the first m[r] pairs of row rows[r] all have
+    u = y_i, and terms[r] holds two exact terms that sum to m[r] |F(y_i)|
+    (see ``offdiag_row_sums``).  One f call per row that may collapse."""
+    # half_gap does not fall as y > 0 grows, so unless the least point
+    # >= 0 lies below the last point's half-gap, no row collapses
+    z = np.searchsorted(y, 0.0)
+    if z == y.size or y[z] >= half_gap(y[-1:])[0]:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 2))
+    k = np.minimum(np.searchsorted(y, half_gap(y)), np.arange(y.size))
+    m = k - starts
+    rows = np.flatnonzero((m > 0) & (m < _COLLAPSE_LIMIT) & (y[starts] >= 0.0))
+    v = np.abs(_values(profile, y[rows])) if rows.size else np.empty(0)
+    keep = (v >= 2.0**-1022) & (v < 2.0**900)
+    rows, m, v = rows[keep], m[rows[keep]], v[keep]
+    p = v * _SPLITTER
+    vh = p - (p - v)
+    return rows, m, np.column_stack((m * vh, m * (v - vh)))
+
+
 def offdiag_row_sums(
     cert: ProbeCertificate, profile: RadialProfile
 ) -> list[tuple[int, float, float]]:
@@ -472,6 +514,33 @@ def offdiag_row_sums(
     Returns (i, sum_{j<i} |F(y_i - y_j)|, (i-1) eps / 2^i) for i = 2..n,
     1-based as in the gap schedule.  Raises DomainError unless the
     certificate holds n finite, strictly increasing points.
+
+    Each row sum is fsum's correctly rounded value of the row's terms
+    inside F's support (``fsum_segments``), so any exact terms with the
+    same exact sum give it bit and sign for bit and sign.  A row's points
+    far below y_i are summed that way, from one f call:
+
+    - With h = ``half_gap(y_i)``, every 0 <= y_j < h has
+      y_i - h < y_i - y_j <= y_i, strictly within h of y_i, so round to
+      nearest gives fl(y_i - y_j) = y_i and the term is v = |F(y_i)|.  h is
+      half the gap below y_i: 2^(e-54) for y_i = m 2^e, 1/2 <= m < 1, or
+      2^(e-55) when y_i is a power of two, whose gap below is half the gap
+      above.  y_j = h itself is a tie and keeps its own term.
+    - When the window's first point is >= 0, these j are the window's
+      first m pairs, found by one ``searchsorted`` per call.  Their m equal
+      terms enter the row as m vh and m vl, with vh = p - (p - v),
+      p = (2^27 + 1) v, and vl = v - vh: Veltkamp's split (Dekker, "A
+      floating-point technique for extending the available precision",
+      1971).  For a normal v < 2^900 no step of it overflows or underflows,
+      so vh + vl = v exactly, vh has at most 26 significant bits, and vl at
+      most 27, both multiples of v's last place.  With m < 2^26, m vh and
+      m vl fit in 53 bits and are exact, and sum to m v exactly.
+
+    A row whose v is not a normal double below 2^900 (inf, NaN, 0.0, a
+    subnormal or a huge user value), whose window holds a negative point,
+    or whose prefix holds 2^26 pairs or more, keeps every term.  A collapse
+    needs y_i > 2^53 y_j, so built Gaussian and Laplace certificates, whose
+    points lie between pi/2 and 4e5, never collapse a row.
     """
     pts = cert.points
     if len(pts) != cert.n:
@@ -479,9 +548,27 @@ def offdiag_row_sums(
     fault = _points_fault(pts)
     if fault:
         raise DomainError(f"certificate points fail the row sums: {fault}")
+    y = np.array(pts)
+    starts = _window_starts(pts, profile.support)
+    rows, m, pair = _collapsed_prefixes(y, starts, profile)
+    starts[rows] += m
+    extra = np.zeros((len(pts), 2))
+    extra[rows] = pair
+    collapsed = np.zeros(len(pts), dtype=bool)
+    collapsed[rows] = True
     sums = []
-    for lens, _i, _j, fu in _pair_blocks(pts, profile):
-        sums.extend(fsum_segments(np.abs(fu), lens).tolist())
+    first = 0
+    for lens, _i, _j, fu in _pair_blocks(y, starts, profile):
+        stop = first + lens.size
+        terms = np.abs(fu)
+        here = collapsed[first:stop]
+        if here.any():
+            # each collapsed row's two terms go at the end of its segment
+            at = np.repeat(np.cumsum(lens)[here], 2)
+            terms = np.insert(terms, at, extra[first:stop][here].ravel())
+            lens = lens + 2 * here
+        sums.extend(fsum_segments(terms, lens).tolist())
+        first = stop
     return [
         (i, s, math.ldexp((i - 1) * cert.epsilon, -i))
         for i, s in enumerate(sums, start=1)

@@ -17,6 +17,7 @@ from gkexpand.numerics import (
     _split,
     fsum_blocks,
     fsum_segments,
+    half_gap,
     log_factorial,
     log_factorial_array,
 )
@@ -356,3 +357,20 @@ class TestExactSums:
     def test_lengths_must_tile_x(self, lens):
         with pytest.raises(DomainError):
             fsum_segments(np.zeros(3), lens)
+
+
+class TestHalfGap:
+    def test_half_the_smaller_gap_to_the_neighbours(self):
+        rng = np.random.default_rng(7)
+        xs = [1.0, 3.0 * 2.0**60, 2.0**70, math.nextafter(2.0**70, 0.0), 2.0**-1020,
+              math.nextafter(2.0**-1021, 1.0), math.nextafter(math.inf, 0.0),
+              *np.exp2(rng.uniform(-1000.0, 1000.0, 300)).tolist()]
+        xs += [-x for x in xs]
+        for x, h in zip(xs, half_gap(np.array(xs)).tolist()):
+            near = [math.nextafter(x, d) for d in (-math.inf, math.inf)]
+            exact = min(abs(Fraction(y) - Fraction(x)) for y in near if math.isfinite(y)) / 2
+            assert Fraction(h) == exact, x
+
+    def test_zero_where_the_half_gap_is_no_double(self):
+        xs = np.array([5e-324, 1e-310, 2.0**-1022, 2.0**-1021, -(2.0**-1021)])
+        assert half_gap(xs).tolist() == [0.0] * 5

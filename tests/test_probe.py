@@ -305,6 +305,17 @@ def _pairs_inside(pts, support):
     return sum(1 for i in range(len(pts)) for j in range(i) if abs(pts[i] - pts[j]) < support)
 
 
+def _row_sum_calls(pts, support):
+    """The f calls of the row sums, counted by a scalar loop: one per pair
+    inside the support whose difference does not round to y_i, and one per
+    row that holds a pair whose difference does."""
+    calls = 0
+    for i, yi in enumerate(pts):
+        same = [yi - yj == yi for yj in pts[:i] if yi - yj < support]
+        calls += same.count(False) + any(same)
+    return calls
+
+
 class TestSupportWindow:
     @pytest.mark.parametrize(
         "kernel, template, eps, n",
@@ -341,8 +352,13 @@ class TestSupportWindow:
         _quad_form(cert.points, cert.coefficients, profile)
         assert calls[0] == kept + n - 1
         calls[0] = 0
+        # the row sums: one f call per distinct difference of a row
         offdiag_row_sums(cert, profile)
-        assert calls[0] == inside
+        assert calls[0] == _row_sum_calls(cert.points, profile.support)
+        if kernel == "cauchy":
+            assert calls[0] < inside // 4
+        else:  # no Gaussian or Laplace row collapses
+            assert calls[0] == inside
         calls[0] = 0
         assert verify_certificate(cert, profile, TEMPLATES["cos"]).ok
         assert calls[0] == kept + n - 1
@@ -383,16 +399,17 @@ class TestSupportWindow:
         cert = _cached_cert("cauchy", "cos", 0.1, n)
         builtin = PROFILES["cauchy"]
         without = dataclasses.replace(builtin, decreasing=False)
-        # the row sums, and the quadratic form without the declared
-        # decrease, evaluate every pair
-        for counted, run in (
-            (builtin, offdiag_row_sums),
-            (without, offdiag_row_sums),
-            (without, lambda c, p: _quad_form(c.points, c.coefficients, p)),
+        # the row sums evaluate each row's distinct differences, and the
+        # quadratic form without the declared decrease every pair
+        distinct = _row_sum_calls(cert.points, builtin.support)
+        for counted, run, expected in (
+            (builtin, offdiag_row_sums, distinct),
+            (without, offdiag_row_sums, distinct),
+            (without, lambda c, p: _quad_form(c.points, c.coefficients, p), n * (n - 1) // 2),
         ):
             profile, calls = _counting(counted)
             run(cert, profile)
-            assert calls[0] == n * (n - 1) // 2
+            assert calls[0] == expected
             # ... and at this n the pairs span several blocks
             assert 0 < calls[1] <= _PAIR_BUDGET + n - 1 < calls[0]
         # the quadratic form with it: the kept rows' pairs and the n - 1 gaps, no call larger
@@ -426,6 +443,106 @@ class TestSupportWindow:
         s = profile.support
         assert profile(s) == profile(math.nextafter(s, math.inf)) == profile(1e300) == 0.0
         assert profile(math.nextafter(s, -math.inf)) > 0.0
+
+
+def _collapsible(pts, support):
+    """{row: m} by exact rational arithmetic: the rows whose window (the j
+    with y_i - y_j < support) holds no negative point, and the m >= 1
+    points 0 <= y_j below half the gap under y_i, where that half-gap is a
+    double (it is 2^-1075 and no double for y_i <= 2^-1021)."""
+    out = {}
+    for i, yi in enumerate(pts):
+        window = [yj for yj in pts[:i] if yi - yj < support]
+        half = (Fraction(yi) - Fraction(math.nextafter(yi, -math.inf))) / 2
+        if not window or window[0] < 0.0 or half < Fraction(2) ** -1074:
+            continue
+        m = sum(1 for yj in window if Fraction(yj) < half)
+        if m:
+            assert all(yi - yj == yi for yj in window[:m])
+            out[i] = m
+    return out
+
+
+def _slow(elementwise=False, support=math.inf, big=None):
+    """A user profile F(u) = 1 / (1 + u), which keeps u's every bit in
+    sight; it is 0.0 from ``support`` on and ``big`` from 2^50 on, if given."""
+
+    def f(u):
+        v = np.where(np.asarray(u) < support, 1.0 / (1.0 + u), 0.0)
+        if big is not None:
+            v = np.where(np.asarray(u) < 2.0**50, v, big)
+        return v if np.ndim(u) else float(v)
+
+    name = "slow-array" if elementwise else "slow"
+    return RadialProfile(name, f, PROFILES["cauchy"].closed_form_radius, support, elementwise)
+
+
+_H = 256.0  # half the gap below 3 * 2^60 and below the doubles up to 2^62
+_EDGE_POINTS = {
+    # y_j at h, one ulp below and above, under y_i with an even and an odd
+    # last bit: the tie y_i - h rounds to 3 * 2^60 from both
+    "half-gap": (0.0, 1.0, 255.0, math.nextafter(_H, 0.0), _H, math.nextafter(_H, math.inf),
+                 300.0, 3.0 * 2.0**60, 3.0 * 2.0**60 + 512.0, 2.0**62 - 512.0),
+    # 2^70's gap below is 2^17, half its gap above: h = 2^16, not 2^17
+    "power-of-two": (0.0, 2.0**15, math.nextafter(2.0**16, 0.0), 2.0**16,
+                     math.nextafter(2.0**16, math.inf), 1.5 * 2.0**16, 2.0**17, 2.0**70, 2.0**71,
+                     2.0**72 - 2.0**19),
+    # a subnormal or barely normal y_i collapses nothing, not even 0.0
+    "zero-and-subnormal": (0.0, 5e-324, 1e-310, 2.0**-1022, 2.0**-1021, 2.0**-1020, 1e-300, 1.0,
+                           2.0**60, 2.0**61),
+    # a row whose window holds a negative point keeps every term
+    "negative": (-3.0, -5e-324, 0.0, 1.0, 2.0**60, 2.0**61, 2.0**62),
+    # m far above 1: m v is no double, m vh and m vl are
+    "many-small": tuple(float(k) for k in range(301)) + (3.0 * 2.0**60 + 512.0, 2.0**62 - 512.0,
+                                                       2.0**80 * math.pi, 2.0**90 * math.e),
+}
+
+
+class TestCollapsedPrefixes:
+    @pytest.mark.parametrize("profile", [PROFILES["cauchy"], _slow(), _slow(elementwise=True)],
+                             ids=lambda p: p.name)
+    @pytest.mark.parametrize("case", sorted(_EDGE_POINTS))
+    def test_edge_cases_keep_every_bit(self, case, profile):
+        pts = _EDGE_POINTS[case]
+        cert = _certify(profile, TEMPLATES["cos"], 0.1, 0.9, len(pts), pts)
+        rows, m, _v = probe._collapsed_prefixes(
+            np.array(pts), probe._window_starts(pts, profile.support), profile
+        )
+        expected = _collapsible(pts, profile.support)
+        assert dict(zip(rows.tolist(), m.tolist())) == expected
+        assert bool(expected) == (case != "negative")
+        got = [(i, s.hex(), b) for i, s, b in offdiag_row_sums(cert, profile)]
+        assert got == [(i, s.hex(), b) for i, s, b in _full_offdiag_row_sums(cert, profile)]
+
+    def test_a_negative_point_outside_the_window_does_not_stop_the_collapse(self):
+        profile = _slow(support=2.0**40)
+        pts = (-(2.0**39), 0.0, 2.0**-20, 2.0**39)  # 2^39 - (-2^39) is the support
+        cert = _certify(profile, TEMPLATES["cos"], 0.1, 0.9, len(pts), pts)
+        rows, m, _v = probe._collapsed_prefixes(
+            np.array(pts), probe._window_starts(pts, profile.support), profile
+        )
+        assert dict(zip(rows.tolist(), m.tolist())) == _collapsible(pts, profile.support) == {3: 2}
+        got = [s.hex() for _i, s, _b in offdiag_row_sums(cert, profile)]
+        assert got == [s.hex() for _i, s, _b in _full_offdiag_row_sums(cert, profile)]
+
+    @pytest.mark.parametrize("elementwise", [False, True], ids=["scalar", "elementwise"])
+    @pytest.mark.parametrize("big", [math.inf, math.nan, 1e300, 1e-310, 0.0])
+    def test_the_guard_steps_aside(self, big, elementwise):
+        # the split of inf is NaN, m times 1e300 may overflow, and a
+        # subnormal or zero v is no normal double: these rows keep every term
+        profile = _slow(elementwise=elementwise, big=big)
+        pts = (0.0, 1.0, 2.0, 2.0**60, 2.0**61, 3.0 * 2.0**61)
+        cert = _certify(_slow(), TEMPLATES["cos"], 0.1, 0.9, len(pts), pts)
+        rows, _m, _v = probe._collapsed_prefixes(
+            np.array(pts), probe._window_starts(pts, profile.support), profile
+        )
+        # rows 1 and 2 collapse the point 0.0; the rows past 2^50 would
+        # collapse 0.0, 1.0 and 2.0 but for their v
+        assert rows.tolist() == [1, 2]
+        assert _collapsible(pts, profile.support) == {1: 1, 2: 1, 3: 3, 4: 3, 5: 3}
+        got = [s.hex() for _i, s, _b in offdiag_row_sums(cert, profile)]
+        assert got == [s.hex() for _i, s, _b in _full_offdiag_row_sums(cert, profile)]
+        assert got[-1] == math.fsum([big] * 5).hex()
 
 
 def _exact_skipped(pts, coeffs, profile, rows):

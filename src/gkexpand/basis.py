@@ -265,6 +265,10 @@ def fit_h_envelope(domain_edge: float, k_max: int = 5000) -> HEnvelope:
     if k_max > MAX_INDICES:
         raise RangeError(f"k_max {k_max} exceeds {MAX_INDICES}")
     crit = 2.0 * math.e * domain_edge * domain_edge
+    if crit < 2.0**-1022:  # then k0 / crit in B = ln(k0 / crit) / 2 may overflow
+        raise DomainError(
+            f"domain edge {domain_edge!r} is too small: 2 e N^2 underflows below the normal range"
+        )
     # k_max <= floor(crit) + 1, compared in floats: crit is inf for huge N
     if k_max - 1 <= crit:
         raise DomainError(f"k_max must exceed k0 = floor(2 e N^2) + 1, with 2 e N^2 = {crit:.6g}")

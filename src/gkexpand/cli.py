@@ -447,10 +447,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(
-    args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser
-) -> None:
+    args: argparse.Namespace, argv: list[str], ap: argparse.ArgumentParser
+) -> argparse.Namespace:
+    """argv parsed again with the config values as the command's defaults:
+    explicit flags, abbreviated or not, win by argparse's own rules."""
     if not args.config:
-        return
+        return args
+    parser = _SUBPARSERS[args.command]
     try:
         cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or text
@@ -466,8 +469,6 @@ def _apply_config(
             raise DomainError(f"config key {key!r} is not a flag of {parser.prog}")
         if val is None or isinstance(val, (bool, list, dict)):  # these have no flag text
             raise DomainError(f"config value {key}={val!r} is not valid for {flag}: not a string or number")
-        if any(a == flag or a.startswith(flag + "=") for a in argv):
-            continue  # explicit flag wins
         # the value's text goes through the flag's own checks, so a config
         # value gives the same bytes as the same text given as the flag
         try:
@@ -476,7 +477,8 @@ def _apply_config(
             raise DomainError(f"config value {key}={val!r} is not valid for {flag}") from exc
         if action.choices is not None and value not in action.choices:
             raise DomainError(f"config value {key}={val!r} is not one of {flag} {sorted(action.choices)}")
-        setattr(args, dest, value)
+        parser.set_defaults(**{dest: value})
+    return ap.parse_args(argv)
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -500,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config(args, argv, _SUBPARSERS[args.command])
+        args = _apply_config(args, argv, ap)
         return args.func(args)
     except (DomainError, RangeError, ConstructionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ million.
 then the formulas of Cephes' ``lgam`` (S. L. Moshier, *Cephes Mathematical
 Library*), the code behind ``scipy.special.gammaln``, with its bits.
 
-``fsum_segments`` and ``fsum_blocks`` return the bits of ``math.fsum``
+``fsum_segments`` and ``fsum_with_rest`` return the bits of ``math.fsum``
 from numpy arrays, without a list of Python floats.
 
 All functions here are pure and stateless.
@@ -20,7 +20,6 @@ All functions here are pure and stateless.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -31,7 +30,7 @@ __all__ = [
     "log_factorial_array",
     "CANCELLATION_FLUSH",
     "fsum_segments",
-    "fsum_blocks",
+    "fsum_with_rest",
     "half_gap",
 ]
 
@@ -101,8 +100,6 @@ def log_factorial_array(ks: np.ndarray) -> np.ndarray:
 # summed by math.fsum: below it, no partial sum of fewer than 2^60 terms
 # overflows, here or inside fsum.
 _EXACT_LIMIT = 2.0**900
-
-_FIRST = np.zeros(1, dtype=np.int64)  # the start of a single segment
 
 
 def _extract(x, starts, lens, len_exp):
@@ -191,49 +188,16 @@ def fsum_segments(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def fsum_blocks(
-    blocks: Callable[[], Iterable[np.ndarray]], rest: float | None = None
-) -> float | None:
-    """``math.fsum`` over every term of the 1-d arrays ``blocks()`` yields,
-    bit and sign for bit and sign, holding one block at a time.
-
-    Each block is split as one segment; its two pieces are kept and its
-    residual bound added to the total's, then the pieces are split once
-    more and the rounding certified against all the bounds together.  If a
-    block or the rounding cannot be certified, ``blocks()`` is called a
-    second time and its terms summed by ``math.fsum``.
-
-    ``rest`` (>= 0) bounds the sum of |t| over the terms t left out of
-    ``blocks()``.  It joins the bounds, so a certified result is fsum's
-    value over the terms given and any such terms left out together; where
-    that cannot be certified, None is returned and ``blocks()`` is not
-    called again.
-    """
-    pieces: list[float] = []
-    bounds: list[float] = []
-    if rest is not None:
-        if not rest >= 0.0:
-            raise DomainError(f"rest must be a bound >= 0, got {rest!r}")
-        bounds.append(rest)
-    for x in blocks():
-        if not x.size:
-            continue
-        t1, t2, bound, ok = _split(x, _FIRST, np.array([x.size]))
-        if not ok[0]:
-            break
-        pieces += (float(t1[0]), float(t2[0]))
-        bounds.append(float(bound[0]))
-    else:
-        if not pieces:
-            return 0.0 if rest is None else None
-        p = np.array(pieces)
-        t1, t2, bound, ok = _split(p, _FIRST, np.array([p.size]))
-        bounds.append(float(bound[0]))
-        # every bound is at most the largest, so their sum is below this
-        total = math.ldexp(max(bounds), math.frexp(len(bounds))[1])
-        s, certain = _rounded(t1, t2, total)
-        if ok[0] and certain[0]:
-            return float(s[0])
-    if rest is not None:
+def fsum_with_rest(x: np.ndarray, rest: float) -> float | None:
+    """``math.fsum`` over the 1-d array ``x`` and any terms left out of it
+    whose magnitudes sum to at most ``rest`` >= 0, bit and sign for bit and
+    sign; or None where one split, its rounding certified against
+    2 max(bound, rest) >= bound + rest, cannot prove it: a near-tie, a zero
+    sum, a term not finite or at 2^900 and beyond, or an empty ``x``."""
+    if not rest >= 0.0:
+        raise DomainError(f"rest must be a bound >= 0, got {rest!r}")
+    if not x.size:
         return None
-    return math.fsum(v for x in blocks() for v in x.tolist())
+    t1, t2, bound, ok = _split(x, np.zeros(1, np.int64), np.array([x.size]))  # one segment
+    s, certain = _rounded(t1, t2, 2.0 * max(float(bound[0]), rest))
+    return float(s[0]) if ok[0] and certain[0] else None

@@ -16,6 +16,7 @@ instance, from the stored points and coefficients alone.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .numerics import fsum_blocks, fsum_segments, half_gap
+from .numerics import fsum_segments, fsum_with_rest, half_gap
 
 __all__ = [
     "RadialProfile",
@@ -223,6 +224,10 @@ def build_certificate(
         raise DomainError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
+    if delta * delta < 2.0**-1022:  # so (1 + eps) / (n delta^2) stays below 2^1023
+        raise DomainError(
+            f"delta={delta!r} is too small: its square underflows below the normal range"
+        )
     if n < 1:
         raise DomainError("n must be >= 1")
     pts: list[float] = []
@@ -396,30 +401,34 @@ def _quad_form(
     """fsum of the terms c_i^2 and 2 c_i c_j F(y_i - y_j), j < i, over the
     pairs inside F's support: the bits of the full double loop.
 
-    Rows past ``_tail_rows``' R are left out, their sum bounded by rest, and
-    fsum_blocks certifies that the rounded sum of the kept terms is fsum's
-    value over all of them; if it cannot, every row is summed.  A profile
-    that is not ``decreasing`` sums every row and calls f on no gap.
+    Rows past ``_tail_rows``' R are left out, their sum bounded by rest.
+    If the kept rows hold at most ``_PAIR_BUDGET`` pairs, ``fsum_with_rest``
+    certifies that the rounded sum of them and the diagonal is fsum's value
+    over every term.  Otherwise, or if it cannot, math.fsum sums every row,
+    one pair block at a time, and where fsum raises (inf - inf, overflow)
+    the form is NaN.  A profile that is not ``decreasing`` keeps every row.
     """
     c = np.array(coeffs)
     c2 = 2.0 * c  # exact, so each term keeps the bits of 2 * ci * cj * F
-
     y = np.array(pts)
 
-    def terms(rows):
-        yield c * c  # F(0) = 1
-        starts = _window_starts(pts[:rows], profile.support)
-        for _lens, i, j, fu in _pair_blocks(y[:rows], starts, profile):
+    def pair_terms(starts):
+        for _lens, i, j, fu in _pair_blocks(y[: starts.size], starts, profile):
             yield c2[i] * c[j] * fu
 
     # fsum's correctly rounded value: neither the term order nor the exact
     # zeros left out can move a bit
     rows, rest = _tail_rows(y, c, profile)
-    if rows < len(pts):
-        quad = fsum_blocks(lambda: terms(rows), rest)
+    starts = _window_starts(pts[:rows], profile.support)
+    if (np.arange(rows) - starts).sum() <= _PAIR_BUDGET:
+        quad = fsum_with_rest(np.concatenate([c * c, *pair_terms(starts)]), rest)
         if quad is not None:
             return quad
-    return fsum_blocks(lambda: terms(len(pts)))
+    blocks = itertools.chain([c * c], pair_terms(_window_starts(pts, profile.support)))
+    try:
+        return math.fsum(itertools.chain.from_iterable(map(np.ndarray.tolist, blocks)))
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def _points_fault(pts: tuple[float, ...]) -> str | None:
@@ -588,18 +597,9 @@ def implied_weight_bound(cert: ProbeCertificate) -> float:
 
 
 def certificate_to_json(cert: ProbeCertificate, path: str | Path) -> None:
-    doc = {
-        "schema_version": 1,
-        "kernel": cert.kernel,
-        "template": cert.template,
-        "epsilon": cert.epsilon,
-        "delta": cert.delta,
-        "n": cert.n,
-        "points": list(cert.points),
-        "coefficients": list(cert.coefficients),
-        "quad_form": cert.quad_form,
-        "lin_form_sq": cert.lin_form_sq,
-    }
+    """The schema version, then every field in declaration order, which
+    ``certificate_from_json`` reads back (json writes a tuple as an array)."""
+    doc = {"schema_version": 1, **{f.name: getattr(cert, f.name) for f in fields(cert)}}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
@@ -661,6 +661,8 @@ def certificate_from_json(path: str | Path) -> ProbeCertificate:
     for name in ("epsilon", "delta"):
         if not 0.0 < getattr(cert, name) < 1.0:
             raise DomainError(f"certificate {path} has {name}={doc[name]!r}; it must lie in (0, 1)")
+    if cert.delta * cert.delta < 2.0**-1022:
+        raise DomainError(f"certificate {path} has delta={doc['delta']!r}; its square underflows")
     for name in ("points", "coefficients"):
         if not all(math.isfinite(v) for v in getattr(cert, name)):
             raise DomainError(f"certificate {path} holds a non-finite value in {name}")

@@ -195,6 +195,28 @@ class TestExitCodes:
         assert message in _one_error_line(capsys)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norms", "--scheme", "bounded", "--domain-edge", "1e-300"],
+             "domain edge 1e-300 is too small: 2 e N^2 underflows below the normal range"),
+            (["norms", "--scheme", "bounded", "--domain-edge", "1e-160"],
+             "domain edge 1e-160 is too small: 2 e N^2 underflows below the normal range"),
+            (["probe", "--delta", "1e-300"],
+             "delta=1e-300 is too small: its square underflows below the normal range"),
+            (["probe", "--delta", "1e-160"],
+             "delta=1e-160 is too small: its square underflows below the normal range"),
+        ],
+        ids=["domain-edge-zero", "domain-edge-subnormal", "delta-zero", "delta-subnormal"],
+    )
+    def test_a_square_that_underflows_is_domain_error(self, tmp_path, capsys, argv, message):
+        # a square of 0 ended in a ZeroDivisionError traceback: ln(k0 / 2eN^2)
+        # in the envelope fit, (1 + eps) / (n delta^2) in the weight bound; a
+        # subnormal one in B = inf and a FAIL, or weight_bound=inf and a PASS
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert _one_error_line(capsys) == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bumpcheck_non_integer_index_is_domain_error(self, tmp_path, capsys):
         # was a ValueError traceback
         assert main(["bumpcheck", "--indices", "a,b", "--out-dir", str(tmp_path)]) == 1
@@ -360,6 +382,7 @@ class TestProbeCommand:
             (lambda doc: {**doc, "coefficients": [float("nan"), *doc["coefficients"][1:]]},
              "non-finite"),
             (lambda doc: {**doc, "delta": 0.0}, "delta=0.0; it must lie in (0, 1)"),
+            (lambda doc: {**doc, "delta": 1e-300}, "delta=1e-300; its square underflows"),
             (lambda doc: {**doc, "epsilon": 5.0}, "epsilon=5.0; it must lie in (0, 1)"),
             (lambda doc: {**doc, "n": 5.7}, "n must be an integer"),
             (lambda doc: {**doc, "epsilon": "0.1", "delta": "0.9"},
@@ -371,7 +394,8 @@ class TestProbeCommand:
              "coefficients is not an array"),
         ],
         ids=["only-schema", "unknown-kernel", "unknown-template", "bad-point", "not-an-object",
-             "no-points", "infinite-point", "nan-coefficient", "zero-delta", "large-epsilon",
+             "no-points", "infinite-point", "nan-coefficient", "zero-delta", "tiny-delta",
+             "large-epsilon",
              "fractional-n", "string-eps-delta", "string-points", "bool-quad-form",
              "string-coefficient"],
     )
@@ -463,6 +487,17 @@ class TestConfigFile:
                      "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "reconstruct_summary.json").read_text())
         assert doc["horizon"] == 90
+
+    @pytest.mark.parametrize("flag", ["--max", "--max-b", "--max=3", "--max-block=3"])
+    def test_abbreviated_flags_beat_config(self, tmp_path, flag):
+        # argparse takes --max for --max-block; the config's block 5 won
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_block": 5}))
+        value = [] if "=" in flag else ["3"]
+        assert main(["weights", flag, *value, "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "weights_summary.json").read_text())
+        assert doc["max_block"] == 3
 
     @pytest.mark.parametrize(
         "text, message",

@@ -15,8 +15,8 @@ import gkexpand
 from gkexpand.errors import DomainError
 from gkexpand.numerics import (
     _split,
-    fsum_blocks,
     fsum_segments,
+    fsum_with_rest,
     half_gap,
     log_factorial,
     log_factorial_array,
@@ -129,12 +129,13 @@ def _counting_fsum(monkeypatch):
 
 
 def _check_segments(segments):
-    """fsum_segments and fsum_blocks against math.fsum, bit and sign."""
+    """fsum_segments and fsum_with_rest against math.fsum, bit and sign;
+    fsum_with_rest may decline, but never with other bits."""
     x = np.concatenate([np.asarray(g, dtype=float) for g in segments])
     got = fsum_segments(x, [len(g) for g in segments])
     assert [_bits(v) for v in got.tolist()] == [_bits(math.fsum(g)) for g in segments]
-    blocks = [np.asarray(g, dtype=float) for g in segments]
-    assert _bits(fsum_blocks(lambda: iter(blocks))) == _bits(math.fsum(x.tolist()))
+    total = fsum_with_rest(x, 0.0)
+    assert total is None or _bits(total) == _bits(math.fsum(x.tolist()))
 
 
 TIE = 2.0**-53  # half an ulp of 1.0
@@ -183,7 +184,7 @@ class TestExactSums:
         _check_segments(segments)
         _check_segments([[-0.0]])
         assert fsum_segments(np.array([]), []).size == 0
-        assert _bits(fsum_blocks(lambda: iter([]))) == _bits(0.0)
+        assert fsum_with_rest(np.array([]), 0.0) is None
 
     def test_magnitudes_over_the_whole_range(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -227,10 +228,9 @@ class TestExactSums:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(20_000) * np.ldexp(1.0, rng.integers(-30, 30, 20_000))
         lens = rng.multinomial(x.size, np.full(300, 1 / 300))
-        blocks = np.array_split(x, 7)
         calls = _counting_fsum(monkeypatch)
         got = fsum_segments(x, lens)
-        total = fsum_blocks(lambda: iter(blocks))
+        total = fsum_with_rest(x, 0.0)
         assert calls[0] == 0
         monkeypatch.undo()
         starts = np.cumsum(lens) - lens
@@ -246,8 +246,8 @@ class TestExactSums:
             math.fsum([math.inf, -math.inf])
         with pytest.raises(ValueError):
             fsum_segments(np.array([math.inf, -math.inf]), [2])
-        with pytest.raises(ValueError):
-            fsum_blocks(lambda: iter([np.array([math.inf]), np.array([-math.inf])]))
+        # fsum_with_rest declines them: its caller's fsum raises
+        assert fsum_with_rest(np.array([math.inf, -math.inf]), 0.0) is None
 
     def test_near_overflow_takes_the_fsum_route(self, monkeypatch):
         segments = [[2.0**900, -(2.0**900), TIE], [1e308, -1e308, 1.0], [-(2.0**1023), 1.0]]
@@ -287,45 +287,54 @@ class TestExactSums:
         assert calls[0] == 1
         assert got == 1.0 + 2 * TIE
         calls[0] = 0
-        assert fsum_blocks(lambda: iter([x[:1], x[1:]])) == 1.0 + 2 * TIE
-        assert calls[0] == 1
-
-    def test_a_failed_block_sums_every_block_again(self, monkeypatch):
-        calls = _counting_fsum(monkeypatch)
-        made = [0]
-
-        def blocks():
-            made[0] += 1
-            yield np.array([1.0, 2.0])
-            yield np.array([math.inf])
-            yield np.array([3.0])
-
-        assert fsum_blocks(blocks) == math.inf
-        assert made[0] == 2
-        assert calls[0] == 1
+        assert fsum_with_rest(x, 0.0) is None  # declined, with no fsum call
+        assert calls[0] == 0
 
     def test_a_rest_that_certifies(self, monkeypatch):
-        # terms left out of the blocks whose sum is within rest: the result
-        # is fsum over the terms given and the terms left out together
+        # terms left out of x whose sum is within rest: the result is fsum
+        # over the terms given and the terms left out together
         rng = np.random.default_rng(17)
         x = rng.standard_normal(1000)
         left_out = rng.standard_normal(50) * 2.0**-80
         rest = 2.0 * math.fsum(np.abs(left_out).tolist())
-        made = [0]
-
-        def blocks():
-            made[0] += 1
-            yield x[:500]
-            yield x[500:]
-
         calls = _counting_fsum(monkeypatch)
-        got = fsum_blocks(blocks, rest)
+        got = fsum_with_rest(x, rest)
         assert calls[0] == 0
         monkeypatch.undo()
-        assert made[0] == 1
         assert _bits(got) == _bits(math.fsum(x.tolist() + left_out.tolist()))
         # a rest of 0.0 leaves nothing out
-        assert _bits(fsum_blocks(lambda: iter([x]), 0.0)) == _bits(math.fsum(x.tolist()))
+        assert _bits(fsum_with_rest(x, 0.0)) == _bits(math.fsum(x.tolist()))
+
+    def test_a_certified_rest_covers_any_terms_left_out(self):
+        # rests around half an ulp of the sum, spent in full by left-out
+        # terms of one sign: whatever is certified is fsum's over them all
+        rng = np.random.default_rng(29)
+        certified = declined = 0
+        for _ in range(400):
+            x = rng.standard_normal(int(rng.integers(1, 40)))
+            top = math.frexp(math.fsum(x.tolist()))[1]
+            rest = math.ldexp(float(rng.uniform(0.5, 1.0)), top - int(rng.integers(53, 60)))
+            got = fsum_with_rest(x, rest)
+            if got is None:
+                declined += 1
+                continue
+            certified += 1
+            for sign in (1.0, -1.0):
+                left_out = [sign * rest / 2, sign * rest / 2]
+                assert _bits(got) == _bits(math.fsum(x.tolist() + left_out))
+        assert certified > 100 and declined > 10
+
+    def test_the_rest_adds_to_the_split_bound(self):
+        # with u = 2^-102 the split leaves three residuals of 0.45 u, and a
+        # bound of 4 u: a rest of 4 u spent by the left-out terms carries
+        # -1 + 2^-54 - 5 u + 1.35 u + 4 u past the tie above -1.0, which a
+        # cap of max(bound, rest) alone would certify as -1.0
+        u = 2.0**-102
+        x = np.array([-1.0, 2.0**-54 - 5 * u, 0.45 * u, 0.45 * u, 0.45 * u])
+        assert _split(x, np.zeros(1, np.int64), np.array([5]))[2][0] == 4 * u
+        assert math.fsum(x.tolist()) == -1.0
+        assert math.fsum(x.tolist() + [2 * u, 2 * u]) == -1.0 + 2.0**-53
+        assert fsum_with_rest(x, 4 * u) is None
 
     @pytest.mark.parametrize("terms, rest", [
         ([1.0, TIE], 2.0**-200),  # an exact tie: any rest > 0 straddles it
@@ -337,21 +346,14 @@ class TestExactSums:
         ([1.0, math.inf], 0.0),  # a term only fsum may sum
     ], ids=["tie", "near-tie", "wide", "infinite", "zero", "empty", "not-finite"])
     def test_a_rest_that_cannot_certify_is_refused(self, monkeypatch, terms, rest):
-        made = [0]
-
-        def blocks():
-            made[0] += 1
-            yield np.array(terms, dtype=float)
-
         calls = _counting_fsum(monkeypatch)
-        assert fsum_blocks(blocks, rest) is None
-        assert made[0] == 1  # no second pass
+        assert fsum_with_rest(np.array(terms, dtype=float), rest) is None
         assert calls[0] == 0
 
     @pytest.mark.parametrize("rest", [-(2.0**-60), math.nan])
     def test_rest_must_be_a_bound(self, rest):
         with pytest.raises(DomainError):
-            fsum_blocks(lambda: iter([np.ones(2)]), rest)
+            fsum_with_rest(np.ones(2), rest)
 
     @pytest.mark.parametrize("lens", [[2], [4], [-1, 4], [[3]]])
     def test_lengths_must_tile_x(self, lens):

@@ -12,7 +12,7 @@ import pytest
 
 from gkexpand import probe
 from gkexpand.errors import ConstructionError, DomainError
-from gkexpand.numerics import fsum_blocks
+from gkexpand.numerics import fsum_with_rest
 from gkexpand.probe import (
     PROFILES,
     TEMPLATES,
@@ -242,6 +242,19 @@ class TestSerialisation:
         assert back == cert  # full-precision floats survive the file
         res = verify_certificate(back, PROFILES[back.kernel], TEMPLATES[back.template])
         assert res.ok
+
+    def test_frozen_bytes(self, tmp_path):
+        # the schema version, then the fields in declaration order
+        path = tmp_path / "cert.json"
+        certificate_to_json(_cached_cert("gaussian", "cos", 0.1, 3), path)
+        assert path.read_bytes() == (
+            b'{\n "schema_version": 1,\n "kernel": "gaussian",\n "template": "cos",\n'
+            b' "epsilon": 0.1,\n "delta": 0.9,\n "n": 3,\n "points": [\n'
+            b'  3.141592653589793,\n  6.283185307179586,\n  9.42477796076938\n ],\n'
+            b' "coefficients": [\n  -0.5773502691896258,\n  0.5773502691896258,\n'
+            b'  -0.5773502691896258\n ],\n "quad_form": 0.9999310357517285,\n'
+            b' "lin_form_sq": 3.0000000000000013\n}\n'
+        )
 
     def test_rejects_unknown_schema(self, tmp_path):
         cert = build_certificate(PROFILES["gaussian"], TEMPLATES["cos"], 0.1, 5)
@@ -555,16 +568,18 @@ def _exact_skipped(pts, coeffs, profile, rows):
     )
 
 
-def _spy_fsum_blocks(monkeypatch):
-    """Record what each of probe's fsum_blocks calls returns."""
-    seen = []
+def _spy_fsum_with_rest(monkeypatch):
+    """Record what each of probe's fsum_with_rest calls returns, and how
+    many terms each was given."""
+    seen, sizes = [], []
 
-    def spy(blocks, rest=None):
-        seen.append(fsum_blocks(blocks, rest))
+    def spy(x, rest):
+        sizes.append(x.size)
+        seen.append(fsum_with_rest(x, rest))
         return seen[-1]
 
-    monkeypatch.setattr(probe, "fsum_blocks", spy)
-    return seen
+    monkeypatch.setattr(probe, "fsum_with_rest", spy)
+    return seen, sizes
 
 
 class TestTail:
@@ -616,11 +631,11 @@ class TestTail:
             np.array(cert.points), np.array(cert.coefficients), PROFILES[kernel]
         )
         assert rows == 1 and rest > 0.0
-        seen = _spy_fsum_blocks(monkeypatch)
+        seen, sizes = _spy_fsum_with_rest(monkeypatch)
         profile, calls = _counting(PROFILES[kernel])
         quad = _quad_form(cert.points, cert.coefficients, profile)
-        assert seen[0] is None
-        assert quad == seen[1] == _cached_full(kernel, "cos", 0.1, n)
+        assert seen == [None] and sizes == [n]  # the diagonal alone
+        assert quad == _cached_full(kernel, "cos", 0.1, n)
         assert calls[0] == n - 1 + _pairs_inside(cert.points, profile.support)
 
     def test_a_near_tie_falls_back_to_every_row(self, monkeypatch):
@@ -634,9 +649,9 @@ class TestTail:
         assert expected == 1.0 + 2.0**-52
         rows, rest = _tail_rows(np.array(pts), np.array(coeffs), profile)
         assert rows == 1 and 0.0 < rest < 2.0**-64
-        seen = _spy_fsum_blocks(monkeypatch)
+        seen, _sizes = _spy_fsum_with_rest(monkeypatch)
         assert _quad_form(pts, coeffs, profile) == expected
-        assert seen == [None, expected]
+        assert seen == [None]
 
     def test_a_profile_without_the_declared_decrease_sums_every_row(self):
         # cos(u) / (1 + u^2) is not decreasing: no gap call, every pair
@@ -660,6 +675,49 @@ class TestTail:
         assert _quad_form(cert.points, coeffs, profile) == _full_quad_form(
             cert.points, coeffs, profile
         )
+
+    @pytest.mark.parametrize("far", [0, 50], ids=["no-cut", "cut"])
+    def test_kept_rows_past_the_pair_budget_stream_through_fsum(self, monkeypatch, far):
+        # 1 / (1 + u) on unit steps bounds no row small: 200 kept rows hold
+        # 19,900 pairs, past the budget.  With 50 points 2^100 apart after
+        # them, the tail cuts those rows and keeps the same 200.
+        profile = dataclasses.replace(_slow(), decreasing=True)
+        pts = tuple(float(k) for k in range(200)) + tuple(2.0**100 * k for k in range(1, far + 1))
+        n = len(pts)
+        cert = _certify(_slow(), TEMPLATES["cos"], 0.1, 0.9, n, pts)
+        rows, rest = _tail_rows(np.array(pts), np.array(cert.coefficients), profile)
+        assert rows == 200 and (rest > 0.0) == bool(far)
+        assert rows * (rows - 1) // 2 > _PAIR_BUDGET
+        seen, _sizes = _spy_fsum_with_rest(monkeypatch)
+        counted, calls = _counting(profile)
+        quad = _quad_form(pts, cert.coefficients, counted)
+        assert seen == []  # never the one-shot array
+        assert quad == cert.quad_form == _full_quad_form(pts, cert.coefficients, profile)
+        assert calls[0] == n - 1 + n * (n - 1) // 2  # the gaps, then every pair
+
+    def test_the_one_shot_array_holds_the_diagonal_and_the_kept_pairs(self, monkeypatch):
+        n = 1000
+        cert = _cached_cert("cauchy", "cos", 0.1, n)
+        profile = PROFILES["cauchy"]
+        rows, _rest = _tail_rows(np.array(cert.points), np.array(cert.coefficients), profile)
+        seen, sizes = _spy_fsum_with_rest(monkeypatch)
+        assert _quad_form(cert.points, cert.coefficients, profile) == cert.quad_form
+        assert seen == [cert.quad_form]
+        assert sizes == [n + rows * (rows - 1) // 2] and sizes[0] <= _PAIR_BUDGET + n
+
+    @pytest.mark.parametrize("elementwise", [False, True], ids=["scalar", "elementwise"])
+    def test_infinite_pair_terms_fail_verification(self, elementwise):
+        # F = inf from u = 2^50 on, on pairs whose coefficients differ in
+        # sign: fsum raises on inf - inf, and the form is NaN
+        profile = _slow(elementwise=elementwise, big=math.inf)
+        pts = (0.0, 1.0, 2.0, 2.0**60, 2.0**61, 3.0 * 2.0**61)
+        cert = _certify(profile, TEMPLATES["cos"], 0.1, 0.9, len(pts), pts)
+        assert len(set(cert.coefficients)) == 2
+        assert math.isnan(cert.quad_form)
+        res = verify_certificate(cert, profile, TEMPLATES["cos"])
+        assert not res.ok
+        assert res.reason == "quad_form_out_of_range"
+        assert math.isnan(res.quad_form)
 
 
 class TestRowBudgets:

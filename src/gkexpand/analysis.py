@@ -122,8 +122,8 @@ def block_mass_bounds(n: int, p: float) -> tuple[float, float]:
     lower end from block 21 on; G(n, p) > 0, so the lower end is clamped
     at 0.0.
     """
-    if not p >= 1.0:  # NaN too
-        raise DomainError("p must be >= 1")
+    if not 1.0 <= p < math.inf:  # NaN too; at p = inf the bracket is (nan, nan)
+        raise DomainError(f"p must be finite and >= 1, got {p!r}")
     if n < 2:
         raise DomainError("the mass bracket needs n >= 2 (block 1 holds the k = 0 term)")
     spec = blocks.block_spec(n)

@@ -71,7 +71,7 @@ class PeakInfo:
 
 
 def _check_index(k: int) -> int:
-    if k < 0 or k != int(k):
+    if not 0 <= k < math.inf or k != int(k):  # NaN and +-inf too
         raise DomainError(f"basis index must be a non-negative integer, got {k!r}")
     return int(k)
 

@@ -314,35 +314,29 @@ def cmd_signs(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     if args.verify:
         cert = probe.certificate_from_json(args.verify)
-        profile = probe.PROFILES[cert.kernel]
-        template = probe.TEMPLATES[cert.template]
-        res = probe.verify_certificate(cert, profile, template)
-        if not res:  # the row sums need the points verification just rejected
-            return _status_line(
-                "probe", False, f"verify {args.verify}: inequalities={res.reason} row_bounds=skipped"
-            )
-        bounds_ok = all(s < b for _i, s, b in probe.offdiag_row_sums(cert, profile))
-        return _status_line(
-            "probe",
-            bounds_ok,
-            f"verify {args.verify}: inequalities=ok "
-            f"row_bounds={'ok' if bounds_ok else 'violated'}",
+        detail = f"verify {args.verify}:"
+    else:
+        cert = probe.build_certificate(
+            probe.PROFILES[args.kernel], probe.TEMPLATES[args.psi], args.epsilon, args.n,
+            delta=args.delta,
         )
-    profile = probe.PROFILES[args.kernel]
-    template = probe.TEMPLATES[args.psi]
-    cert = probe.build_certificate(profile, template, args.epsilon, args.n, delta=args.delta)
-    out = _out_dir(args)
-    path = out / f"probe_{args.kernel}_{args.psi}_n{args.n}.json"
-    probe.certificate_to_json(cert, path)
-    res = probe.verify_certificate(cert, profile, template)
-    bounds_ok = all(s < b for _i, s, b in probe.offdiag_row_sums(cert, profile))
-    ok = bool(res) and bounds_ok
-    detail = (
-        f"kernel={args.kernel} psi={args.psi} eps={args.epsilon} n={args.n}: "
-        f"quad_form={cert.quad_form:.6f} lin_form_sq={cert.lin_form_sq:.3f} "
-        f"weight_bound={probe.implied_weight_bound(cert):.3e} -> {path.name}"
-    )
-    return _status_line("probe", ok, detail)
+        path = _out_dir(args) / f"probe_{args.kernel}_{args.psi}_n{args.n}.json"
+        probe.certificate_to_json(cert, path)
+        detail = (
+            f"kernel={args.kernel} psi={args.psi} eps={args.epsilon} n={args.n}: "
+            f"quad_form={cert.quad_form:.6f} lin_form_sq={cert.lin_form_sq:.3f} "
+            f"weight_bound={probe.implied_weight_bound(cert):.3e} -> {path.name}"
+        )
+    profile = probe.PROFILES[cert.kernel]
+    res = probe.verify_certificate(cert, profile, probe.TEMPLATES[cert.template])
+    # the row sums need the points a failed verification may have rejected
+    bounds = "skipped"
+    if res:
+        sums = probe.offdiag_row_sums(cert, profile)
+        bounds = "ok" if all(s < b for _i, s, b in sums) else "violated"
+    if args.verify:
+        detail += f" inequalities={res.reason or 'ok'} row_bounds={bounds}"
+    return _status_line("probe", bounds == "ok", detail)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -177,6 +177,20 @@ class ProbeCertificate:
     lin_form_sq: float
 
 
+def _parameter_fault(epsilon: float, delta: float, n: int) -> str | None:
+    """Why a certificate with these parameters would be vacuous, if it
+    would: the one rule set of the builder, the loader and the verifier."""
+    if not 0.0 < epsilon < 1.0:
+        return f"epsilon={epsilon!r}; it must lie in (0, 1)"
+    if not 0.0 < delta < 1.0:
+        return f"delta={delta!r}; it must lie in (0, 1)"
+    if delta * delta < 2.0**-1022:  # so (1 + eps) / (n delta^2) stays below 2^1023
+        return f"delta={delta!r} is too small: its square underflows below the normal range"
+    if n < 1:
+        return f"n={n!r}; n must be >= 1"
+    return None
+
+
 def _next_candidate(template: PsiTemplate, t: float, delta: float) -> float:
     """First template point strictly beyond t with |psi| > delta.
 
@@ -220,16 +234,9 @@ def build_certificate(
     Coefficient signs follow sign(psi(y_i)).  Both certified quantities are
     computed by the exact pair sum over the pairs inside F's support.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
-    if delta * delta < 2.0**-1022:  # so (1 + eps) / (n delta^2) stays below 2^1023
-        raise DomainError(
-            f"delta={delta!r} is too small: its square underflows below the normal range"
-        )
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    fault = _parameter_fault(epsilon, delta, n)
+    if fault:
+        raise DomainError(fault)
     pts: list[float] = []
     t = -math.inf
     for i in range(1, n + 1):
@@ -431,9 +438,12 @@ def _quad_form(
         return math.nan
 
 
-def _points_fault(pts: tuple[float, ...]) -> str | None:
-    """Why the pair sums' support window cannot run on these points, if it
-    cannot: it needs them finite and strictly increasing."""
+def _points_fault(cert: ProbeCertificate) -> str | None:
+    """Why the pair sums cannot run on this certificate, if they cannot:
+    they need n coefficients and n finite, strictly increasing points."""
+    pts = cert.points
+    if len(pts) != cert.n or len(cert.coefficients) != cert.n:
+        return "size_mismatch"
     if not all(math.isfinite(y) for y in pts):
         return "points_not_finite"
     if any(b <= a for a, b in zip(pts, pts[1:])):
@@ -461,16 +471,17 @@ def verify_certificate(
     coefficients and check the strict inequalities.
 
     Nothing is trusted from the stored scalar fields; floating-point ties
-    count as failure.
+    count as failure.  Parameters outside the builder's rules fail as
+    ``parameters_out_of_range`` before any arithmetic.
     """
+    if _parameter_fault(cert.epsilon, cert.delta, cert.n):
+        return VerificationResult(False, "parameters_out_of_range", math.nan, math.nan)
+    fault = _points_fault(cert)
+    if fault:
+        return VerificationResult(False, fault, math.nan, math.nan)
     n = cert.n
     pts = cert.points
     coeffs = cert.coefficients
-    if len(pts) != n or len(coeffs) != n:
-        return VerificationResult(False, "size_mismatch", math.nan, math.nan)
-    fault = _points_fault(pts)
-    if fault:
-        return VerificationResult(False, fault, math.nan, math.nan)
     inv_sqrt_n = 1.0 / math.sqrt(n)
     if not all(abs(abs(a) - inv_sqrt_n) <= 1e-15 for a in coeffs):
         return VerificationResult(False, "bad_coefficient_magnitude", math.nan, math.nan)
@@ -521,8 +532,8 @@ def offdiag_row_sums(
     """Per-row off-diagonal mass against its geometric budget.
 
     Returns (i, sum_{j<i} |F(y_i - y_j)|, (i-1) eps / 2^i) for i = 2..n,
-    1-based as in the gap schedule.  Raises DomainError unless the
-    certificate holds n finite, strictly increasing points.
+    1-based as in the gap schedule.  Raises DomainError where
+    ``_points_fault`` finds a fault.
 
     Each row sum is fsum's correctly rounded value of the row's terms
     inside F's support (``fsum_segments``), so any exact terms with the
@@ -551,19 +562,16 @@ def offdiag_row_sums(
     needs y_i > 2^53 y_j, so built Gaussian and Laplace certificates, whose
     points lie between pi/2 and 4e5, never collapse a row.
     """
-    pts = cert.points
-    if len(pts) != cert.n:
-        raise DomainError(f"certificate holds {len(pts)} points for n={cert.n}")
-    fault = _points_fault(pts)
+    fault = _points_fault(cert)
     if fault:
-        raise DomainError(f"certificate points fail the row sums: {fault}")
-    y = np.array(pts)
-    starts = _window_starts(pts, profile.support)
+        raise DomainError(f"certificate fails the row sums: {fault}")
+    y = np.array(cert.points)
+    starts = _window_starts(cert.points, profile.support)
     rows, m, pair = _collapsed_prefixes(y, starts, profile)
     starts[rows] += m
-    extra = np.zeros((len(pts), 2))
+    extra = np.zeros((cert.n, 2))
     extra[rows] = pair
-    collapsed = np.zeros(len(pts), dtype=bool)
+    collapsed = np.zeros(cert.n, dtype=bool)
     collapsed[rows] = True
     sums = []
     first = 0
@@ -589,6 +597,9 @@ def implied_weight_bound(cert: ProbeCertificate) -> float:
     """(1 + eps) / (n delta^2): the ceiling the certificate imposes on any
     expansion weight whose basis function matches the probe along these
     points.  Decreases to 0 as n grows."""
+    fault = _parameter_fault(cert.epsilon, cert.delta, cert.n)
+    if fault:
+        raise DomainError(fault)
     return (1.0 + cert.epsilon) / (cert.n * cert.delta * cert.delta)
 
 
@@ -603,12 +614,40 @@ def certificate_to_json(cert: ProbeCertificate, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def _is_json_number(v: object) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _field_value(path: str | Path, field: Field, v: object):
+    """v, a document's value for this field, checked against the field's
+    declared type and converted, else DomainError.  json.loads makes exact
+    builtin types, so ``type`` tells a bool from an int and float() never
+    sees "0.1", true, or "123" (read as the points (1.0, 2.0, 3.0))."""
+    name, kind = field.name, field.type
+    if kind == "str":  # the kernel and the template
+        if type(v) is not str or v not in {"kernel": PROFILES, "template": TEMPLATES}[name]:
+            raise DomainError(f"certificate {path} names unknown {name} {v!r}")
+        return v
+    if kind == "int":
+        if type(v) is not int:
+            raise DomainError(f"certificate {path} has {name}={v!r}; {name} must be an integer")
+        return v
+    malformed = f"certificate {path} holds a malformed value: "
+    try:
+        if kind == "float":
+            if type(v) not in (int, float):
+                raise DomainError(f"{malformed}{name}={v!r} is not a JSON number")
+            return float(v)
+        if type(v) is not list or not all(type(x) in (int, float) for x in v):
+            raise DomainError(f"{malformed}{name} is not an array of JSON numbers")
+        values = tuple(map(float, v))
+    except OverflowError as exc:  # an integer past the double range
+        raise DomainError(f"{malformed}{exc}") from exc
+    # the pair sums' support window needs finite points
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"certificate {path} holds a non-finite value in {name}")
+    return values
 
 
 def certificate_from_json(path: str | Path) -> ProbeCertificate:
-    """Load a stored certificate; a malformed file raises DomainError."""
+    """Load a stored certificate; a malformed file, or one outside the
+    builder's rules, raises DomainError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON or text
@@ -620,50 +659,10 @@ def certificate_from_json(path: str | Path) -> ProbeCertificate:
     missing = [f.name for f in fields(ProbeCertificate) if f.name not in doc]
     if missing:
         raise DomainError(f"certificate {path} lacks {', '.join(missing)}")
-    if doc["kernel"] not in PROFILES:
-        raise DomainError(f"certificate {path} names unknown kernel {doc['kernel']!r}")
-    if doc["template"] not in TEMPLATES:
-        raise DomainError(f"certificate {path} names unknown template {doc['template']!r}")
-    if not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
-        raise DomainError(f"certificate {path} has n={doc['n']!r}; n must be an integer")
-    # float() would also take a string or a bool: "0.1" read as 0.1, true as
-    # 1.0, and the string "123" as the points (1.0, 2.0, 3.0)
-    for name in ("epsilon", "delta", "quad_form", "lin_form_sq"):
-        if not _is_json_number(doc[name]):
-            raise DomainError(
-                f"certificate {path} holds a malformed value: "
-                f"{name}={doc[name]!r} is not a JSON number"
-            )
-    for name in ("points", "coefficients"):
-        if not isinstance(doc[name], list) or not all(map(_is_json_number, doc[name])):
-            raise DomainError(
-                f"certificate {path} holds a malformed value: "
-                f"{name} is not an array of JSON numbers"
-            )
-    try:
-        cert = ProbeCertificate(
-            kernel=doc["kernel"],
-            template=doc["template"],
-            epsilon=float(doc["epsilon"]),
-            delta=float(doc["delta"]),
-            n=doc["n"],
-            points=tuple(float(v) for v in doc["points"]),
-            coefficients=tuple(float(v) for v in doc["coefficients"]),
-            quad_form=float(doc["quad_form"]),
-            lin_form_sq=float(doc["lin_form_sq"]),
-        )
-    except OverflowError as exc:  # an integer past the double range
-        raise DomainError(f"certificate {path} holds a malformed value: {exc}") from exc
-    # build_certificate's rules: a certificate outside them is vacuous, and
-    # the pair sums' support window needs finite points
-    if cert.n < 1:
-        raise DomainError(f"certificate {path} has n={cert.n}; n must be >= 1")
-    for name in ("epsilon", "delta"):
-        if not 0.0 < getattr(cert, name) < 1.0:
-            raise DomainError(f"certificate {path} has {name}={doc[name]!r}; it must lie in (0, 1)")
-    if cert.delta * cert.delta < 2.0**-1022:
-        raise DomainError(f"certificate {path} has delta={doc['delta']!r}; its square underflows")
-    for name in ("points", "coefficients"):
-        if not all(math.isfinite(v) for v in getattr(cert, name)):
-            raise DomainError(f"certificate {path} holds a non-finite value in {name}")
+    cert = ProbeCertificate(
+        **{f.name: _field_value(path, f, doc[f.name]) for f in fields(ProbeCertificate)}
+    )
+    fault = _parameter_fault(cert.epsilon, cert.delta, cert.n)
+    if fault:
+        raise DomainError(f"certificate {path}: {fault}")
     return cert

@@ -160,8 +160,10 @@ class TestNanP:
             block_mass(2, math.nan)
 
     def test_block_mass_bounds(self):
-        with pytest.raises(DomainError):
-            block_mass_bounds(3, math.nan)
+        # "p >= 1" let inf through too, and the bracket was (nan, nan)
+        for p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                block_mass_bounds(3, p)
 
 
 class TestDivergence:

@@ -56,6 +56,13 @@ class TestEvalPsi:
         with pytest.raises(DomainError):
             bump_error(-1, 2.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("check", [peak, lambda k: bump_error(k, 2.0)], ids=["peak", "bump"])
+    def test_rejects_non_finite_index(self, check, k):
+        # int(k) raised ValueError at nan and OverflowError at +-inf
+        with pytest.raises(DomainError, match=f"got {k!r}$"):
+            check(k)
+
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 100, 2835])
     @pytest.mark.parametrize("x", [0.25, 1.0, 3.5, 37.6])
     def test_parity(self, k, x):

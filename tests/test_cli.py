@@ -217,6 +217,20 @@ class TestExitCodes:
         assert _one_error_line(capsys) == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "5"], "epsilon=5.0; it must lie in (0, 1)"),
+            (["--delta", "0"], "delta=0.0; it must lie in (0, 1)"),
+            (["--n", "0"], "n=0; n must be >= 1"),
+        ],
+        ids=["epsilon", "delta", "n"],
+    )
+    def test_probe_rules_name_the_value(self, tmp_path, capsys, flags, message):
+        assert main(["probe", *flags, "--out-dir", str(tmp_path)]) == 1
+        assert _one_error_line(capsys) == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bumpcheck_non_integer_index_is_domain_error(self, tmp_path, capsys):
         # was a ValueError traceback
         assert main(["bumpcheck", "--indices", "a,b", "--out-dir", str(tmp_path)]) == 1
@@ -306,6 +320,13 @@ class TestExitCodes:
         assert f"--max-block {max_block}" in err
         assert not (tmp_path / "weights_summary.json").exists()
 
+    def test_weights_infinite_p_rejected(self, tmp_path, capsys):
+        # the mass bracket at p = inf was (nan, nan)
+        code = main(["weights", "--p", "inf", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert _one_error_line(capsys) == "error: p must be finite and >= 1, got inf\n"
+        assert not (tmp_path / "weights_summary.json").exists()
+
     @pytest.mark.parametrize("max_block", ["1", "8"])
     def test_weights_nan_p_rejected(self, tmp_path, capsys, max_block):
         # was "p=nan is too large ... prediction nan is below the normal range"
@@ -382,7 +403,8 @@ class TestProbeCommand:
             (lambda doc: {**doc, "coefficients": [float("nan"), *doc["coefficients"][1:]]},
              "non-finite"),
             (lambda doc: {**doc, "delta": 0.0}, "delta=0.0; it must lie in (0, 1)"),
-            (lambda doc: {**doc, "delta": 1e-300}, "delta=1e-300; its square underflows"),
+            (lambda doc: {**doc, "delta": 1e-300},
+             "delta=1e-300 is too small: its square underflows below the normal range"),
             (lambda doc: {**doc, "epsilon": 5.0}, "epsilon=5.0; it must lie in (0, 1)"),
             (lambda doc: {**doc, "n": 5.7}, "n must be an integer"),
             (lambda doc: {**doc, "epsilon": "0.1", "delta": "0.9"},

@@ -233,6 +233,47 @@ class TestWeightBound:
         assert implied_weight_bound(cert) > 1.0
 
 
+class TestParameterRules:
+    # one rule set: the builder raises it, the loader raises it for the file,
+    # implied_weight_bound raises it, and the verifier fails on it before any
+    # arithmetic (n = 0 raised ZeroDivisionError in verify_certificate, and
+    # delta = 1e-200 in implied_weight_bound; epsilon = 5.0 verified)
+    @pytest.mark.parametrize(
+        "change, rule",
+        [
+            ({"n": 0, "points": (), "coefficients": ()}, "n=0; n must be >= 1"),
+            ({"epsilon": 0.0}, "epsilon=0.0; it must lie in (0, 1)"),
+            ({"epsilon": 1.0}, "epsilon=1.0; it must lie in (0, 1)"),
+            ({"epsilon": 5.0}, "epsilon=5.0; it must lie in (0, 1)"),
+            ({"epsilon": math.nan}, "epsilon=nan; it must lie in (0, 1)"),
+            ({"delta": 0.0}, "delta=0.0; it must lie in (0, 1)"),
+            ({"delta": 1.0}, "delta=1.0; it must lie in (0, 1)"),
+            ({"delta": 1e-200},
+             "delta=1e-200 is too small: its square underflows below the normal range"),
+            ({"delta": math.nan}, "delta=nan; it must lie in (0, 1)"),
+        ],
+        ids=["n-0", "eps-0", "eps-1", "eps-5", "eps-nan", "delta-0", "delta-1", "delta-1e-200",
+             "delta-nan"],
+    )
+    def test_one_rule_set(self, tmp_path, change, rule):
+        cert = dataclasses.replace(_cached_cert("gaussian", "cos", 0.1, 5), **change)
+        res = verify_certificate(cert, PROFILES["gaussian"], TEMPLATES["cos"])
+        assert not res.ok and res.reason == "parameters_out_of_range"
+        assert math.isnan(res.quad_form) and math.isnan(res.lin_form_sq)
+        with pytest.raises(DomainError) as weight:
+            implied_weight_bound(cert)
+        with pytest.raises(DomainError) as built:
+            build_certificate(
+                PROFILES["gaussian"], TEMPLATES["cos"], cert.epsilon, cert.n, delta=cert.delta
+            )
+        path = tmp_path / "cert.json"
+        certificate_to_json(cert, path)
+        with pytest.raises(DomainError) as loaded:
+            certificate_from_json(path)
+        assert str(weight.value) == str(built.value) == rule
+        assert str(loaded.value) == f"certificate {path}: {rule}"
+
+
 class TestSerialisation:
     def test_round_trip_and_file_verification(self, tmp_path):
         cert = build_certificate(PROFILES["cauchy"], TEMPLATES["cos"], 0.05, 200)
@@ -814,6 +855,18 @@ class TestLoaderRules:
         doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(DomainError):
+            certificate_from_json(path)
+
+    @pytest.mark.parametrize("field", ["kernel", "template"])
+    @pytest.mark.parametrize("name", [["gaussian"], {"cos": 1}], ids=["list", "object"])
+    def test_rejects_a_name_that_is_not_a_string(self, tmp_path, field, name):
+        # an unhashable name raised TypeError in the table lookup
+        path = tmp_path / "cert.json"
+        certificate_to_json(_cached_cert("gaussian", "cos", 0.1, 5), path)
+        doc = json.loads(path.read_text())
+        doc[field] = name
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=f"names unknown {field}"):
             certificate_from_json(path)
 
     @pytest.mark.parametrize("field", ["points", "coefficients"])

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
-from .errors import DomainError, RangeError
-from .expansion import DEFAULT_BLOCK_CAP, check_max_block
+from .errors import DomainError
 from .numerics import log_factorial
 
 __all__ = [
     "WeightStats",
     "block_mass",
     "block_mass_bounds",
+    "check_p",
     "divergence_profile",
     "predicted_block_mass",
     "model_divergence_slope",
@@ -76,20 +76,24 @@ class WeightStats:
     running_slopes: tuple[float | None, ...]
 
 
+def check_p(p: float) -> None:
+    """DomainError unless the mass exponent p is finite and >= 1 (not NaN)."""
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p!r}")
+
+
 def block_mass(n: int, p: float) -> float:
     """Exact sum of lambda^p over block n's terms (compensated), for blocks
-    1..DEFAULT_BLOCK_CAP: c times each row's lambda^p, summed over the rows.
+    1..DEFAULT_BLOCK_CAP (`blocks.check_max_block`): c times each row's
+    lambda^p, summed over the rows.
 
     fsum is correctly rounded, so one c v term gives the bits of c copies
     of v.  Each term is scaled, never the sum: c is a power of two, so c v
     is exact even for a subnormal v, but c times a rounded subnormal sum
     is not.
     """
-    if not p >= 1.0:  # NaN too
-        raise DomainError("p must be >= 1")
-    if not 1 <= n <= DEFAULT_BLOCK_CAP:
-        raise RangeError(f"block {n} outside 1..{DEFAULT_BLOCK_CAP}")
-    c = blocks.block_spec(n).c
+    check_p(p)
+    c = blocks.check_max_block(n).c
     with np.errstate(under="ignore"):
         return math.fsum((c * np.power(np.exp(blocks.row_log_weights(n)), p)).tolist())
 
@@ -122,8 +126,7 @@ def block_mass_bounds(n: int, p: float) -> tuple[float, float]:
     lower end from block 21 on; G(n, p) > 0, so the lower end is clamped
     at 0.0.
     """
-    if not 1.0 <= p < math.inf:  # NaN too; at p = inf the bracket is (nan, nan)
-        raise DomainError(f"p must be finite and >= 1, got {p!r}")
+    check_p(p)  # at p = inf the bracket is (nan, nan)
     if n < 2:
         raise DomainError("the mass bracket needs n >= 2 (block 1 holds the k = 0 term)")
     spec = blocks.block_spec(n)
@@ -147,7 +150,7 @@ def divergence_profile(max_block: int) -> WeightStats:
     """
     if max_block < 4:
         raise DomainError("divergence profile needs at least 4 blocks")
-    check_max_block(max_block)
+    blocks.check_max_block(max_block)
     per_block = []
     partial = []
     slopes: list[float | None] = []

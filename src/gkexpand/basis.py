@@ -50,6 +50,7 @@ GRID_STEP = 1e-3
 
 MAX_INDICES = 10**7  # k_max or horizon: 80 MB per array, 3.4x block 8's 2,949,075 terms
 MAX_BUMP_HALFWIDTH = 1000.0  # 2 * 10^6 grid points, 2,000 bump standard deviations
+MAX_EXACT_INDEX = 2**53  # log_psi forms k as a double: larger indices round
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +74,9 @@ class PeakInfo:
 def _check_index(k: int) -> int:
     if not 0 <= k < math.inf or k != int(k):  # NaN and +-inf too
         raise DomainError(f"basis index must be a non-negative integer, got {k!r}")
+    if k > MAX_EXACT_INDEX:
+        raise RangeError(f"basis index {k!r} exceeds 2^53 = {MAX_EXACT_INDEX}, "
+                         "the largest index a double holds exactly")
     return int(k)
 
 
@@ -97,36 +101,30 @@ def log_index_half(ks) -> np.ndarray:
 def log_psi_from_half(ks, half, x) -> tuple[np.ndarray, np.ndarray]:
     """:func:`log_psi` with ``half = log_index_half(ks)`` supplied, for a
     caller that evaluates the same indices at many points; the bits are
-    those of ``log_psi(ks, x)``."""
+    those of ``log_psi(ks, x)``.  ``flip`` (1.0 where odd k flip the sign)
+    and ``zero`` (x = 0) are None where no point has them."""
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim == 0:
-        x = float(xs)
-        flip = None if x > 0.0 else 1.0
+        xs = float(xs)  # so xs * xs overflows to inf without a numpy warning
         # math.log, not np.log: they differ in the last bit on some doubles
-        lx = math.log(abs(x)) if x else 0.0  # psi's log at x = 0 is set apart
-        return _log_psi_terms(ks, half, lx, x * x, flip, True if x == 0.0 else None)
-    zero = xs == 0.0
-    with np.errstate(divide="ignore"):
-        lx = np.log(np.abs(xs))
-    if zero.any():
-        lx[zero] = 0.0  # psi's log at x = 0 is set apart
+        lx = math.log(abs(xs)) if xs else 0.0  # psi's log at x = 0 is set apart
+        flip = None if xs > 0.0 else 1.0
+        zero = True if xs == 0.0 else None
     else:
-        zero = None
-    flip = None if np.all(xs > 0.0) else np.where(xs > 0.0, 0.0, 1.0)
-    return _log_psi_terms(ks, half, lx, xs * xs, flip, zero)
-
-
-def _log_psi_terms(ks, half, lx, sq, flip, zero) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, logs) of psi_k from the per-point terms ln|x|, x^2, ``flip``
-    (1.0 where odd k flip the sign, x not above 0) and ``zero`` (x = 0):
-    floats for one point, or arrays that broadcast against ``ks``.  ``flip`` and
-    ``zero`` are None where no point has them.  :func:`log_abs_psi_terms`,
-    then the signs."""
+        zero = xs == 0.0
+        with np.errstate(divide="ignore"):
+            lx = np.log(np.abs(xs))
+        if zero.any():
+            lx[zero] = 0.0  # psi's log at x = 0 is set apart
+        else:
+            zero = None
+        flip = None if np.all(xs > 0.0) else np.where(xs > 0.0, 0.0, 1.0)
     kf = np.asarray(ks, dtype=np.float64)
-    logs = log_abs_psi_terms(kf, half, lx, sq)
+    logs = log_abs_psi_terms(kf, half, lx, xs * xs)
     if flip is None:
         return np.ones(logs.shape), logs
-    signs = 1.0 - (2.0 * flip) * _parity(ks)
+    # k mod 2 from an int64 view of the indices (no float modulo)
+    signs = 1.0 - (2.0 * flip) * (np.asarray(ks).astype(np.int64, copy=False) & 1)
     if zero is not None:
         k_zero = kf == 0
         logs = np.where(zero, np.where(k_zero, 0.0, -np.inf), logs)
@@ -142,11 +140,6 @@ def log_abs_psi_terms(kf: np.ndarray, half, lx, sq) -> np.ndarray:
     logs += half
     logs -= sq
     return logs
-
-
-def _parity(ks) -> np.ndarray:
-    """k mod 2 from an int64 view of the indices (no float modulo)."""
-    return np.asarray(ks).astype(np.int64, copy=False) & 1
 
 
 def log_abs_psi_many(ks: np.ndarray, x: float) -> np.ndarray:

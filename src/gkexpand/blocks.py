@@ -30,6 +30,8 @@ __all__ = [
     "BlockSpec",
     "SignMatrix",
     "block_spec",
+    "check_max_block",
+    "DEFAULT_BLOCK_CAP",
     "row_indices",
     "row_log_weights",
     "sign_rows",
@@ -52,6 +54,11 @@ _MAX_SIGN_BLOCK = 1 + int(math.log(MAX_SIGN_BYTES / 32, 4))
 # Block numbers large enough that y_{n+1} would overflow a 64-bit integer
 # are rejected so specs stay portable to fixed-width consumers.
 _MAX_BLOCK_64BIT = 28
+
+# Deepest block whose weights are built or summed (`check_max_block`): raw
+# indices reach ~2.95e6 there.  A row weight's basis.log_m_squared_many
+# loses about eps * ln k! to cancellation, which grows like 4^n past it.
+DEFAULT_BLOCK_CAP = 8
 
 # Sup-norm searches look at +-2 around each peak: contributions from
 # outside a window are below 1e-11 of the peak, far under every tolerance.
@@ -117,7 +124,9 @@ def _integer(value, what: str) -> int:
 
 
 def block_spec(n: int) -> BlockSpec:
-    """Exact integer geometry of block n (1-based)."""
+    """Exact integer geometry of block n, and the one rule for a block
+    number: an integer from 1 to _MAX_BLOCK_64BIT.  A lower cap is an upper
+    bound checked before it (`check_max_block`, `sign_rows`)."""
     n = _integer(n, "block number")
     if n < 1:
         raise RangeError(f"block number must be >= 1, got {n}")
@@ -131,6 +140,14 @@ def block_spec(n: int) -> BlockSpec:
         r=135 * 2 ** (n - 1),
         c=2 ** (n - 1),
     )
+
+
+def check_max_block(max_block: int) -> BlockSpec:
+    """`block_spec(max_block)`, with the cap DEFAULT_BLOCK_CAP checked first:
+    a RangeError unless max_block is a block number no deeper than it."""
+    if _integer(max_block, "block number") > DEFAULT_BLOCK_CAP:
+        raise RangeError(f"max_block {max_block} exceeds cap {DEFAULT_BLOCK_CAP}")
+    return block_spec(max_block)
 
 
 def row_indices(spec: BlockSpec, h: int) -> list[int]:
@@ -155,17 +172,16 @@ def sign_rows(n: int, slots: Sequence[int] | None = None) -> np.ndarray:
     sign pattern, int64 +-1.
 
     S[j, k] = 1 - 2 * (popcount(j & k) mod 2) with j, k in [0, c): symmetric,
-    S S^T = c I, first row and column all +1.  Shape (len(slots), c).
+    S S^T = c I, first row and column all +1.  Shape (len(slots), c).  Block
+    n obeys `block_spec`'s rule, with the sign-pattern cap checked first.
     """
     n = _integer(n, "block number")
-    if n < 1:
-        raise RangeError(f"block number must be >= 1, got {n}")
     if n > _MAX_SIGN_BLOCK:
         raise RangeError(
             f"sign pattern for block {n} exceeds the {MAX_SIGN_BYTES}-byte cap "
             f"(deepest block {_MAX_SIGN_BLOCK})"
         )
-    c = 2 ** (n - 1)
+    c = block_spec(n).c
     cols = np.arange(c, dtype=np.int64)
     if slots is None:
         rows = cols

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, basis, blocks, probe, reconstruct
 from .errors import ConstructionError, DomainError, RangeError
-from .expansion import DEFAULT_BLOCK_CAP, build_bounded, build_combo, build_raw, check_max_block
+from .expansion import build_bounded, build_combo, build_raw
 
 RAW_NORM_TOL = 1e-3          # |m_k^2 sqrt(2 pi k) - 1| gate for k >= 1000
 COMBO_NORM_WINDOW = (0.95, 1.05)   # value^2 c sqrt(2 pi (y+h)) gate, n >= 3
@@ -141,7 +141,7 @@ def _norms_raw(args) -> tuple[list[list], bool, str]:
 
 def _norms_combo(args) -> tuple[list[list], bool, str]:
     lo, hi = COMBO_NORM_WINDOW
-    blocks.sign_rows(args.max_block, [])  # the sign-pattern cap, before any row runs
+    blocks.sign_rows(args.max_block, [])  # the block rule and sign cap, before any row runs
     rows = []
     ok = True
     for n in range(1, args.max_block + 1):
@@ -180,7 +180,7 @@ def _norms_bounded(args) -> tuple[list[list], bool, str]:
 
 def cmd_norms(args: argparse.Namespace) -> int:
     # a zero count would write a header-only table and pass its gate
-    sizes = {"raw": ["horizon"], "combo": ["max_block", "rows", "slots"]}
+    sizes = {"raw": ["horizon"], "combo": ["rows", "slots"]}
     for name in sizes.get(args.scheme, []):
         value = getattr(args, name)
         if value < 1:
@@ -215,8 +215,7 @@ def cmd_norms(args: argparse.Namespace) -> int:
 def _check_mass_range(p: float, max_block: int) -> None:
     """Reject a p whose deepest block mass (by its rigorous lower bound) or
     prediction may underflow: the gate would then fail a correct expansion."""
-    if not p >= 1.0:  # NaN too, whose floor would read as "too large"
-        raise DomainError(f"p must be >= 1, got {p}")
+    analysis.check_p(p)  # a NaN or infinite p's floor would read as "too large"
     floor = analysis.predicted_block_mass(max_block, p)
     if max_block >= 2:  # block 1 holds the k = 0 term: its mass is >= 1
         floor = min(floor, analysis.block_mass_bounds(max_block, p)[0])
@@ -227,7 +226,7 @@ def _check_mass_range(p: float, max_block: int) -> None:
 
 def cmd_weights(args: argparse.Namespace) -> int:
     p = args.p
-    check_max_block(args.max_block)
+    blocks.check_max_block(args.max_block)
     _check_mass_range(p, args.max_block)
     # at p = 1 the profile's masses are these, from the same block_mass calls
     stats = analysis.divergence_profile(args.max_block) if p == 1.0 and args.max_block >= 4 else None
@@ -412,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weights", help="block weight masses and divergence law")
     sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--max-block", type=int, default=DEFAULT_BLOCK_CAP)
+    sp.add_argument("--max-block", type=int, default=blocks.DEFAULT_BLOCK_CAP)
     common(sp)
     sp.set_defaults(func=cmd_weights)
 

@@ -44,15 +44,7 @@ __all__ = [
     "build_raw",
     "build_bounded",
     "build_combo",
-    "check_max_block",
-    "DEFAULT_BLOCK_CAP",
 ]
-
-# Deepest block built by default; raw indices then reach ~2.95e6, which is
-# where the asymptotic constants have long stabilised.  A row weight's
-# basis.log_m_squared_many loses about eps * ln k! to cancellation, which
-# grows like 4^n past the cap.
-DEFAULT_BLOCK_CAP = 8
 
 # Terms whose log magnitude is provably below this are skipped.  exp()
 # returns exactly 0.0 below -745.13, so the 20-unit margin covers the
@@ -108,6 +100,7 @@ class Expansion:
         if self.scheme == "combo":
             if max_block is None:
                 raise DomainError("combo expansion needs max_block")
+            blocks.check_max_block(max_block)
             self._specs = [blocks.block_spec(n) for n in range(1, max_block + 1)]
             self._cache: dict[int, _ComboBlock] = {}  # block number -> constants
             # (y, next_start, ln c) of each block, for term_window
@@ -341,14 +334,6 @@ def build_bounded(domain_edge: float, horizon: int) -> Expansion:
     return Expansion("bounded", log_w, domain_edge=float(domain_edge))
 
 
-def check_max_block(max_block: int) -> None:
-    """RangeError unless 1 <= max_block <= DEFAULT_BLOCK_CAP."""
-    if max_block < 1:
-        raise RangeError("max_block must be >= 1")
-    if max_block > DEFAULT_BLOCK_CAP:
-        raise RangeError(f"max_block {max_block} exceeds cap {DEFAULT_BLOCK_CAP}")
-
-
 def build_combo(max_block: int) -> Expansion:
     """Normalised block-recombined expansion covering blocks 1..max_block.
 
@@ -358,7 +343,7 @@ def build_combo(max_block: int) -> Expansion:
     than any consumer resolves (the agreement is itself under test).
     Term count is exactly y_{max_block+1}.
     """
-    check_max_block(max_block)
+    blocks.check_max_block(max_block)
     parts = [np.repeat(blocks.row_log_weights(n), blocks.block_spec(n).c)
              for n in range(1, max_block + 1)]
     return Expansion("combo", np.concatenate(parts), max_block=max_block)

@@ -62,9 +62,10 @@ class TestBlockMass:
             assert 7.2 <= block_mass(n, 1.0) <= 8.8
 
     def test_block_absent(self):
-        # past the cap log_m_squared_many's rounding grows like 4^n
-        for n in (0, 9):
-            with pytest.raises(RangeError, match=f"block {n} outside 1..8"):
+        # past the cap log_m_squared_many's rounding grows like 4^n; block 0
+        # fails block_spec's rule, block 9 the cap checked before it
+        for n, message in ((0, "block number must be >= 1, got 0"), (9, "max_block 9 exceeds cap 8")):
+            with pytest.raises(RangeError, match=f"^{message}$"):
                 block_mass(n, 1.0)
 
     def test_order_independent(self, combo8):
@@ -156,8 +157,10 @@ class TestNanP:
     # NaN fails every comparison, so "p < 1" let it through: the checks
     # returned nan and (nan, nan)
     def test_block_mass(self):
-        with pytest.raises(DomainError):
-            block_mass(2, math.nan)
+        # block_mass(2, inf) returned 0.0
+        for p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"^p must be finite and >= 1, got {p!r}$"):
+                block_mass(2, p)
 
     def test_block_mass_bounds(self):
         # "p >= 1" let inf through too, and the bracket was (nan, nan)

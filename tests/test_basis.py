@@ -14,7 +14,7 @@ from gkexpand.basis import (
     log_psi,
     peak,
 )
-from gkexpand.errors import DomainError
+from gkexpand.errors import DomainError, RangeError
 from gkexpand.expansion import build_bounded, build_combo
 
 # Oracle values for the bump-model error, frozen from the defining grid
@@ -61,6 +61,14 @@ class TestEvalPsi:
     def test_rejects_non_finite_index(self, check, k):
         # int(k) raised ValueError at nan and OverflowError at +-inf
         with pytest.raises(DomainError, match=f"got {k!r}$"):
+            check(k)
+
+    @pytest.mark.parametrize("k", [2**53 + 1, 10**400], ids=["2^53+1", "10^400"])
+    @pytest.mark.parametrize("check", [peak, lambda k: bump_error(k, 2.0)], ids=["peak", "bump"])
+    def test_rejects_index_past_exact_doubles(self, check, k):
+        # 10^20 gave a RuntimeWarning and inf, 10^400 an OverflowError in
+        # the float conversion
+        with pytest.raises(RangeError, match=r"exceeds 2\^53 = 9007199254740992, "):
             check(k)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 100, 2835])

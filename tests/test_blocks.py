@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from gkexpand import basis, blocks
+from gkexpand import analysis, basis, blocks
 from gkexpand.basis import log_psi, peak
 from gkexpand.blocks import (
     SEPARATION_LIMIT,
@@ -23,7 +23,7 @@ from gkexpand.blocks import (
 )
 from gkexpand.cli import COMBO_NORM_WINDOW
 from gkexpand.errors import DomainError, RangeError
-from gkexpand.expansion import build_combo
+from gkexpand.expansion import Expansion, build_combo
 from gkexpand.optimize import INV_PHI, INV_PHI_SQ, XTOL, golden_max
 
 # The worked 8x8 recombination table (block 4).
@@ -159,6 +159,49 @@ def separation_array_min(n):
 
 def _no_alloc(*args, **kwargs):
     raise AssertionError("allocated before the memory cap check")
+
+
+class TestOneBlockRule:
+    """block_spec decides what a block number is; each cap is an upper
+    bound checked before it, so every entry point reads the same."""
+
+    ENTRY_POINTS = {
+        "block_spec": block_spec,
+        "check_max_block": blocks.check_max_block,
+        "sign_rows": sign_rows,
+        "row_log_weights": row_log_weights,
+        "build_combo": build_combo,
+        "Expansion": lambda n: Expansion("combo", np.zeros(3), max_block=n),
+        "block_mass": lambda n: analysis.block_mass(n, 1.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "block number 2.5 is not an integer"),
+        (0, "block number must be >= 1, got 0"),
+        (-3, "block number must be >= 1, got -3"),
+    ])
+    def test_same_message_everywhere(self, entry, n, message):
+        # build_combo(2.5) and Expansion(..., max_block=2.5) ended in a
+        # TypeError from range()
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            self.ENTRY_POINTS[entry](n)
+
+    def test_divergence_profile_non_integer(self):
+        # was a TypeError from range()
+        with pytest.raises(RangeError, match=r"^block number 4\.5 is not an integer$"):
+            analysis.divergence_profile(4.5)
+
+    def test_caps_come_first(self):
+        with pytest.raises(RangeError, match="^max_block 30 exceeds cap 8$"):
+            blocks.check_max_block(30)
+        with pytest.raises(RangeError, match="^sign pattern for block 30 exceeds"):
+            sign_rows(30)
+        with pytest.raises(RangeError, match="^block 30 exceeds the 64-bit index range"):
+            block_spec(30)
+
+    def test_check_max_block_returns_the_spec(self):
+        assert blocks.check_max_block(np.int64(8)) == block_spec(8)
 
 
 class TestSignRows:

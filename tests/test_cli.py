@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,15 @@ class TestExitCodes:
         assert main(["bumpcheck", "--indices", "a,b", "--out-dir", str(tmp_path)]) == 1
         assert "'a,b'" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize("index", ["100000000000000000000", "1" + "0" * 400])
+    def test_bumpcheck_index_past_exact_doubles_is_range_error(self, tmp_path, capsys, index):
+        # 10^20 printed PASS with last=inf, 10^400 ended in an OverflowError traceback
+        assert main(["bumpcheck", "--indices", f"100,{index}", "--out-dir", str(tmp_path)]) == 1
+        assert _one_error_line(capsys) == (
+            f"error: basis index {index} exceeds 2^53 = 9007199254740992, "
+            "the largest index a double holds exactly\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["reconstruct", "--scheme", "nonsense"])
@@ -297,7 +307,7 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("max_block, message", [
-        ("0", "max_block must be >= 1"),
+        ("0", "block number must be >= 1, got 0"),
         ("9", "max_block 9 exceeds cap 8"),
         ("30", "max_block 30 exceeds cap 8"),  # checked before block_spec's 64-bit range
     ])
@@ -321,11 +331,13 @@ class TestExitCodes:
         assert not (tmp_path / "weights_summary.json").exists()
 
     def test_weights_infinite_p_rejected(self, tmp_path, capsys):
-        # the mass bracket at p = inf was (nan, nan)
-        code = main(["weights", "--p", "inf", "--out-dir", str(tmp_path)])
-        assert code == 1
-        assert _one_error_line(capsys) == "error: p must be finite and >= 1, got inf\n"
-        assert not (tmp_path / "weights_summary.json").exists()
+        # the mass bracket at p = inf was (nan, nan); at --max-block 1 the
+        # prediction 0 * inf = nan was reported as below the normal range
+        for extra in ([], ["--max-block", "1"]):
+            code = main(["weights", "--p", "inf", *extra, "--out-dir", str(tmp_path)])
+            assert code == 1
+            assert _one_error_line(capsys) == "error: p must be finite and >= 1, got inf\n"
+            assert not (tmp_path / "weights_summary.json").exists()
 
     @pytest.mark.parametrize("max_block", ["1", "8"])
     def test_weights_nan_p_rejected(self, tmp_path, capsys, max_block):
@@ -333,7 +345,7 @@ class TestExitCodes:
         code = main(["weights", "--p", "nan", "--max-block", max_block,
                      "--out-dir", str(tmp_path)])
         assert code == 1
-        assert _one_error_line(capsys) == "error: p must be >= 1, got nan\n"
+        assert _one_error_line(capsys) == "error: p must be finite and >= 1, got nan\n"
         assert not (tmp_path / "weights_summary.json").exists()
 
     def test_norms_block_past_sign_cap_fails_first(self, tmp_path, capsys, monkeypatch):
@@ -353,6 +365,62 @@ class TestExitCodes:
         # rounding used to fail the gate
         assert main(["norms", "--scheme", "bounded", "--domain-edge", edge,
                      "--out-dir", str(tmp_path)]) == 0
+
+
+# Every numeric flag of every subcommand, at the edges of its type: zero,
+# signed zero, the smallest subnormal, values whose squares underflow, the
+# first integer a double cannot hold, 2^63, the double range's end, the
+# infinities and NaN, and an integer past every float.
+_SWEEP_FLOATS = {"0": "0", "-0.0": "-0.0", "5e-324": "5e-324", "1e-300": "1e-300",
+                 "1e-160": "1e-160", "1": "1", "2^53+1": str(2**53 + 1), "2^63": str(2**63),
+                 "1e308": "1e308", "inf": "inf", "-inf": "-inf", "nan": "nan"}
+_SWEEP_INTS = {"0": "0", "-1": "-1", "1": "1", "2^53+1": str(2**53 + 1), "2^63": str(2**63),
+               "10^400": "1" + "0" * 400}
+# The only cases left out, with their time on 2 shared vCPUs: --rows is
+# clamped to each block's rows, so these run the full 6-block table
+# (test_norms_rows_clamped_to_block checks the clamp at block 2).
+_SWEEP_SLOW = {("norms", "--rows", "2^53+1"): "7 s", ("norms", "--rows", "2^63"): "8 s",
+               ("norms", "--rows", "10^400"): "8 s"}
+# A rejected value fails before any large allocation: the traced peak of
+# every case that exits 1 stays under this (the largest seen is 0.6 MB).
+_SWEEP_REJECT_PEAK = 64 << 20
+
+
+def _sweep_cases() -> list:
+    cli._build_parser()
+    cases = []
+    for command, parser in sorted(cli._SUBPARSERS.items()):
+        for action in parser._actions:
+            if action.type not in (int, float) and action.dest != "indices":
+                continue
+            flag = action.option_strings[-1]
+            values = _SWEEP_FLOATS if action.type is float else _SWEEP_INTS
+            cases += [pytest.param(command, flag, text, id=f"{command}{flag}={label}")
+                      for label, text in values.items() if (command, flag, label) not in _SWEEP_SLOW]
+    return cases
+
+
+class TestFlagSweep:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, flag, value", _sweep_cases())
+    def test_exits_in_one_line(self, tmp_path, capsys, command, flag, value):
+        # bumpcheck --indices=2^63 ended in a RuntimeWarning, 10^400 in an
+        # OverflowError traceback, and 2^53+1 passed on a rounded index
+        extra = ["--n=2"] if command == "signs" and flag != "--n" else []
+        tracemalloc.start()
+        try:
+            code = main([command, f"{flag}={value}", *extra, "--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code in (0, 1)
+        assert code == 0 or peak < _SWEEP_REJECT_PEAK, peak
+        if code == 1 and err:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            status = "PASS" if code == 0 else "FAIL"
+            assert err == "" and out.startswith(f"{command}: {status} ") and out.count("\n") == 1, out
 
 
 class TestSigns:

@@ -8,7 +8,7 @@ import pytest
 from gkexpand.basis import log_psi, peak
 from gkexpand.blocks import block_spec, row_indices, row_log_weights, sign_rows
 from gkexpand.errors import DomainError, RangeError
-from gkexpand import expansion
+from gkexpand import blocks, expansion
 from gkexpand.expansion import Expansion, build_bounded, build_combo, build_raw
 from gkexpand.numerics import CANCELLATION_FLUSH
 from gkexpand.reconstruct import series_kernel, tail_bound
@@ -141,7 +141,7 @@ class TestBuildCombo:
     def test_cap(self, monkeypatch):
         with pytest.raises(RangeError):
             build_combo(9)
-        monkeypatch.setattr(expansion, "DEFAULT_BLOCK_CAP", 9)
+        monkeypatch.setattr(blocks, "DEFAULT_BLOCK_CAP", 9)
         assert len(build_combo(9)) == 45 * (4**9 - 1)
 
     def test_basis_values_match_scalar_combo(self, combo4):

@@ -15,13 +15,14 @@ by the consumers in this package, which start at 1e-12 for small k.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .numerics import log_factorial_array
+from .numerics import log_factorial, log_factorial_array
 
 __all__ = [
     "PsiIndex",
@@ -177,7 +178,9 @@ def bump_error(k: PsiIndex, window_halfwidth: float) -> float:
     the Gaussian-bump model bump(x) = (2 pi k)^(-1/4) e^(-2 (x - x_k)^2).
 
     The window is [x_k - w, x_k + w]; the error is normalised by the
-    sup-norm m_k so values are comparable across k.
+    sup-norm m_k so values are comparable across k.  An error within log
+    psi_k's rounding, expm1(4 eps S) for S = (k ln 2 + ln k!) / 2 +
+    k |ln(x_k + w)| + (x_k + w)^2, its terms' size at x_k + w, raises RangeError.
     """
     k = _check_index(k)
     if k < 1:
@@ -193,7 +196,14 @@ def bump_error(k: PsiIndex, window_halfwidth: float) -> float:
     with np.errstate(under="ignore"):
         psi = signs * np.exp(logs)
     model = (2.0 * math.pi * k) ** -0.25 * np.exp(-2.0 * (xs - info.x_peak) ** 2)
-    return float(np.max(np.abs(psi - model)) / info.m)
+    err = float(np.max(np.abs(psi - model)) / info.m)
+    edge = info.x_peak + window_halfwidth
+    size = 0.5 * (k * _LN2 + log_factorial(k)) + k * abs(math.log(edge)) + edge * edge
+    allowance = math.expm1(4.0 * sys.float_info.epsilon * size)  # as HEnvelope.max_violation
+    if not allowance < err:
+        raise RangeError(f"basis index {k} is past log psi's accuracy: its bump error over "
+                         f"window {window_halfwidth!r} is within the rounding allowance {allowance:.3e}")
+    return err
 
 
 def log_h_sup_many(ks: np.ndarray, domain_edge: float) -> np.ndarray:
@@ -255,6 +265,10 @@ def fit_h_envelope(domain_edge: float, k_max: int = 5000) -> HEnvelope:
     """
     if not 0.0 < domain_edge < math.inf:
         raise DomainError(f"domain edge must be positive and finite, got {domain_edge!r}")
+    try:
+        k_max = operator.index(k_max)
+    except TypeError:
+        raise RangeError(f"k_max {k_max!r} is not an integer") from None
     if k_max > MAX_INDICES:
         raise RangeError(f"k_max {k_max} exceeds {MAX_INDICES}")
     crit = 2.0 * math.e * domain_edge * domain_edge

@@ -3,19 +3,17 @@
 An :class:`Expansion` is an ordered list of (weight, basis function) pairs.
 The three builders produce:
 
-* ``raw``      -- psi_k with unit weights (normalised form: lambda_k = m_k^2,
-                  basis psi_k / m_k);
+* ``raw``      -- psi_k with unit weights;
 * ``bounded``  -- h_k = k psi_k with lambda_k = 1/k^2 on a domain [0, N]
                   (the k = 0 term keeps psi_0 with weight 1 so that K(x, x)
                   still reconstructs to 1);
 * ``combo``    -- sign-recombined rows of the integer blocks, normalised,
                   with lambda = (sup-norm)^2.
 
-An expansion stores one per-term array, its log weights (a normalised raw
-or bounded one keeps its log sup-norms too): the linear weights are their
-exponentials, and a combo's log sup-norm is half its log weight.  Basis
-values are computed per point as (signs, logs) arrays.  A combo keeps the
-parts that do not depend on the point -- each block's index half of
+An expansion stores one per-term array, its log weights: the linear weights
+are their exponentials, and a combo's log sup-norm is half its log weight.
+Basis values are computed per point as (signs, logs) arrays.  A combo keeps
+the parts that do not depend on the point -- each block's index half of
 log psi_k and its float sign pattern -- from the first point that touches
 the block on (the :class:`Expansion` docstring bounds their bytes), and
 only for the blocks points have touched, so a deep combo expansion (block 8
@@ -83,7 +81,6 @@ class Expansion:
         *,
         domain_edge: float | None = None,
         max_block: int | None = None,
-        log_sups: np.ndarray | None = None,
     ) -> None:
         if scheme not in ("raw", "bounded", "combo"):
             raise DomainError(f"unknown scheme {scheme!r}")
@@ -92,26 +89,19 @@ class Expansion:
         self.max_block = max_block
         self.log_weights = np.asarray(log_weights, dtype=np.float64)
         self.log_weights.flags.writeable = False
-        # log sup-norm of each raw or bounded basis function, given when the
-        # weights have absorbed it; a combo's is 0.5 * log_weights
-        self._log_sups = None if log_sups is None else np.asarray(log_sups, np.float64)
-        if self._log_sups is not None:
-            self._log_sups.flags.writeable = False
         if self.scheme == "combo":
             if max_block is None:
                 raise DomainError("combo expansion needs max_block")
             blocks.check_max_block(max_block)
             self._specs = [blocks.block_spec(n) for n in range(1, max_block + 1)]
+            if self.horizon != self._specs[-1].next_start:
+                raise RangeError(f"combo log_weights hold {self.horizon} terms; "
+                                 f"blocks 1..{max_block} have {self._specs[-1].next_start}")
             self._cache: dict[int, _ComboBlock] = {}  # block number -> constants
             # (y, next_start, ln c) of each block, for term_window
             self._spans = [(spec.y, spec.next_start, math.log(spec.c)) for spec in self._specs]
         elif self.scheme == "bounded" and domain_edge is None:
             raise DomainError("bounded expansion needs a domain edge")
-
-    @property
-    def normalized(self) -> bool:
-        """Unit-sup-norm form: combo, or raw and bounded after normalize()."""
-        return self.scheme == "combo" or self._log_sups is not None
 
     @property
     def weights(self) -> np.ndarray:
@@ -129,29 +119,6 @@ class Expansion:
 
     def __len__(self) -> int:
         return self.horizon
-
-    # ------------------------------------------------------------------
-    # Normalisation
-
-    def normalize(self) -> "Expansion":
-        """Unit-sup-norm form: weights absorb the squared sup-norms.
-
-        Idempotent; combo expansions are built normalised already.
-        """
-        if self.normalized:
-            return self
-        if self.scheme == "raw":
-            ks = np.arange(self.horizon, dtype=np.float64)
-            log_m2 = basis.log_m_squared_many(ks)
-            return Expansion("raw", self.log_weights + log_m2, log_sups=0.5 * log_m2)
-        # bounded: sup of h_k on [0, N]
-        log_sups = basis.log_h_sup_many(np.arange(self.horizon), float(self.domain_edge))
-        return Expansion(
-            "bounded",
-            self.log_weights + 2.0 * log_sups,
-            domain_edge=self.domain_edge,
-            log_sups=log_sups,
-        )
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -174,8 +141,6 @@ class Expansion:
         signs, logs = basis.log_psi(ks, x)
         if self.scheme == "bounded":  # h_k = k psi_k, h_0 = psi_0
             logs = logs + np.log(np.maximum(ks, 1.0))
-        if self._log_sups is not None:
-            logs = logs - self._log_sups[start:stop]
         return signs, logs
 
     def _combo_block(self, n: int) -> _ComboBlock:
@@ -307,17 +272,18 @@ def _log_abs_psi(k: int, x: float) -> float:
 # Builders
 
 
-def _check_horizon(horizon: int) -> None:
+def _check_horizon(horizon: int) -> int:
+    horizon = blocks._integer(horizon, "horizon")
     if horizon < 1:
         raise RangeError("horizon must be >= 1")
     if horizon > basis.MAX_INDICES:
         raise RangeError(f"horizon {horizon} exceeds {basis.MAX_INDICES} terms")
+    return horizon
 
 
 def build_raw(horizon: int) -> Expansion:
     """Plain truncation of the kernel power series: unit weights on psi_k."""
-    _check_horizon(horizon)
-    return Expansion("raw", np.zeros(horizon))
+    return Expansion("raw", np.zeros(_check_horizon(horizon)))
 
 
 def build_bounded(domain_edge: float, horizon: int) -> Expansion:
@@ -328,8 +294,7 @@ def build_bounded(domain_edge: float, horizon: int) -> Expansion:
     """
     if not 0.0 < domain_edge < math.inf:
         raise DomainError(f"domain edge must be positive and finite, got {domain_edge!r}")
-    _check_horizon(horizon)
-    ks = np.arange(horizon, dtype=np.float64)
+    ks = np.arange(_check_horizon(horizon), dtype=np.float64)
     log_w = np.where(ks > 0, -2.0 * np.log(np.where(ks > 0, ks, 1.0)), 0.0)
     return Expansion("bounded", log_w, domain_edge=float(domain_edge))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import Field, dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -186,6 +187,10 @@ def _parameter_fault(epsilon: float, delta: float, n: int) -> str | None:
         return f"delta={delta!r}; it must lie in (0, 1)"
     if delta * delta < 2.0**-1022:  # so (1 + eps) / (n delta^2) stays below 2^1023
         return f"delta={delta!r} is too small: its square underflows below the normal range"
+    try:
+        operator.index(n)
+    except TypeError:
+        return f"n={n!r}; n must be an integer"
     if n < 1:
         return f"n={n!r}; n must be >= 1"
     return None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -207,6 +208,20 @@ class TestBump:
         with pytest.raises(DomainError):
             bump_error(0, 2.0)
 
+    @pytest.mark.parametrize("k, allowance", [(10**9, "1.841e-05"), (2**53, "4.332e+127")],
+                             ids=["1e9", "2^53"])
+    def test_rejects_an_error_within_log_psi_rounding(self, k, allowance):
+        # these passed on rounding error: 4.79e-6 at 10^9, 5.3e11 at 2^53
+        with pytest.raises(RangeError, match=(
+                f"^basis index {k} is past log psi's accuracy: its bump error over "
+                f"window 2.0 is within the rounding allowance {re.escape(allowance)}$")):
+            bump_error(k, 2.0)
+
+    @pytest.mark.parametrize("k, w", [(10**6, 1e-4), (3 * 10**8, 2.0)])
+    def test_error_above_the_allowance_passes(self, k, w):
+        # the closest cases: 4.2e-8 against 1.2e-8, and 8.0e-6 against 5.2e-6
+        assert bump_error(k, w) > 0.0
+
 
 def _h(k: int, x: float) -> float:
     """h_k(x) in linear space: term k of an unnormalised bounded expansion."""
@@ -301,6 +316,15 @@ class TestEnvelope:
         # 2 e N^2 overflowed to inf and int(floor(inf)) raised OverflowError
         with pytest.raises(DomainError):
             fit_h_envelope(edge, k_max=5000)
+
+    @pytest.mark.parametrize("k_max, message", [
+        (5000.5, "k_max 5000.5 is not an integer"),
+        (10**7 + 1, "k_max 10000001 exceeds 10000000"),
+    ], ids=["non-integer", "past-cap"])
+    def test_k_max_is_an_integer_within_the_cap(self, k_max, message):
+        # 5000.5 was accepted
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            fit_h_envelope(3.0, k_max)
 
     def test_envelope_dominates_tail(self):
         env = fit_h_envelope(3.0, k_max=5000)

@@ -232,6 +232,26 @@ class TestExitCodes:
         assert _one_error_line(capsys) == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reconstruct", "--range", "foo"], "range must look like 'lo:hi', got 'foo'"),
+            (["reconstruct", "--range", "5:1"], "empty grid range"),
+            (["reconstruct", "--scheme", "raw", "--horizon", "3000000"],
+             "25 grid columns of 3000000 terms exceed 536870912 bytes"),
+            (["norms", "--scheme", "raw", "--horizon", "1000001"], "--horizon 1000001 exceeds 1000000 table rows"),
+            (["norms", "--scheme", "bounded", "--k-max", "10000001"], "--k-max 10000001 exceeds 1000000 table rows"),
+            (["bumpcheck", "--indices", ","], "no indices given"),
+        ],
+        ids=["range-malformed", "range-empty", "reconstruct-columns", "norms-raw-rows", "norms-bounded-rows",
+             "bumpcheck-no-indices"],
+    )
+    def test_documented_limit_exits_in_one_line(self, tmp_path, capsys, argv, message):
+        # the same limits as the capped child runs above, in process
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert _one_error_line(capsys) == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bumpcheck_non_integer_index_is_domain_error(self, tmp_path, capsys):
         # was a ValueError traceback
         assert main(["bumpcheck", "--indices", "a,b", "--out-dir", str(tmp_path)]) == 1
@@ -244,6 +264,16 @@ class TestExitCodes:
         assert _one_error_line(capsys) == (
             f"error: basis index {index} exceeds 2^53 = 9007199254740992, "
             "the largest index a double holds exactly\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("index, allowance", [("1000000000", "1.841e-05"), ("9007199254740992", "4.332e+127")],
+                             ids=["1e9", "2^53"])
+    def test_bumpcheck_index_past_log_psi_accuracy_is_range_error(self, tmp_path, capsys, index, allowance):
+        # both printed PASS on rounding error: last=4.79e-06 and last=5.320482e+11
+        assert main(["bumpcheck", "--indices", f"100,{index}", "--out-dir", str(tmp_path)]) == 1
+        assert _one_error_line(capsys) == (
+            f"error: basis index {index} is past log psi's accuracy: its bump error over "
+            f"window 2.0 is within the rounding allowance {allowance}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_flag_is_usage_error(self):
@@ -591,8 +621,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("{\"horizon\": 60", "not valid JSON"), ('{"horizon": "abc"}', "horizon='abc'")],
-        ids=["malformed-json", "bad-value"],
+        [("{\"horizon\": 60", "not valid JSON"), ('{"horizon": "abc"}', "horizon='abc'"),
+         ("[1]", "error: config file must contain a JSON object\n")],
+        ids=["malformed-json", "bad-value", "not-an-object"],
     )
     def test_bad_config_is_domain_error(self, tmp_path, capsys, text, message):
         # JSONDecodeError and ValueError tracebacks before

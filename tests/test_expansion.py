@@ -1,11 +1,12 @@
 """Expansion assembly, normalisation and equivalence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gkexpand.basis import log_psi, peak
+from gkexpand.basis import log_h_sup_many, log_m_squared_many, log_psi, peak
 from gkexpand.blocks import block_spec, row_indices, row_log_weights, sign_rows
 from gkexpand.errors import DomainError, RangeError
 from gkexpand import blocks, expansion
@@ -51,34 +52,40 @@ class TestBuildRaw:
         assert np.all(e.weights == 1.0)
         assert len(e) == 10
 
+    # The normalised raw expansion has weights lambda_k = m_k^2 on the
+    # basis psi_k / m_k, whose sup-norms are 1.
+
     def test_normalized_weights_follow_peak_law(self):
-        e = build_raw(200).normalize()
-        lam100 = e.weights[100]
+        weights = np.exp(log_m_squared_many(np.arange(200)))
+        lam100 = weights[100]
         assert 0.99 <= lam100 * math.sqrt(200.0 * math.pi) <= 1.01
         with pytest.raises(IndexError):
-            _ = e.weights[1000]
+            _ = weights[1000]
 
     def test_normalized_mass_tracks_asymptote(self):
         # oracle: 1 (the k = 0 term) plus sum of (2 pi k)^(-1/2)
-        e = build_raw(200).normalize()
-        total = math.fsum(e.weights.tolist())
+        total = math.fsum(np.exp(log_m_squared_many(np.arange(200))).tolist())
         oracle = 1.0 + math.fsum((2.0 * math.pi * k) ** -0.5 for k in range(1, 200))
         assert 0.95 <= total / oracle <= 1.05
 
-    def test_normalize_idempotent(self):
-        e = build_raw(50).normalize()
-        again = e.normalize()
-        assert again is e
-
     def test_normalized_basis_has_unit_sup(self):
-        e = build_raw(300).normalize()
+        e = build_raw(300)
+        log_m2 = log_m_squared_many(np.arange(300))
         for k in (1, 17, 250):
-            vals = _values(e, peak(k).x_peak)
-            assert vals[k] == pytest.approx(1.0, rel=1e-11)
+            signs, logs = e.basis_log_values(peak(k).x_peak)
+            assert signs[k] * math.exp(logs[k] - log_m2[k] / 2) == pytest.approx(1.0, rel=1e-11)
 
     def test_horizon_validation(self):
-        with pytest.raises(RangeError):
-            build_raw(0)
+        # build_raw(2.5) ended in a TypeError from numpy, and
+        # build_bounded(3.0, 2.5) built 3 terms
+        for build, message in [
+            (lambda: build_raw(0), "horizon must be >= 1"),
+            (lambda: build_raw(2.5), "horizon 2.5 is not an integer"),
+            (lambda: build_bounded(3.0, 2.5), "horizon 2.5 is not an integer"),
+            (lambda: build_raw(10**7 + 1), "horizon 10000001 exceeds 10000000 terms"),
+        ]:
+            with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+                build()
 
 
 class TestBuildBounded:
@@ -97,8 +104,7 @@ class TestBuildBounded:
 
     def test_sup_attained_at_small_k(self):
         # sup over the first 300 h_k on [0, 3] is finite, peak near k = 19
-        e = build_bounded(3.0, 300).normalize()
-        sups = e._log_sups
+        sups = log_h_sup_many(np.arange(300), 3.0)
         assert int(np.argmax(sups)) == 19
         assert math.exp(float(np.max(sups))) == pytest.approx(5.65776300662514, rel=1e-10)
 
@@ -119,14 +125,16 @@ class TestBuildBounded:
 
 class TestBuildCombo:
     def test_block1_matches_normalized_raw(self):
+        # block 1 is psi_0 .. psi_134 normalised: weights m_k^2, basis psi_k / m_k
         ec = build_combo(1)
-        er = build_raw(135).normalize()
+        log_m2 = log_m_squared_many(np.arange(135))
         assert len(ec) == 135
-        np.testing.assert_allclose(ec.weights, er.weights, rtol=1e-14)
+        np.testing.assert_allclose(ec.weights, np.exp(log_m2), rtol=1e-14)
         x = 5.5
-        np.testing.assert_allclose(
-            _values(ec, x), _values(er, x), rtol=1e-12, atol=1e-300
-        )
+        signs, logs = build_raw(135).basis_log_values(x)
+        with np.errstate(under="ignore"):
+            raw = signs * np.exp(logs - log_m2 / 2)
+        np.testing.assert_allclose(_values(ec, x), raw, rtol=1e-12, atol=1e-300)
 
     def test_weights_repeat_each_row_weight_c_fold(self, combo4):
         # every slot of row h carries row_log_weights(n)[h], bit for bit
@@ -192,19 +200,28 @@ class TestTermAccess:
 
 
 class TestOnePerTermArray:
-    """A combo expansion keeps only its log weights; the linear weights, the
-    combo sup-norms and the normalised flag derive from them."""
+    """A combo expansion keeps only its log weights; the linear weights and
+    the combo sup-norms derive from them."""
 
     def test_block8_holds_one_horizon_array(self, combo8):
         held = [name for name, v in vars(combo8).items()
                 if isinstance(v, np.ndarray) and v.shape[:1] == (len(combo8),)]
         assert held == ["log_weights"]
 
-    def test_normalized_flag(self):
-        raw, bounded, combo = build_raw(50), build_bounded(3.0, 50), build_combo(2)
-        assert (raw.normalized, bounded.normalized, combo.normalized) == (False, False, True)
-        assert raw.normalize().normalized and bounded.normalize().normalized
-        assert combo.normalize() is combo
+    def test_combo_log_weights_must_fill_its_blocks(self):
+        # 3 log weights at max_block 2 ended in a broadcast ValueError in
+        # series_kernel
+        with pytest.raises(RangeError, match=r"^combo log_weights hold 3 terms; blocks 1\.\.2 have 675$"):
+            Expansion("combo", np.zeros(3), max_block=2)
+
+    @pytest.mark.parametrize("scheme, message", [
+        ("foo", "unknown scheme 'foo'"),
+        ("combo", "combo expansion needs max_block"),
+        ("bounded", "bounded expansion needs a domain edge"),
+    ], ids=["unknown-scheme", "combo-without-max-block", "bounded-without-edge"])
+    def test_constructor_errors(self, scheme, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Expansion(scheme, np.zeros(3))
 
 
 
@@ -238,8 +255,6 @@ def _fresh_series(e, x):
     signs, logs = log_psi(ks, x)
     if e.scheme == "bounded":
         logs = logs + np.log(np.maximum(ks, 1.0))
-    if e.normalized:
-        logs = logs - e._log_sups
     return signs, logs
 
 
@@ -250,7 +265,7 @@ def _bits(pair):
 def _fresh_copy(e):
     """A new expansion on e's weights, its cache empty."""
     return Expansion(e.scheme, e.log_weights, domain_edge=e.domain_edge,
-                     max_block=e.max_block, log_sups=e._log_sups)
+                     max_block=e.max_block)
 
 
 class TestConstantCache:
@@ -258,9 +273,8 @@ class TestConstantCache:
     later point gives the bits of a fresh basis.log_psi evaluation."""
 
     @pytest.mark.parametrize("make", [
-        lambda: build_raw(300), lambda: build_raw(300).normalize(),
-        lambda: build_bounded(3.0, 300), lambda: build_bounded(3.0, 300).normalize(),
-    ], ids=["raw", "raw-normalized", "bounded", "bounded-normalized"])
+        lambda: build_raw(300), lambda: build_bounded(3.0, 300),
+    ], ids=["raw", "bounded"])
     def test_series_bits_match_fresh_log_psi(self, make):
         # raw and bounded keep no cache; their values must stay those of a
         # fresh log_psi on the first call and on every later one

@@ -273,6 +273,24 @@ class TestParameterRules:
         assert str(weight.value) == str(built.value) == rule
         assert str(loaded.value) == f"certificate {path}: {rule}"
 
+    def test_n_must_be_an_integer(self, tmp_path):
+        # build_certificate(..., 0.1, 2.5) ended in a TypeError from range();
+        # the loader's own shape check names the same fault first
+        rule = "n=2.5; n must be an integer"
+        cert = dataclasses.replace(_cached_cert("gaussian", "cos", 0.1, 5), n=2.5)
+        res = verify_certificate(cert, PROFILES["gaussian"], TEMPLATES["cos"])
+        assert not res.ok and res.reason == "parameters_out_of_range"
+        with pytest.raises(DomainError) as weight:
+            implied_weight_bound(cert)
+        with pytest.raises(DomainError) as built:
+            build_certificate(PROFILES["gaussian"], TEMPLATES["cos"], 0.1, 2.5)
+        path = tmp_path / "cert.json"
+        certificate_to_json(cert, path)
+        with pytest.raises(DomainError) as loaded:
+            certificate_from_json(path)
+        assert str(weight.value) == str(built.value) == rule
+        assert str(loaded.value) == f"certificate {path} has {rule}"
+
 
 class TestSerialisation:
     def test_round_trip_and_file_verification(self, tmp_path):

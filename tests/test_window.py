@@ -78,9 +78,7 @@ class _Full:
 def _cases():
     yield "raw200", build_raw(200), LINE_POINTS
     yield "raw3000", build_raw(3000), LINE_POINTS + (30.0, -38.0)
-    yield "raw-normalized", build_raw(1000).normalize(), LINE_POINTS
     yield "bounded", build_bounded(3.0, 1000), DOMAIN_POINTS
-    yield "bounded-normalized", build_bounded(3.0, 1000).normalize(), DOMAIN_POINTS
     yield "bounded-wide", build_bounded(40.0, 4000), DOMAIN_POINTS + (12.0, 39.5)
     for n in range(1, 8):
         yield f"combo{n}", build_combo(n), COMBO_POINTS if n < 6 else DEEP_COMBO_POINTS
@@ -166,7 +164,7 @@ class TestWindowShape:
         for x in (0.0, -0.0):
             assert e.term_window(x) == slice(0, block_spec(1).next_start)
 
-    @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300).normalize()])
+    @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300)])
     def test_raw_and_bounded_are_not_windowed(self, e):
         for x in (0.0, 1.5, 3.0):
             assert e.term_window(x) == slice(0, len(e))

@@ -6,10 +6,14 @@ its factors explode, so every evaluation goes through the log domain:
 
     log |psi_k(x)| = (k ln 2 - ln k!) / 2 + k ln|x| - x^2.
 
-Accuracy note: the log is accumulated in doubles, so the achievable relative
-accuracy of a value degrades like a few ulps of the largest log term
-(roughly k * 1e-16 near the peak).  That is far below every tolerance used
-by the consumers in this package, which start at 1e-12 for small k.
+Accuracy note: the log is accumulated in doubles, so a value is good to a
+few ulps of its largest log term, and its relative error grows like k * eps
+near the peak.  That is not below every tolerance the package uses:
+``series_kernel(build_combo(8), 24, 24.5)`` is off by 3.2e-13, and the
+reconstruct grid ``--scheme combo --max-block 5 --range -40:40 --step 8``
+exits 1 over ``reconstruct.EVAL_SLACK`` = 1e-13 (ROADMAP, "Accuracy falls
+with |x|").  ROADMAP item 1 replaces the formula with one that keeps a few
+eps at every index.
 """
 
 from __future__ import annotations

@@ -142,19 +142,22 @@ class Expansion:
     # Evaluation
 
     def basis_log_values(
-        self, x: float, terms: slice | None = None
+        self, x: float, terms: slice | None = None, *, _blocks=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(signs, log magnitudes) of the basis functions at x: all of them,
         or the contiguous slice ``terms``, in new arrays.  Each value has the
         same bits either way, and on every call: a combo's cached constants
-        are the arrays ``basis.log_psi`` would compute."""
+        are the arrays ``basis.log_psi`` would compute.  The private
+        ``_blocks(n)`` gives a combo block's values at x in place of
+        ``_block_values(n, x)``, so a caller that holds them is not made to
+        evaluate them again."""
         if not math.isfinite(x):
             raise DomainError(f"basis values need a finite point, got {x!r}")
         start, stop, step = (slice(None) if terms is None else terms).indices(self.horizon)
         if step != 1:
             raise RangeError("term slices must be contiguous")
         if self.scheme == "combo":
-            return self._combo_log_values(x, start, stop)
+            return self._combo_log_values(x, start, stop, _blocks)
         ks = np.arange(start, stop, dtype=np.float64)
         signs, logs = basis.log_psi(ks, x)
         if self.scheme == "bounded":  # h_k = k psi_k, h_0 = psi_0
@@ -174,7 +177,16 @@ class Expansion:
             )
         return block
 
-    def _combo_log_values(self, x: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def _block_values(self, n: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """(signs, log magnitudes) of block n's normalised combos at x, in
+        new arrays: the block's slice of ``basis_log_values(x)``."""
+        spec = self._specs[n - 1]
+        signs, logs = _combo_block_log_values(self._combo_block(n), x)
+        logs -= 0.5 * self.log_weights[spec.y : spec.next_start]  # ln sup = ln(lambda) / 2
+        return signs, logs
+
+    def _combo_log_values(self, x: float, start: int, stop: int,
+                          blocks_at_x=None) -> tuple[np.ndarray, np.ndarray]:
         """Every block that meets [start, stop) is evaluated whole, so the
         sign-recombination inputs never depend on the slice."""
         touched = [(n, y, end) for n, (y, end, _) in enumerate(self._spans, 1)
@@ -184,9 +196,8 @@ class Expansion:
         signs = np.empty(size)
         logs = np.empty(size)
         for n, y, end in touched:
-            values = _combo_block_log_values(self._combo_block(n), x)
+            values = blocks_at_x(n) if blocks_at_x else self._block_values(n, x)
             signs[y - base : end - base], logs[y - base : end - base] = values
-        logs -= 0.5 * self.log_weights[base : base + size]  # ln sup = ln(lambda) / 2
         cut = slice(start - base, stop - base)
         return signs[cut], logs[cut]
 
@@ -215,12 +226,31 @@ class Expansion:
             return slice(0, self.horizon)
         mode = 2.0 * x * x
         kept = []
-        for y, end, log_c in self._spans:  # ln c_n + ln M_n(x) >= floor
-            if log_c + _log_abs_psi(int(min(max(mode, y), end - 1)), x) >= _floor:
+        for i, (y, end, log_c) in enumerate(self._spans):  # ln c_n + ln M_n(x) >= floor
+            if log_c + self._log_sup(i, x) >= _floor:
                 kept.append((y, end))
             elif y > mode:
                 break
         return slice(kept[0][0], kept[-1][1]) if kept else slice(0, 0)
+
+    def _log_sup(self, i: int, x: float) -> float:
+        """ln M_n(x) of block n = i + 1, the largest |psi_p(x)| over its
+        indices: psi_p(x)^2 is unimodal in p, so that is its value at the
+        mode 2 x^2 clamped into them (scalar `_log_abs_psi`)."""
+        y, end, _ = self._spans[i]
+        return _log_abs_psi(int(min(max(2.0 * x * x, y), end - 1)), x)
+
+    def _log_sups(self, x: float) -> list[float]:
+        """ln M_n(x) of blocks 1, 2, ... up to the first block past the mode
+        (y_n > 2 x^2), or to the last block.  Past it each ln M_n falls by
+        over 1.27 y_n per block (`term_window`)."""
+        mode = 2.0 * x * x
+        sups = []
+        for i, (y, _, _) in enumerate(self._spans):
+            sups.append(self._log_sup(i, x))
+            if y > mode:
+                break
+        return sups
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

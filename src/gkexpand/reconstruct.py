@@ -14,12 +14,16 @@ about k eps at the indices that matter, so it grows with |x| (3.2e-13 at
 soundness of the bound itself is established separately against a
 high-precision oracle in the test suite.
 
-Every pair of every scheme takes one path, :func:`_pair_sum`, which follows
-:meth:`Expansion.term_window`: it sums the terms inside both points'
-windows, or inside their wide windows when no term reaches 1e-300, and
-each result keeps its bits (proof at ``expansion._LOG_WIDE``).  A combo
+Every pair of every scheme goes through one function, :func:`_pair_sum`,
+which follows :meth:`Expansion.term_window`: it sums the terms inside both
+points' windows, or inside their wide windows when no term reaches 1e-300,
+and each result keeps its bits (proof at ``expansion._LOG_WIDE``).  A combo
 window holds the blocks that matter at its point, so no combo pair
 evaluates the full horizon; raw and bounded windows are the full horizon.
+A combo pair first sums its head blocks alone, those whose bound is within
+_HEAD_GAP of the largest, and keeps that sum when the bound on every other
+block cannot move its rounding (proof at :func:`_pair_sum`): at |x|, |y| <= 3
+that is block 1 alone, 135 terms.  A grid report counts its pairs by path.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .expansion import _LOG_WIDE, Expansion
+from .expansion import _LOG_NEGLIGIBLE, _LOG_WIDE, Expansion
 from .numerics import log_factorial
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "EVAL_SLACK",
     "MAX_GRID_PAIRS",
     "MAX_COLUMN_BYTES",
+    "PAIR_PATHS",
 ]
 
 # Allowance for accumulated double rounding when comparing a float series
@@ -52,6 +57,18 @@ EVAL_SLACK = 1e-13
 # Linear accumulation is used while any term magnitude stays above this;
 # below it the signed log-domain reduction takes over.
 _LINEAR_FLOOR_LOG = math.log(1e-300)
+
+# A combo pair's head blocks are those whose bound lies within this many
+# e-folds of the largest (`_pair_sum`).  The rest is then under
+# 2 * 9 * e^-45 < 2^-60 of the largest bound (eight blocks and the tail),
+# under 2^-7 of an ulp of a sum near that bound.  So a pair falls back to
+# the narrow pass only if its sum cancels far below its largest bound or
+# lies that close to a rounding boundary.  A wider gap sums more blocks:
+# at |x|, |y| <= 3 block 1 is summed alone, block 2 being below e^-149 of it.
+_HEAD_GAP = 45.0
+
+# The paths a pair sum can take (`_pair_sum`), as a report counts them.
+PAIR_PATHS = ("head", "narrow", "wide", "disjoint")
 
 # Most (x, y) pairs a grid report evaluates; the CLI's default grid has 625.
 MAX_GRID_PAIRS = 10**6
@@ -78,7 +95,7 @@ def _check_domain(e: Expansion, x: float) -> None:
 
 
 def _accumulate(
-    log_weights: np.ndarray, sx, lx, sy, ly, linear_only: bool = False
+    log_weights: np.ndarray, sx, lx, sy, ly, linear_only: bool = False, rest: float = 0.0
 ) -> float | None:
     """Deterministic sum of lambda_i b_i(x) b_i(y) from log components.
 
@@ -89,18 +106,30 @@ def _accumulate(
     the top term of the whole horizon, which only a wide window must hold.
     A log is -inf exactly where its sign is 0, so a dead term's exp is 0.0
     without a mask, and each product with the +-1 or 0 signs is exact.
+
+    A ``rest`` > 0 bounds the sum of terms left out.  Then only the linear
+    regime answers: if the fsums with +rest and with -rest appended are one
+    nonzero value, that value, to which every sum within rest of these
+    terms' exact sum rounds; else None (proof at `_pair_sum`).
     """
     log_terms = log_weights + lx + ly
     top = float(log_terms.max())
     tiny = top < _LINEAR_FLOOR_LOG
-    if top == -math.inf or (tiny and linear_only):
-        return None if linear_only else 0.0
+    strict = linear_only or rest > 0.0
+    if top == -math.inf or (tiny and strict):
+        return None if strict else 0.0
     if tiny:  # all-tiny regime: anchored signed reduction
         log_terms -= top
     with np.errstate(under="ignore"):
         terms = np.exp(log_terms, out=log_terms)
     terms *= sx
     terms *= sy
+    if rest > 0.0:
+        values = terms.tolist()
+        values.append(rest)
+        high = math.fsum(values)
+        values[-1] = -rest
+        return high if high != 0.0 and math.fsum(values) == high else None
     acc = math.fsum(terms.tolist())
     if not tiny:
         return acc
@@ -113,36 +142,127 @@ def _accumulate(
 
 
 class _Point:
-    """A point's narrow (window, (signs, log magnitudes)) part, and its wide
-    part, made on first use."""
+    """A point's values, each made on first use and kept: per combo block,
+    and its narrow and wide (window, (signs, log magnitudes)) parts, which
+    read the point's combo blocks rather than evaluate them again.  A combo
+    point also keeps ln M_n(x) per block, from `Expansion._log_sups`."""
 
     def __init__(self, e: Expansion, x: float) -> None:
-        w = e.term_window(x)
-        self.e, self.x, self.part, self._wide = e, x, (w, e.basis_log_values(x, w)), None
+        self.e, self.x = e, x
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._narrow = self._wide = None
+        self._sups = e._log_sups(x) if e.scheme == "combo" else None
+
+    def block(self, n: int):
+        values = self._blocks.get(n)
+        if values is None:
+            values = self._blocks[n] = self.e._block_values(n, self.x)
+        return values
+
+    def log_sups(self, count: int) -> list[float]:
+        """ln M_n(x) of at least the first ``count`` blocks."""
+        while len(self._sups) < count:
+            self._sups.append(self.e._log_sup(len(self._sups), self.x))
+        return self._sups
+
+    def _part(self, w: slice):
+        return w, self.e.basis_log_values(self.x, w, _blocks=self.block)
+
+    def narrow(self):
+        if self._narrow is None:
+            self._narrow = self._part(self.e.term_window(self.x))
+        return self._narrow
 
     def wide(self):
         if self._wide is None:
-            w = self.e.term_window(self.x, _floor=_LOG_WIDE)
-            self._wide = w, self.e.basis_log_values(self.x, w)
+            self._wide = self._part(self.e.term_window(self.x, _floor=_LOG_WIDE))
         return self._wide
 
 
 def _overlap_sum(e: Expansion, x_part, y_part, linear_only: bool) -> float | None:
-    """_accumulate over two parts' overlap: +0.0 if empty, one pass if full-horizon."""
+    """_accumulate over two meeting parts' overlap, one pass if full-horizon."""
     (wx, (sx, lx)), (wy, (sy, ly)) = x_part, y_part
     start, stop = max(wx.start, wy.start), min(wx.stop, wy.stop)
-    if start >= stop:
-        return 0.0
     cx, cy = slice(start - wx.start, stop - wx.start), slice(start - wy.start, stop - wy.start)
     return _accumulate(e.log_weights[start:stop], sx[cx], lx[cx], sy[cy], ly[cy],
                        linear_only and stop - start < len(e))
 
 
-def _pair_sum(e: Expansion, px: _Point, py: _Point) -> float:
-    """sum_i lambda_i b_i(x) b_i(y): +0.0 for disjoint windows, else the linear
-    sum over the narrow intersection, else the log-domain sum over the wide."""
-    value = _overlap_sum(e, px.part, py.part, linear_only=True)
-    return _overlap_sum(e, px.wide(), py.wide(), linear_only=False) if value is None else value
+def _head_sum(e: Expansion, px: _Point, py: _Point) -> float | None:
+    """A combo pair's sum over its head blocks alone, or None unless that
+    sum certifies the pair's bits (`_pair_sum`)."""
+    spans = e._spans
+    count = max(len(px._sups), len(py._sups))
+    sups = list(zip(px.log_sups(count), py.log_sups(count)))
+    log_bounds = [math.log(end - y) + mx + my  # ln B_n = ln(r_n c_n M_n(x) M_n(y))
+                  for (y, end, _), (mx, my) in zip(spans, sups)]
+    top = max(log_bounds)
+    if top < _LINEAR_FLOOR_LOG:  # no term reaches 1e-300
+        return None
+    cut = top - _HEAD_GAP
+    # the narrow pass evaluates the blocks inside either window; if the
+    # head holds all of them it sums the same terms, with one fsum, not two
+    if not any(b < cut and log_c + max(m) >= _LOG_NEGLIGIBLE
+               for b, (_, _, log_c), m in zip(log_bounds, spans, sups)):
+        return None
+    head = [n for n, b in enumerate(log_bounds, 1) if b >= cut]
+    if count < len(spans):  # the blocks past both lists, past both modes
+        log_bounds.append(log_bounds[-1] - (2.54 * spans[count - 1][0] - math.log(8.0)))
+    rest = 2.0 * sum(max(math.exp(b), 5e-324) for b in log_bounds if b < cut)
+    parts = [(e.log_weights[spans[n - 1][0] : spans[n - 1][1]], *px.block(n), *py.block(n))
+             for n in head]
+    columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+    return _accumulate(*columns, rest=rest)
+
+
+def _pair_sum(e: Expansion, px: _Point, py: _Point) -> tuple[float, str]:
+    """(sum_i lambda_i b_i(x) b_i(y), the path that gave it).
+
+    A combo pair first takes the "head" path: the fsum over its head blocks
+    alone, when it certifies the bits the other paths give.  It is not tried
+    when no term reaches 1e-300, or when the narrow windows hold no block
+    outside the head, where it would save no work.  Otherwise, and for raw
+    and bounded pairs, the sum is +0.0 for disjoint narrow windows
+    ("disjoint"), else the linear sum over the narrow intersection
+    ("narrow"), else the log-domain sum over the wide one ("wide").
+
+    The head blocks are those whose bound B_n = r_n c_n M_n(x) M_n(y) lies
+    within _HEAD_GAP of the largest, with M_n from `Expansion._log_sups`;
+    rest is twice the sum of every other B_n, each at least 5e-324, and of
+    a bound on the blocks past both lists.  Every bit is kept:
+
+    1. S S^T = c I gives sum_s combo_s(x)^2 = sum_k psi_k(x)^2 over a row.
+       So by Cauchy-Schwarz, twice, a block's |terms| sum to at most
+       sqrt(P_x) sqrt(P_y) <= B_n, where P_x and P_y are the block's
+       Poisson masses.  The factor 2 covers the rounding of the computed
+       logs and combos (under 1e-3 e-folds through block 12, per
+       `expansion._combo_block_log_values`) and of the bound itself, and
+       the floor 5e-324 an exp that underflows.  Past both modes r_n c_n
+       grows 4-fold and each M_n falls by over 1.27 y_n per block
+       (`Expansion.term_window`), so the blocks past the lists sum to at
+       most B_N e^-(2.54 y_N - ln 8) for the last listed block N: the ln 8
+       is the 4-fold growth and the geometric sum, as y_N >= 135.
+    2. `_accumulate` with rest > 0 answers only if a head term is at least
+       1e-300.  Such a term lies inside both narrow windows, so the narrow
+       pass is linear and returns the fsum over their intersection.
+    3. Head terms outside that intersection are exactly +-0.0.  The
+       intersection's terms outside the head sum to at most rest.
+    4. fsum is correctly rounded and rounding is monotone.  So
+       RN(S - rest) = RN(S + rest) = s != 0, for the head's exact sum S,
+       forces RN(S + R) = s for every |R| <= rest: s is the narrow fsum.
+    """
+    if e.scheme == "combo":
+        value = _head_sum(e, px, py)
+        if value is not None:
+            return value, "head"
+    x_part, y_part = px.narrow(), py.narrow()
+    if max(x_part[0].start, y_part[0].start) >= min(x_part[0].stop, y_part[0].stop):
+        return 0.0, "disjoint"
+    value = _overlap_sum(e, x_part, y_part, linear_only=True)
+    if value is not None:
+        return value, "narrow"
+    # wide windows hold the narrow ones, so they meet too
+    return _overlap_sum(e, px.wide(), py.wide(), linear_only=False), "wide"
 
 
 def series_kernel(e: Expansion, x: float, y: float) -> float:
@@ -153,7 +273,7 @@ def series_kernel(e: Expansion, x: float, y: float) -> float:
     """
     _check_domain(e, x)
     _check_domain(e, y)
-    return _pair_sum(e, _Point(e, x), _Point(e, y))
+    return _pair_sum(e, _Point(e, x), _Point(e, y))[0]
 
 
 def tail_bound(horizon: int, x: float, y: float) -> float | None:
@@ -197,6 +317,8 @@ class ReconstructionReport:
     max_abs_error: float
     max_tail_bound: float
     bound_satisfied: bool
+    # (path, pairs) per `_pair_sum` path, in PAIR_PATHS order
+    pair_paths: tuple[tuple[str, int], ...]
 
     def summary_dict(self) -> dict:
         return {
@@ -214,6 +336,7 @@ class ReconstructionReport:
             "max_tail_bound": self.max_tail_bound,
             "eval_slack": EVAL_SLACK,
             "bound_satisfied": self.bound_satisfied,
+            "pair_paths": dict(self.pair_paths),
         }
 
 
@@ -270,10 +393,12 @@ def grid_report(
         )
     by = [_Point(e, y * scale) for y in ys]
     rows = []
+    paths = dict.fromkeys(PAIR_PATHS, 0)
     for x in xs:
         px = _Point(e, x * scale)
         for y, py in zip(ys, by):
-            series = _pair_sum(e, px, py)
+            series, path = _pair_sum(e, px, py)
+            paths[path] += 1
             exact = exact_kernel(x, y, eta)
             bound = tail_bound(horizon, px.x, py.x)
             rows.append((x, y, exact, series, abs(exact - series), bound))
@@ -291,5 +416,6 @@ def grid_report(
         max_abs_error=max_err,
         max_tail_bound=max_bound,
         bound_satisfied=ok,
+        pair_paths=tuple(paths.items()),
     )
 

@@ -570,6 +570,7 @@ class TestOutputs:
         assert doc["bound_satisfied"] is True
         assert doc["grid"]["points"] == 25
         assert len(csv_lines) == 1 + doc["grid"]["points"]
+        assert doc["pair_paths"] == {"head": 0, "narrow": 25, "wide": 0, "disjoint": 0}
 
     def test_json_data_format(self, tmp_path):
         main(["bumpcheck", "--indices", "100,1000", "--format", "json",

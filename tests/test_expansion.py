@@ -388,7 +388,7 @@ class TestConstantCache:
         for x in (-3.0, -0.4, 0.0, 1.9, 3.0):
             for y in (-2.2, 0.0, 3.0):
                 series_kernel(e, x, y)
-        assert sorted(e._cache) == [1, 2]  # |x| <= 3 touches blocks 1-2 only
+        assert sorted(e._cache) == [1]  # |x| <= 3 sums block 1 only (the head)
 
     def test_cache_bytes_within_bound(self, combo4):
         e = _fresh_copy(combo4)

@@ -15,7 +15,15 @@ from gkexpand import expansion, reconstruct
 from gkexpand.blocks import block_spec
 from gkexpand.errors import DomainError, RangeError
 from gkexpand.expansion import _LOG_NEGLIGIBLE, _LOG_WIDE, Expansion, build_bounded, build_combo, build_raw
-from gkexpand.reconstruct import _overlap_sum, _pair_sum, _Point, grid_report, series_kernel
+from gkexpand.reconstruct import (
+    PAIR_PATHS,
+    _accumulate,
+    _overlap_sum,
+    _pair_sum,
+    _Point,
+    grid_report,
+    series_kernel,
+)
 
 LINE_POINTS = (0.0, -0.0, 0.4, -1.3, 2.9, -3.0, 7.5, -11.0, 26.0)
 # (4, -16): a block bound of 4 sits within 150 of the threshold while -16
@@ -146,14 +154,12 @@ class TestWindowShape:
         # summed
         e = build_combo(4)
         px, py = _Point(e, x), _Point(e, y)
-        (wx, _), (wy, _) = px.part, py.part
+        (wx, _), (wy, _) = px.narrow(), py.narrow()
         assert (max(wx.start, wy.start) >= min(wx.stop, wy.stop)) == empty
-        narrow = _overlap_sum(e, px.part, py.part, linear_only=True)
-        if empty:
-            assert _bits(narrow) == _bits(0.0)
-        else:
-            assert narrow is None
-        value = _pair_sum(e, px, py)
+        if not empty:
+            assert _overlap_sum(e, px.narrow(), py.narrow(), linear_only=True) is None
+        value, path = _pair_sum(e, px, py)
+        assert path == ("disjoint" if empty else "wide")
         assert (px._wide is None and py._wide is None) == empty
         assert _bits(value) == _bits(_Full(e).sum(x, y))
         assert _bits(series_kernel(e, x, y)) == _bits(_Full(e).sum(x, y))
@@ -169,7 +175,9 @@ class TestWindowShape:
         for x in (0.0, 1.5, 3.0):
             assert e.term_window(x) == slice(0, len(e))
 
-    def test_combo7_small_points_touch_blocks_1_and_2(self, monkeypatch):
+    def test_combo7_small_points_touch_block_1(self, monkeypatch):
+        # block 2 is summed by the narrow pass, but the head sum of block 1
+        # certifies its bits first
         e = build_combo(7)
         seen = []
         real = expansion._combo_block_log_values
@@ -184,8 +192,8 @@ class TestWindowShape:
                 series_kernel(e, x, y)
             w = e.term_window(x)
             assert w.start == 0 and w.stop in (135, 675)
-        assert sorted(set(seen)) == [1, 2]
-        assert len(seen) <= 2 * 2 * 15
+        assert sorted(set(seen)) == [1]
+        assert len(seen) <= 2 * 15
 
     def test_combo_window_is_whole_blocks(self):
         e = build_combo(6)
@@ -253,9 +261,9 @@ def sliced_calls(monkeypatch):
     seen = []
     real = Expansion.basis_log_values
 
-    def spy(self, x, terms=None):
+    def spy(self, x, terms=None, **blocks):
         seen.append(terms)
-        return real(self, x, terms)
+        return real(self, x, terms, **blocks)
 
     monkeypatch.setattr(Expansion, "basis_log_values", spy)
     return seen
@@ -325,3 +333,103 @@ class TestWideWindow:
         assert set(made.values()) == {1}
         for x, y, _exact, series, _err, _bound in rep.rows:
             assert _bits(series) == _bits(full.sum(x, y)), (x, y)
+
+
+class TestAccumulateRest:
+    def test_rest_zero_keeps_the_bits(self):
+        rng = np.random.default_rng(11)
+        for centre in (0.0, -800.0):  # the linear and the all-tiny regime
+            lw, lx, ly = (rng.normal(centre / 3, 3.0, 64) for _ in range(3))
+            sx, sy = (rng.choice([-1.0, 1.0], 64) for _ in range(2))
+            sx[:4], lx[:4] = 0.0, -np.inf  # dead terms
+            for linear_only in (False, True):
+                args = (lw, sx, lx, sy, ly, linear_only)
+                got, want = _accumulate(*args, rest=0.0), _accumulate(*args)
+                assert (got is None and want is None) or _bits(got) == _bits(want)
+            assert _bits(_accumulate(lw, sx, lx, sy, ly, rest=0.0)) == _bits(
+                _masked_accumulate(lw, sx, lx, sy, ly))
+
+    def test_near_tie_returns_none(self):
+        # 1 + 2^-53 is the midpoint between 1 and its successor: the bracket
+        # +-2^-70 around the terms' sum straddles it
+        ones = np.ones(2)
+        args = (np.zeros(2), ones, np.array([0.0, math.log(2.0**-53)]), ones, np.zeros(2))
+        rest = 2.0**-70
+        assert math.fsum([1.0, 2.0**-53, -rest]) != math.fsum([1.0, 2.0**-53, rest])
+        assert _accumulate(*args, rest=rest) is None
+        assert _accumulate(*args) in (1.0, 1.0 + 2.0**-52)
+        # far from the midpoint the same bracket certifies
+        args[2][1] = math.log(2.0**-60)
+        assert _accumulate(*args, rest=rest) == 1.0
+
+    def test_zero_sum_returns_none(self):
+        args = (np.zeros(2), np.array([1.0, -1.0]), np.zeros(2), np.ones(2), np.zeros(2))
+        assert _bits(_accumulate(*args)) == _bits(0.0)
+        assert _accumulate(*args, rest=2.0**-60) is None
+
+    def test_tiny_regime_returns_none(self):
+        args = (np.zeros(3), np.ones(3), np.full(3, -400.0), np.ones(3), np.array([-300.0, -310.0, -320.0]))
+        assert _accumulate(*args) > 0.0
+        assert _accumulate(*args, rest=5e-324) is None
+
+
+HEAD_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e200, -1e200)
+
+
+def _head_pairs(n: int, count: int) -> list[tuple[float, float]]:
+    """Edge pairs, then seeded pairs out to |x| = 40: each x with a
+    cancelling partner near -x, a near partner and a random one."""
+    rng = np.random.default_rng(100 + n)
+    pairs = [(x, y) for x in HEAD_EDGES for y in HEAD_EDGES + (1.5, -2.0)]
+    for x in rng.uniform(-40.0, 40.0, count).tolist():
+        pairs += [(x, -x + rng.uniform(-1.0, 1.0)), (x, x + rng.uniform(-2.0, 2.0)),
+                  (x, rng.uniform(-40.0, 40.0))]
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_head_sum_bit_equal_to_fallback_and_full_horizon(n, combo8, monkeypatch):
+    e = combo8 if n == 8 else build_combo(n)
+    pairs = _head_pairs(n, 40)
+    taken = [_pair_sum(e, _Point(e, x), _Point(e, y)) for x, y in pairs]
+    paths = Counter(path for _value, path in taken)
+    monkeypatch.setattr(reconstruct, "_head_sum", lambda *args: None)
+    for (x, y), (value, _path) in zip(pairs, taken):
+        fallback, path = _pair_sum(e, _Point(e, x), _Point(e, y))
+        assert path != "head"
+        assert _bits(value) == _bits(fallback), (x, y)
+    # block 1 alone is its own head, and sums the same terms as the narrow pass
+    assert (paths["head"] > 0) == (n > 1)
+    assert paths["narrow"] > 0
+    # a full-horizon sum at block 8 takes about 0.15 s: every 15th pair there
+    full, step = _Full(e), {7: 5, 8: 15}.get(n, 1)
+    for (x, y), (value, _path) in list(zip(pairs, taken))[::step]:
+        assert _bits(value) == _bits(full.sum(x, y)), (x, y)
+
+
+def test_head_sum_fires_on_block_1_alone():
+    # the speed-up of small pairs: block 1 certifies the bits alone, and
+    # block 2 is evaluated at neither point
+    e = build_combo(7)
+    rng = np.random.default_rng(2000)
+    fired = 0
+    for x, y in rng.uniform(-3.0, 3.0, (2000, 2)).tolist():
+        px, py = _Point(e, x), _Point(e, y)
+        _value, path = _pair_sum(e, px, py)
+        fired += path == "head" and set(px._blocks) | set(py._blocks) == {1}
+    assert fired >= 0.99 * 2000
+
+
+class TestPairPaths:
+    def test_report_counts_every_path(self):
+        e = build_combo(5)
+        rep = grid_report(e, (0.0, 40.0), (0.0, 40.0), 10.0)
+        counts = Counter(_pair_sum(e, _Point(e, x), _Point(e, y))[1] for x, y, *_ in rep.rows)
+        assert rep.pair_paths == tuple((p, counts[p]) for p in PAIR_PATHS)
+        assert all(counts[p] > 0 for p in PAIR_PATHS)
+        assert rep.summary_dict()["pair_paths"] == dict(rep.pair_paths)
+
+    @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300)])
+    def test_raw_and_bounded_sum_the_narrow_window(self, e):
+        rep = grid_report(e, (0.0, 3.0), (0.0, 3.0), 0.5)
+        assert dict(rep.pair_paths) == {"head": 0, "narrow": 49, "wide": 0, "disjoint": 0}

@@ -20,13 +20,12 @@ only for the blocks points have touched, so a deep combo expansion (block 8
 has ~2.9 million terms) stays cheap.
 
 psi_k(x)^2 = e^(-2 x^2) (2 x^2)^k / k! is the Poisson(2 x^2) probability of
-k, so at a point only a window of indices around 2 x^2 is above double
-underflow.  For combo expansions :meth:`Expansion.term_window` finds the
-blocks that hold it and :meth:`Expansion.basis_log_values` evaluates just
-that slice.  Only a block near the mode is sign-recombined.  In any other
-block one column, the one nearest the mode, leads every other column's psi
-by over e^50 in every row, so each combo there is +-that psi / sqrt(c) to
-the last bit, and the block evaluates that column alone, a c-th of its psi
+k, so at a point only indices near 2 x^2 are above double underflow, and
+``Expansion._log_sups`` bounds each combo block there by its largest |psi|.
+Only a block near the mode is sign-recombined.  In any other block one
+column, the one nearest the mode, leads every other column's psi by over
+e^50 in every row, so each combo there is +-that psi / sqrt(c) to the last
+bit, and the block evaluates that column alone, a c-th of its psi
 (`_dominant_column`; the proof is at `_combo_block_log_values`).  Block 1
 (c = 1) is always one column; block 2 is recombined only for
 9.45 < |x| < 19.7, block 8 only for 609 < |x| < 1217, besides x = 0 and
@@ -50,20 +49,6 @@ __all__ = [
     "build_bounded",
     "build_combo",
 ]
-
-# Terms whose log magnitude is provably below this are skipped.  exp()
-# returns exactly 0.0 below -745.13, so the 20-unit margin covers the
-# rounding of every computed log term (and of the scalar bound itself).
-_LOG_NEGLIGIBLE = -765.0
-# Floor of the wide window, summed when no term of a pair reaches 1e-300.
-# It keeps every bit of the full-horizon sum, anchored on its top term T:
-# - every term outside a window is below e^floor, for any partner point;
-# - if T >= e^-765, T lies inside both narrow windows and anchors the sum;
-#   a term outside the wide windows rescales to exp(< -765), exactly 0.0;
-# - if T < e^-765, as with disjoint narrow windows, both sums are +0.0:
-#   T + ln(horizon) < -745 for a horizon below e^20 ~ 4.8e8 terms (block 11;
-#   build_combo stops at block 8 by default).
-_LOG_WIDE = 2 * _LOG_NEGLIGIBLE
 
 _LN2 = math.log(2.0)
 
@@ -116,7 +101,7 @@ class Expansion:
                 raise RangeError(f"combo log_weights hold {self.horizon} terms; "
                                  f"blocks 1..{max_block} have {self._specs[-1].next_start}")
             self._cache: dict[int, _ComboBlock] = {}  # block number -> constants
-            # (y, next_start, ln c) of each block, for term_window
+            # (y, next_start, ln c) of each block, for the block bounds
             self._spans = [(spec.y, spec.next_start, math.log(spec.c)) for spec in self._specs]
         elif self.scheme == "bounded" and domain_edge is None:
             raise DomainError("bounded expansion needs a domain edge")
@@ -142,22 +127,25 @@ class Expansion:
     # Evaluation
 
     def basis_log_values(
-        self, x: float, terms: slice | None = None, *, _blocks=None
+        self, x: float, terms: slice | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(signs, log magnitudes) of the basis functions at x: all of them,
         or the contiguous slice ``terms``, in new arrays.  Each value has the
         same bits either way, and on every call: a combo's cached constants
-        are the arrays ``basis.log_psi`` would compute.  The private
-        ``_blocks(n)`` gives a combo block's values at x in place of
-        ``_block_values(n, x)``, so a caller that holds them is not made to
-        evaluate them again."""
+        are the arrays ``basis.log_psi`` would compute."""
         if not math.isfinite(x):
             raise DomainError(f"basis values need a finite point, got {x!r}")
         start, stop, step = (slice(None) if terms is None else terms).indices(self.horizon)
         if step != 1:
             raise RangeError("term slices must be contiguous")
-        if self.scheme == "combo":
-            return self._combo_log_values(x, start, stop, _blocks)
+        if self.scheme == "combo":  # whole blocks, so no value depends on the slice
+            touched = [(n, y, end) for n, (y, end, _) in enumerate(self._spans, 1)
+                       if y < stop and end > start]
+            base = touched[0][1] if touched else start
+            out = np.empty((2, touched[-1][2] - base if touched else 0))  # signs, logs
+            for n, y, end in touched:
+                out[:, y - base : end - base] = self._block_values(n, x)
+            return out[0, start - base : stop - base], out[1, start - base : stop - base]
         ks = np.arange(start, stop, dtype=np.float64)
         signs, logs = basis.log_psi(ks, x)
         if self.scheme == "bounded":  # h_k = k psi_k, h_0 = psi_0
@@ -185,54 +173,6 @@ class Expansion:
         logs -= 0.5 * self.log_weights[spec.y : spec.next_start]  # ln sup = ln(lambda) / 2
         return signs, logs
 
-    def _combo_log_values(self, x: float, start: int, stop: int,
-                          blocks_at_x=None) -> tuple[np.ndarray, np.ndarray]:
-        """Every block that meets [start, stop) is evaluated whole, so the
-        sign-recombination inputs never depend on the slice."""
-        touched = [(n, y, end) for n, (y, end, _) in enumerate(self._spans, 1)
-                   if y < stop and end > start]
-        base = touched[0][1] if touched else start
-        size = touched[-1][2] - base if touched else 0
-        signs = np.empty(size)
-        logs = np.empty(size)
-        for n, y, end in touched:
-            values = blocks_at_x(n) if blocks_at_x else self._block_values(n, x)
-            signs[y - base : end - base], logs[y - base : end - base] = values
-        cut = slice(start - base, stop - base)
-        return signs[cut], logs[cut]
-
-    def term_window(self, x: float, *, _floor: float = _LOG_NEGLIGIBLE) -> slice:
-        """The contiguous terms outside which every term
-        lambda_i b_i(x) b_i(y) is provably below e^_LOG_NEGLIGIBLE for any
-        y, so that it evaluates to exactly 0.0.  The slice is empty if every
-        term is.  Raw and bounded expansions are not windowed: their window
-        is the full horizon.  The private ``_floor`` gives the wide window.
-
-        psi_k(x)^2 is the Poisson(2 x^2) probability of k, unimodal in k
-        with its mode at floor(2 x^2).  A combo term of block n is at most
-        c_n M_n(x) M_n(y) <= c_n M_n(x), where M_n is the largest |psi_p|
-        over the block's indices: the value at the mode clamped into them.
-        Whole blocks are kept, from the first to the last whose bound
-        reaches the threshold; the scan stops at the first block past the
-        mode (y_n > 2 x^2) below it.  There M_n = |psi_{y_n}(x)|, and psi_k^2
-        falls by 2 x^2 / (k + 1) < y_n / (k + 1) per step, so with
-        y_{n+1} > 4 y_n, ln M_{n+1} - ln M_n < -sum_{j=y_n+1}^{4 y_n} ln(j / y_n) / 2
-        < -y_n (4 ln 4 - 3) / 2 ~ -1.27 y_n: each later bound is lower by over
-        1.27 y_n - ln 2 >= 56, far beyond the scalar bound's rounding.
-        """
-        if not math.isfinite(x):
-            raise DomainError(f"term window needs a finite point, got {x!r}")
-        if self.scheme != "combo":
-            return slice(0, self.horizon)
-        mode = 2.0 * x * x
-        kept = []
-        for i, (y, end, log_c) in enumerate(self._spans):  # ln c_n + ln M_n(x) >= floor
-            if log_c + self._log_sup(i, x) >= _floor:
-                kept.append((y, end))
-            elif y > mode:
-                break
-        return slice(kept[0][0], kept[-1][1]) if kept else slice(0, 0)
-
     def _log_sup(self, i: int, x: float) -> float:
         """ln M_n(x) of block n = i + 1, the largest |psi_p(x)| over its
         indices: psi_p(x)^2 is unimodal in p, so that is its value at the
@@ -242,8 +182,20 @@ class Expansion:
 
     def _log_sups(self, x: float) -> list[float]:
         """ln M_n(x) of blocks 1, 2, ... up to the first block past the mode
-        (y_n > 2 x^2), or to the last block.  Past it each ln M_n falls by
-        over 1.27 y_n per block (`term_window`)."""
+        (y_n > 2 x^2), or to the last: a caller extends it with `_log_sup`
+        and reads every block choice at x off it.  A combo term of block n
+        at (x, y) is combo(x) combo(y), each combo a +-1 sum of c_n psi's
+        over sqrt(c_n), so it is at most c_n M_n(x) M_n(y).  psi_k(x)^2 is
+        unimodal in k with its mode at floor(2 x^2), so ln c_n + ln M_n(x)
+        rises up to the mode's block and falls after it: the blocks whose
+        bound reaches a floor are consecutive.  Past the mode M_n is
+        |psi_{y_n}(x)|, and psi_k^2 falls by 2 x^2 / (k + 1) < y_n / (k + 1)
+        per step, so with y_{n+1} > 4 y_n,
+        ln M_{n+1} - ln M_n < -sum_{j=y_n+1}^{4 y_n} ln(j / y_n) / 2
+        < -y_n (4 ln 4 - 3) / 2 ~ -1.27 y_n: each later bound is lower by
+        over 1.27 y_n - ln 2 >= 56, far beyond the scalar bound's rounding,
+        and once one past the mode is below a floor, so is every later one.
+        """
         mode = 2.0 * x * x
         sups = []
         for i, (y, _, _) in enumerate(self._spans):
@@ -354,7 +306,7 @@ def _dominant_column(spec: blocks.BlockSpec, x: float) -> int | None:
     k* is the column that holds the mode 2 x^2, clamped into the block.  It
     is named when its psi leads column k* + 1's at row 0 and column
     k* - 1's at row r - 1 (where each exists) by over T plus 2^-46 x^2,
-    with the scalar `_log_abs_psi`, as `Expansion.term_window` takes it.
+    with the scalar `_log_abs_psi`, as `Expansion._log_sup` takes it.
     So only column 0 or c - 1 is ever named: for 0 < k* < c - 1 the two
     gaps sum to Delta(a - 1) - Delta(a + r - 1) = ln(1 + r / a) / 2 <= ln 2 / 2,
     below 2 T, with a = y + k* r >= r.

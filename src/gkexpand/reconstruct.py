@@ -14,16 +14,14 @@ about k eps at the indices that matter, so it grows with |x| (3.2e-13 at
 soundness of the bound itself is established separately against a
 high-precision oracle in the test suite.
 
-Every pair of every scheme goes through one function, :func:`_pair_sum`,
-which follows :meth:`Expansion.term_window`: it sums the terms inside both
-points' windows, or inside their wide windows when no term reaches 1e-300,
-and each result keeps its bits (proof at ``expansion._LOG_WIDE``).  A combo
-window holds the blocks that matter at its point, so no combo pair
-evaluates the full horizon; raw and bounded windows are the full horizon.
-A combo pair first sums its head blocks alone, those whose bound is within
-_HEAD_GAP of the largest, and keeps that sum when the bound on every other
-block cannot move its rounding (proof at :func:`_pair_sum`): at |x|, |y| <= 3
-that is block 1 alone, 135 terms.  A grid report counts its pairs by path.
+Every pair of every scheme goes through one function, :func:`_pair_sum`.
+A raw or bounded pair sums its full horizon; a combo pair reads every
+choice off its points' block bounds (``Expansion._log_sups``).  It sums
+its head blocks alone when the bound on the rest cannot move the rounding
+(at |x|, |y| <= 3 block 1 alone, 135 terms), else the blocks that reach
+e^-765 at both points, or e^-1530 when no term reaches 1e-300, with the
+bits of the full-horizon sum (proofs at :func:`_pair_sum` and
+``_LOG_WIDE``).  A grid report counts its pairs by path.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .expansion import _LOG_NEGLIGIBLE, _LOG_WIDE, Expansion
+from .expansion import Expansion
 from .numerics import log_factorial
 
 __all__ = [
@@ -58,6 +56,20 @@ EVAL_SLACK = 1e-13
 # below it the signed log-domain reduction takes over.
 _LINEAR_FLOOR_LOG = math.log(1e-300)
 
+# A combo block with ln c_n + min(ln M_n(x), ln M_n(y)) below this is
+# skipped at (x, y): its terms are at most c_n M_n(x) M_n(y), M_n <= 1
+# (`Expansion._log_sups`).  exp() is exactly 0.0 below -745.13, and the 20
+# units to spare cover the rounding of every log term and of the bound.
+_LOG_NEGLIGIBLE = -765.0
+# The wide blocks' floor, summed when no term of a pair reaches 1e-300.
+# It keeps every bit of the full-horizon sum, anchored on its top term T:
+# - if T >= e^-765, T lies in a narrow block and anchors the sum; a term
+#   outside the wide blocks rescales to exp(< -765), exactly 0.0;
+# - if T < e^-765, as when no block is narrow, both sums are +0.0:
+#   T + ln(horizon) < -745 for a horizon below e^20 ~ 4.8e8 terms (block 11;
+#   build_combo stops at block 8 by default).
+_LOG_WIDE = 2 * _LOG_NEGLIGIBLE
+
 # A combo pair's head blocks are those whose bound lies within this many
 # e-folds of the largest (`_pair_sum`).  The rest is then under
 # 2 * 9 * e^-45 < 2^-60 of the largest bound (eight blocks and the tail),
@@ -75,7 +87,7 @@ MAX_GRID_PAIRS = 10**6
 
 # Most bytes a raw or bounded grid report holds in its columns: each grid
 # column keeps full-horizon (signs, logs), 16 bytes per term.  Combo columns
-# hold term windows, not the horizon, and are not counted against it.
+# hold the blocks their pairs sum, and are not counted against it.
 MAX_COLUMN_BYTES = 2**29
 
 
@@ -101,16 +113,18 @@ def _accumulate(
 
     While any term is representable the terms are summed with math.fsum,
     which is correctly rounded; a signed log-domain reduction covers the
-    regime where every term underflows.
-    With ``linear_only`` that regime returns None instead: its anchor is
-    the top term of the whole horizon, which only a wide window must hold.
-    A log is -inf exactly where its sign is 0, so a dead term's exp is 0.0
-    without a mask, and each product with the +-1 or 0 signs is exact.
+    regime where every term underflows.  With ``linear_only`` that regime
+    returns None instead: its anchor is the top term of the whole horizon,
+    which only the wide blocks must hold.  A log is -inf exactly where its
+    sign is 0, so a dead term's exp is 0.0 without a mask, and each product
+    with the +-1 or 0 signs is exact.
 
     A ``rest`` > 0 bounds the sum of terms left out.  Then only the linear
     regime answers: if the fsums with +rest and with -rest appended are one
     nonzero value, that value, to which every sum within rest of these
-    terms' exact sum rounds; else None (proof at `_pair_sum`).
+    terms' exact sum rounds; else None (proof at `_pair_sum`).  The reals
+    that round to one double span at most its ulp, so the second fsum is
+    not run when 2 rest exceeds the first's ulp.
     """
     log_terms = log_weights + lx + ly
     top = float(log_terms.max())
@@ -128,8 +142,10 @@ def _accumulate(
         values = terms.tolist()
         values.append(rest)
         high = math.fsum(values)
+        if high == 0.0 or 2.0 * rest > math.ulp(high):
+            return None
         values[-1] = -rest
-        return high if high != 0.0 and math.fsum(values) == high else None
+        return high if math.fsum(values) == high else None
     acc = math.fsum(terms.tolist())
     if not tiny:
         return acc
@@ -142,22 +158,21 @@ def _accumulate(
 
 
 class _Point:
-    """A point's values, each made on first use and kept: per combo block,
-    and its narrow and wide (window, (signs, log magnitudes)) parts, which
-    read the point's combo blocks rather than evaluate them again.  A combo
-    point also keeps ln M_n(x) per block, from `Expansion._log_sups`."""
+    """A point's values, each made on first use and kept: per combo block
+    (block 0: a raw or bounded point's full horizon), and ln M_n(x) per
+    combo block from `Expansion._log_sups` on.  A head test reads the first
+    ``listed``: to the first block past the mode, or an earlier partner's."""
 
     def __init__(self, e: Expansion, x: float) -> None:
         self.e, self.x = e, x
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._narrow = self._wide = None
-        self._sups = e._log_sups(x) if e.scheme == "combo" else None
+        self._sups = e._log_sups(x) if e.scheme == "combo" else []
+        self.listed = len(self._sups)
 
     def block(self, n: int):
-        values = self._blocks.get(n)
-        if values is None:
-            values = self._blocks[n] = self.e._block_values(n, self.x)
-        return values
+        if n not in self._blocks:
+            self._blocks[n] = self.e._block_values(n, self.x) if n else self.e.basis_log_values(self.x)
+        return self._blocks[n]
 
     def log_sups(self, count: int) -> list[float]:
         """ln M_n(x) of at least the first ``count`` blocks."""
@@ -165,43 +180,37 @@ class _Point:
             self._sups.append(self.e._log_sup(len(self._sups), self.x))
         return self._sups
 
-    def _part(self, w: slice):
-        return w, self.e.basis_log_values(self.x, w, _blocks=self.block)
 
-    def narrow(self):
-        if self._narrow is None:
-            self._narrow = self._part(self.e.term_window(self.x))
-        return self._narrow
-
-    def wide(self):
-        if self._wide is None:
-            self._wide = self._part(self.e.term_window(self.x, _floor=_LOG_WIDE))
-        return self._wide
+def _reaching(e: Expansion, px: _Point, py: _Point, floor: float) -> list[int]:
+    """The blocks n, in order, with ln c_n + min(ln M_n(x), ln M_n(y)) >= floor:
+    every term of any other block is below e^floor (`_LOG_NEGLIGIBLE`)."""
+    spans = e._spans
+    for p in (px, py):  # list on while the last block, past the mode, reaches floor
+        while len(p._sups) < len(spans) and spans[len(p._sups) - 1][2] + p._sups[-1] >= floor:
+            p.log_sups(len(p._sups) + 1)
+    sups = zip(spans, px._sups, py._sups)
+    return [n for n, ((_, _, log_c), mx, my) in enumerate(sups, 1) if log_c + min(mx, my) >= floor]
 
 
-def _overlap_sum(e: Expansion, x_part, y_part, linear_only: bool) -> float | None:
-    """_accumulate over two meeting parts' overlap, one pass if full-horizon."""
-    (wx, (sx, lx)), (wy, (sy, ly)) = x_part, y_part
-    start, stop = max(wx.start, wy.start), min(wx.stop, wy.stop)
-    cx, cy = slice(start - wx.start, stop - wx.start), slice(start - wy.start, stop - wy.start)
-    return _accumulate(e.log_weights[start:stop], sx[cx], lx[cx], sy[cy], ly[cy],
-                       linear_only and stop - start < len(e))
+def _columns(e: Expansion, px: _Point, py: _Point, numbers: list[int]):
+    """`_accumulate`'s arguments for the blocks ``numbers``, from the points' values."""
+    parts = [(e.log_weights[slice(*e._spans[n - 1][:2])], *px.block(n), *py.block(n)) for n in numbers]
+    return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
 
 
 def _head_sum(e: Expansion, px: _Point, py: _Point) -> float | None:
     """A combo pair's sum over its head blocks alone, or None unless that
     sum certifies the pair's bits (`_pair_sum`)."""
     spans = e._spans
-    count = max(len(px._sups), len(py._sups))
-    sups = list(zip(px.log_sups(count), py.log_sups(count)))
+    count = px.listed = py.listed = max(px.listed, py.listed)
+    sups = list(zip(px.log_sups(count), py.log_sups(count)))[:count]
     log_bounds = [math.log(end - y) + mx + my  # ln B_n = ln(r_n c_n M_n(x) M_n(y))
                   for (y, end, _), (mx, my) in zip(spans, sups)]
     top = max(log_bounds)
     if top < _LINEAR_FLOOR_LOG:  # no term reaches 1e-300
         return None
     cut = top - _HEAD_GAP
-    # the narrow pass evaluates the blocks inside either window; if the
-    # head holds all of them it sums the same terms, with one fsum, not two
+    # else the narrow pass sums no more than the head, with one fsum, not two
     if not any(b < cut and log_c + max(m) >= _LOG_NEGLIGIBLE
                for b, (_, _, log_c), m in zip(log_bounds, spans, sups)):
         return None
@@ -209,27 +218,25 @@ def _head_sum(e: Expansion, px: _Point, py: _Point) -> float | None:
     if count < len(spans):  # the blocks past both lists, past both modes
         log_bounds.append(log_bounds[-1] - (2.54 * spans[count - 1][0] - math.log(8.0)))
     rest = 2.0 * sum(max(math.exp(b), 5e-324) for b in log_bounds if b < cut)
-    parts = [(e.log_weights[spans[n - 1][0] : spans[n - 1][1]], *px.block(n), *py.block(n))
-             for n in head]
-    columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-    return _accumulate(*columns, rest=rest)
+    return _accumulate(*_columns(e, px, py, head), rest=rest)
 
 
 def _pair_sum(e: Expansion, px: _Point, py: _Point) -> tuple[float, str]:
     """(sum_i lambda_i b_i(x) b_i(y), the path that gave it).
 
-    A combo pair first takes the "head" path: the fsum over its head blocks
+    A raw or bounded pair sums its full horizon, counted as "narrow".  A
+    combo pair first takes the "head" path: the fsum over its head blocks
     alone, when it certifies the bits the other paths give.  It is not tried
-    when no term reaches 1e-300, or when the narrow windows hold no block
-    outside the head, where it would save no work.  Otherwise, and for raw
-    and bounded pairs, the sum is +0.0 for disjoint narrow windows
-    ("disjoint"), else the linear sum over the narrow intersection
-    ("narrow"), else the log-domain sum over the wide one ("wide").
+    when no term reaches 1e-300, or when the head holds every listed block
+    that reaches _LOG_NEGLIGIBLE at either point, where it saves no work.
+    Otherwise the sum is +0.0 if no block reaches _LOG_NEGLIGIBLE at both
+    points ("disjoint"), else the linear sum over those blocks ("narrow"),
+    else the log-domain sum over those that reach _LOG_WIDE ("wide").
 
-    The head blocks are those whose bound B_n = r_n c_n M_n(x) M_n(y) lies
-    within _HEAD_GAP of the largest, with M_n from `Expansion._log_sups`;
-    rest is twice the sum of every other B_n, each at least 5e-324, and of
-    a bound on the blocks past both lists.  Every bit is kept:
+    The head blocks are the listed ones whose bound
+    B_n = r_n c_n M_n(x) M_n(y) lies within _HEAD_GAP of the largest; rest
+    is twice the sum of every other listed B_n, each at least 5e-324, and
+    of a bound on the blocks past the lists.  Every bit is kept:
 
     1. S S^T = c I gives sum_s combo_s(x)^2 = sum_k psi_k(x)^2 over a row.
        So by Cauchy-Schwarz, twice, a block's |terms| sum to at most
@@ -239,37 +246,38 @@ def _pair_sum(e: Expansion, px: _Point, py: _Point) -> tuple[float, str]:
        `expansion._combo_block_log_values`) and of the bound itself, and
        the floor 5e-324 an exp that underflows.  Past both modes r_n c_n
        grows 4-fold and each M_n falls by over 1.27 y_n per block
-       (`Expansion.term_window`), so the blocks past the lists sum to at
+       (`Expansion._log_sups`), so the blocks past the lists sum to at
        most B_N e^-(2.54 y_N - ln 8) for the last listed block N: the ln 8
        is the 4-fold growth and the geometric sum, as y_N >= 135.
     2. `_accumulate` with rest > 0 answers only if a head term is at least
-       1e-300.  Such a term lies inside both narrow windows, so the narrow
-       pass is linear and returns the fsum over their intersection.
-    3. Head terms outside that intersection are exactly +-0.0.  The
-       intersection's terms outside the head sum to at most rest.
-    4. fsum is correctly rounded and rounding is monotone.  So
+       1e-300.  Its block reaches _LOG_NEGLIGIBLE at both points, so the
+       narrow pass is linear: the fsum over blocks whose terms outside the
+       head sum to at most rest, and head terms outside them are +-0.0.
+    3. fsum is correctly rounded and rounding is monotone.  So
        RN(S - rest) = RN(S + rest) = s != 0, for the head's exact sum S,
        forces RN(S + R) = s for every |R| <= rest: s is the narrow fsum.
     """
-    if e.scheme == "combo":
-        value = _head_sum(e, px, py)
-        if value is not None:
-            return value, "head"
-    x_part, y_part = px.narrow(), py.narrow()
-    if max(x_part[0].start, y_part[0].start) >= min(x_part[0].stop, y_part[0].stop):
+    if e.scheme != "combo":
+        return _accumulate(e.log_weights, *px.block(0), *py.block(0)), "narrow"
+    value = _head_sum(e, px, py)
+    if value is not None:
+        return value, "head"
+    narrow = _reaching(e, px, py, _LOG_NEGLIGIBLE)
+    if not narrow:
         return 0.0, "disjoint"
-    value = _overlap_sum(e, x_part, y_part, linear_only=True)
+    # all blocks are the full horizon, which anchors the log-domain sum itself
+    value = _accumulate(*_columns(e, px, py, narrow), linear_only=len(narrow) < len(e._spans))
     if value is not None:
         return value, "narrow"
-    # wide windows hold the narrow ones, so they meet too
-    return _overlap_sum(e, px.wide(), py.wide(), linear_only=False), "wide"
+    # the wide blocks hold the narrow ones, so they are not empty either
+    return _accumulate(*_columns(e, px, py, _reaching(e, px, py, _LOG_WIDE))), "wide"
 
 
 def series_kernel(e: Expansion, x: float, y: float) -> float:
     """sum_i lambda_i b_i(x) b_i(y) in a deterministic order.
 
-    Every scheme sums the terms inside both points' windows
-    (:func:`_pair_sum`); raw and bounded windows are the full horizon.
+    Every scheme goes through :func:`_pair_sum`: a raw or bounded pair sums
+    its full horizon, a combo pair the blocks that can hold a nonzero term.
     """
     _check_domain(e, x)
     _check_domain(e, y)
@@ -372,8 +380,8 @@ def grid_report(
     grid order, x outer; no grid point lies past its range's end.  A grid
     of more than MAX_GRID_PAIRS pairs, or raw or bounded columns of more
     than MAX_COLUMN_BYTES, raises RangeError before any point is built.
-    Every pair goes through :func:`_pair_sum`, so no combo pair evaluates
-    the full horizon; a grid point keeps its wide values once made.
+    Every pair goes through :func:`_pair_sum`; a grid point keeps each of
+    its block values, and its ln M_n, once made.
     """
     if not eta > 0.0:
         raise DomainError("kernel width eta must be positive")

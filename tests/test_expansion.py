@@ -12,7 +12,7 @@ from gkexpand.errors import DomainError, RangeError
 from gkexpand import blocks, expansion
 from gkexpand.expansion import Expansion, build_bounded, build_combo, build_raw
 from gkexpand.numerics import CANCELLATION_FLUSH
-from gkexpand.reconstruct import series_kernel, tail_bound
+from gkexpand.reconstruct import _LOG_NEGLIGIBLE, _Point, _reaching, series_kernel, tail_bound
 
 
 def _values(e, x):
@@ -362,7 +362,9 @@ class TestConstantCache:
         monkeypatch.setattr(expansion.basis, "log_psi_from_half",
                             lambda ks, half, x: sizes.append(len(ks)) or real(ks, half, x))
         for x in (-3.0, -0.4, 0.3, 2.9):
-            e.basis_log_values(x, e.term_window(x))
+            p = _Point(e, x)
+            for n in _reaching(e, p, p, _LOG_NEGLIGIBLE):  # blocks 1 and 2
+                p.block(n)
         assert sizes == [135, 270] * 4
         # every block below the mode's collapses, and the mode's block does not
         for x, mode_block in ((24.0, 3), (1000.0, 8)):
@@ -373,9 +375,12 @@ class TestConstantCache:
 
     @pytest.mark.parametrize("x", CACHE_POINTS[:7] + (1e200,))
     def test_combo_values_match_fresh_blocks(self, x):
-        # the normalised values of every block a window holds, as before
+        # the normalised values of every block that can hold a nonzero term
+        # at x, as before
         e = build_combo(3)
-        w = e.term_window(x)
+        p = _Point(e, x)
+        kept = _reaching(e, p, p, _LOG_NEGLIGIBLE)
+        w = slice(e._spans[kept[0] - 1][0], e._spans[kept[-1] - 1][1]) if kept else slice(0, 0)
         fresh = [_fresh_combo_block(block_spec(n), x) for n in (1, 2, 3)]
         signs = np.concatenate([f[0] for f in fresh])[w]
         logs = (np.concatenate([f[1] for f in fresh]) - 0.5 * e.log_weights)[w]

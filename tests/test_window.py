@@ -1,8 +1,8 @@
-"""Localised evaluation: every pair of every scheme goes through one
-windowed pair sum.  Term windows skip only terms that are exactly 0.0, so
-every windowed sum keeps the bits of the full-horizon sum; no combo pair
-evaluates the full horizon, and raw and bounded windows are the full
-horizon."""
+"""Localised evaluation: every pair of every scheme goes through one pair
+sum.  A combo pair skips only blocks whose terms are exactly 0.0, read off
+each point's block bounds ln M_n(x), so every sum keeps the bits of the
+full-horizon sum; no combo pair evaluates the full horizon, and raw and
+bounded pairs sum it."""
 
 import math
 import struct
@@ -14,13 +14,16 @@ import pytest
 from gkexpand import expansion, reconstruct
 from gkexpand.blocks import block_spec
 from gkexpand.errors import DomainError, RangeError
-from gkexpand.expansion import _LOG_NEGLIGIBLE, _LOG_WIDE, Expansion, build_bounded, build_combo, build_raw
+from gkexpand.expansion import Expansion, build_bounded, build_combo, build_raw
 from gkexpand.reconstruct import (
+    _LOG_NEGLIGIBLE,
+    _LOG_WIDE,
     PAIR_PATHS,
     _accumulate,
-    _overlap_sum,
+    _columns,
     _pair_sum,
     _Point,
+    _reaching,
     grid_report,
     series_kernel,
 )
@@ -60,6 +63,24 @@ def _masked_accumulate(log_weights, sx, lx, sy, ly):
     if log_res < -745.0:
         return 0.0
     return math.copysign(math.exp(log_res), acc)
+
+
+def _point_blocks(e, x, floor=_LOG_NEGLIGIBLE):
+    """The blocks whose bound ln c_n + ln M_n(x) reaches floor at x alone."""
+    p = _Point(e, x)
+    return _reaching(e, p, p, floor)
+
+
+def _window(e, x, floor=_LOG_NEGLIGIBLE):
+    """The terms of x's blocks at floor, which are consecutive; for raw and
+    bounded expansions the full horizon."""
+    if e.scheme != "combo":
+        return slice(0, len(e))
+    kept = _point_blocks(e, x, floor)
+    if not kept:
+        return slice(0, 0)
+    assert kept == list(range(kept[0], kept[-1] + 1)), (x, floor)
+    return slice(e._spans[kept[0] - 1][0], e._spans[kept[-1] - 1][1])
 
 
 class _Full:
@@ -106,7 +127,7 @@ class TestWindowedSum:
     def test_point_window_holds_for_every_partner(self, name, e, points):
         full = _Full(e)
         for x in points:
-            w = e.term_window(x)
+            w = _window(e, x)
             outside = np.ones(len(e), dtype=bool)
             outside[w] = False
             for y in points:
@@ -140,7 +161,7 @@ class TestWindowedSum:
     def test_sliced_values_bit_equal(self, name, e, points):
         for x in points:
             fs, fl = e.basis_log_values(x)
-            for w in (e.term_window(x), slice(3, len(e) - 5), slice(len(e) // 3, None)):
+            for w in (_window(e, x), slice(3, len(e) - 5), slice(len(e) // 3, None)):
                 s, l = e.basis_log_values(x, w)
                 assert s.tobytes() == fs[w].tobytes() and l.tobytes() == fl[w].tobytes()
 
@@ -148,19 +169,19 @@ class TestWindowedSum:
 class TestWindowShape:
     @pytest.mark.parametrize("x,y,empty", [(0.0, 40.0, True), (0.0, 30.0, False)])
     def test_all_tiny_pair_sums_the_wide_window(self, x, y, empty):
-        # no term reaches 1e-300, so the narrow windows cannot anchor the
-        # log-domain sum.  At (0, 40) they do not meet and the pair is +0.0
-        # at once; at (0, 30) they share block 1 and the wide windows are
-        # summed
+        # no term reaches 1e-300, so the narrow blocks cannot anchor the
+        # log-domain sum.  At (0, 40) no block reaches e^-765 at both points
+        # and the pair is +0.0 with no block evaluated; at (0, 30) they share
+        # block 1 and the wide blocks are summed
         e = build_combo(4)
         px, py = _Point(e, x), _Point(e, y)
-        (wx, _), (wy, _) = px.narrow(), py.narrow()
-        assert (max(wx.start, wy.start) >= min(wx.stop, wy.stop)) == empty
-        if not empty:
-            assert _overlap_sum(e, px.narrow(), py.narrow(), linear_only=True) is None
         value, path = _pair_sum(e, px, py)
         assert path == ("disjoint" if empty else "wide")
-        assert (px._wide is None and py._wide is None) == empty
+        assert (not px._blocks and not py._blocks) == empty
+        narrow = _reaching(e, px, py, _LOG_NEGLIGIBLE)
+        assert (not narrow) == empty
+        if not empty:
+            assert _accumulate(*_columns(e, px, py, narrow), linear_only=True) is None
         assert _bits(value) == _bits(_Full(e).sum(x, y))
         assert _bits(series_kernel(e, x, y)) == _bits(_Full(e).sum(x, y))
 
@@ -168,16 +189,21 @@ class TestWindowShape:
         # psi_k(0) = 0 for k >= 1, so only the block holding psi_0 counts
         e = build_combo(7)
         for x in (0.0, -0.0):
-            assert e.term_window(x) == slice(0, block_spec(1).next_start)
+            for floor in (_LOG_NEGLIGIBLE, _LOG_WIDE):
+                assert _point_blocks(e, x, floor) == [1]
+            assert _window(e, x) == slice(0, block_spec(1).next_start)
 
     @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300)])
     def test_raw_and_bounded_are_not_windowed(self, e):
+        # no block bounds: a pair sums the full horizon, kept as block 0
         for x in (0.0, 1.5, 3.0):
-            assert e.term_window(x) == slice(0, len(e))
+            p = _Point(e, x)
+            assert p.listed == 0 and _pair_sum(e, p, p)[1] == "narrow"
+            assert list(p._blocks) == [0] and len(p.block(0)[0]) == len(e)
 
     def test_combo7_small_points_touch_block_1(self, monkeypatch):
-        # block 2 is summed by the narrow pass, but the head sum of block 1
-        # certifies its bits first
+        # block 2 reaches the floor, but the head sum of block 1 certifies
+        # the pair's bits first
         e = build_combo(7)
         seen = []
         real = expansion._combo_block_log_values
@@ -190,47 +216,65 @@ class TestWindowShape:
         for x in (-3.0, -1.1, 0.0, 2.4, 3.0):
             for y in (-3.0, 0.3, 3.0):
                 series_kernel(e, x, y)
-            w = e.term_window(x)
-            assert w.start == 0 and w.stop in (135, 675)
+            assert _point_blocks(e, x) in ([1], [1, 2])
         assert sorted(set(seen)) == [1]
         assert len(seen) <= 2 * 15
 
     def test_combo_window_is_whole_blocks(self):
+        # the blocks reaching a floor at a point are consecutive: the bound
+        # rises to the mode's block and falls after it
         e = build_combo(6)
-        starts = {block_spec(n).y for n in range(1, 7)} | {len(e)}
         for x in COMBO_POINTS:
-            w = e.term_window(x)
-            assert w.start == w.stop == 0 or {w.start, w.stop} <= starts
+            for floor in (_LOG_NEGLIGIBLE, _LOG_WIDE):
+                kept = _point_blocks(e, x, floor)
+                assert not kept or kept == list(range(kept[0], kept[-1] + 1)), (x, floor)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_early_stop_keeps_the_all_blocks_window(self, n, combo8):
-        # term_window stops at the first block past the mode whose bound is
-        # below the floor; bounding every block gives the same slice
+        # a point's list stops at the first block past the mode whose bound
+        # is below the floor; bounding every block keeps the same blocks
         e = combo8 if n == 8 else build_combo(n)
 
         def all_blocks(x, floor):
             mode = 2.0 * x * x
-            kept = [(y, end) for y, end, log_c in e._spans
+            return [b for b, (y, end, log_c) in enumerate(e._spans, 1)
                     if log_c + expansion._log_abs_psi(int(min(max(mode, y), end - 1)), x) >= floor]
-            return slice(kept[0][0], kept[-1][1]) if kept else slice(0, 0)
 
         # the mode at each block start, a ulp either side, extreme points and
         # random ones out past the last block's peaks
         edges = [math.sqrt(y / 2.0) for y, _end, _c in e._spans] + [math.sqrt(len(e) / 2.0)]
-        points = [0.0, -0.0, 5e-324, 1e200, -1e200]
+        points = [0.0, -0.0, 5e-324, 1e154, 1e200, -1e200]
         for m in edges:
             points += [m, math.nextafter(m, 0.0), math.nextafter(m, math.inf)]
         points += np.random.default_rng(n).uniform(-1.2 * edges[-1], 1.2 * edges[-1], 9000).tolist()
         for floor in (_LOG_NEGLIGIBLE, _LOG_WIDE):
             for x in points:
-                assert e.term_window(x, _floor=floor) == all_blocks(x, floor), (x, floor)
+                kept = _point_blocks(e, x, floor)
+                assert kept == all_blocks(x, floor), (x, floor)
+                assert not kept or kept == list(range(kept[0], kept[-1] + 1)), (x, floor)
+
+    def test_list_grows_past_the_mode_while_a_block_reaches_the_floor(self):
+        # at x = 10 the mode 200 sits in block 2, so the first list ends at
+        # block 3, whose bound is still about -174: the list grows to block
+        # 4, far below either floor, and stops there
+        e = build_combo(5)
+        p = _Point(e, 10.0)
+        assert p.listed == 3 and len(p._sups) == 3
+        assert -174.0 < e._spans[2][2] + p._sups[2] < -173.0
+        for floor in (_LOG_NEGLIGIBLE, _LOG_WIDE):
+            assert _reaching(e, p, p, floor) == [1, 2, 3]
+            assert len(p._sups) == 4
+        assert e._spans[3][2] + p._sups[3] < _LOG_WIDE
 
     def test_non_finite_point_rejected(self):
         for e in (build_raw(20), build_combo(2)):
-            with pytest.raises(DomainError):
-                e.term_window(math.nan)
-            with pytest.raises(DomainError):
-                e.term_window(math.inf)
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    series_kernel(e, bad, 0.5)
+                with pytest.raises(DomainError):
+                    e.basis_log_values(bad)
+                with pytest.raises(DomainError):
+                    grid_report(e, (bad, 1.0), (0.0, 1.0), 0.5)
 
     def test_non_contiguous_slice_rejected(self):
         with pytest.raises(RangeError):
@@ -256,81 +300,82 @@ class TestGridWindows:
 
 
 @pytest.fixture
-def sliced_calls(monkeypatch):
-    """The term slice of every Expansion.basis_log_values call."""
-    seen = []
-    real = Expansion.basis_log_values
+def made_blocks(monkeypatch):
+    """(x, n) of every combo block value made, and the term slice of every
+    Expansion.basis_log_values call."""
+    made, sliced = [], []
+    real_block, real_values = Expansion._block_values, Expansion.basis_log_values
 
-    def spy(self, x, terms=None, **blocks):
-        seen.append(terms)
-        return real(self, x, terms, **blocks)
+    def block_spy(self, n, x):
+        made.append((x, n))
+        return real_block(self, n, x)
 
-    monkeypatch.setattr(Expansion, "basis_log_values", spy)
-    return seen
+    def values_spy(self, x, terms=None):
+        sliced.append(terms)
+        return real_values(self, x, terms)
+
+    monkeypatch.setattr(Expansion, "_block_values", block_spy)
+    monkeypatch.setattr(Expansion, "basis_log_values", values_spy)
+    return made, sliced
 
 
 class TestWideWindow:
     @pytest.mark.parametrize(
         "y,expected", [(26.5, 1.0392022621430825e-305), (27.0, 2.507972e-317)]
     )
-    def test_subnormal_pair_bit_equal_without_full_horizon(self, sliced_calls, y, expected):
-        # the log-domain regime with a nonzero result: the wide windows hold
-        # the top term, and stop at 11,475 of 46,035 terms
+    def test_subnormal_pair_bit_equal_without_full_horizon(self, made_blocks, y, expected):
+        # the log-domain regime with a nonzero result: the wide blocks hold
+        # the top term, and stop at block 4, 11,475 of 46,035 terms
         e = build_combo(5)
         value = series_kernel(e, 0.0, y)
         assert _bits(value) == _bits(expected)
-        assert len(e) == 46035
-        assert e.term_window(0.0, _floor=_LOG_WIDE).stop <= 11475
-        assert e.term_window(y, _floor=_LOG_WIDE) == slice(0, 11475)
-        assert None not in sliced_calls
+        assert len(e) == 46035 and block_spec(4).next_start == 11475
+        assert _point_blocks(e, 0.0, _LOG_WIDE) == [1]
+        assert _point_blocks(e, y, _LOG_WIDE) == [1, 2, 3, 4]
+        made, sliced = made_blocks
+        assert made and {n for _x, n in made} <= {1, 2, 3, 4}
+        assert not sliced
         assert _bits(_Full(e).sum(0.0, y)) == _bits(expected)
 
     @pytest.mark.parametrize("n,x,y", [(5, -42.52, -4.64), (5, -39.39, 4.46), (6, -43.21, -4.79)])
     def test_wide_windows_hold_the_log_domain_anchor(self, n, x, y):
         # the top term lies in [e^-765, 1e-300): a term outside the narrow
-        # windows can still rescale to a nonzero double, but every term
-        # outside the wide windows rescales to exactly 0.0
+        # blocks can still rescale to a nonzero double, but every term
+        # outside the wide blocks rescales to exactly 0.0
         e = build_combo(n)
         signs, log_terms = _Full(e).log_terms(x, y)
         alive = signs != 0.0
         top = float(np.max(log_terms[alive]))
         assert _LOG_NEGLIGIBLE <= top < math.log(1e-300)
+        px, py = _Point(e, x), _Point(e, y)
         rescaled = []
         for floor in (_LOG_NEGLIGIBLE, _LOG_WIDE):
-            wx, wy = e.term_window(x, _floor=floor), e.term_window(y, _floor=floor)
             outside = alive.copy()
-            outside[max(wx.start, wy.start):min(wx.stop, wy.stop)] = False
+            for b in _reaching(e, px, py, floor):
+                outside[e._spans[b - 1][0] : e._spans[b - 1][1]] = False
             with np.errstate(under="ignore"):
                 rescaled.append(np.exp(log_terms[outside] - top))
         assert np.any(rescaled[0]) and not np.any(rescaled[1])
         assert _bits(series_kernel(e, x, y)) == _bits(_Full(e).sum(x, y))
 
-    def test_block8_disjoint_pair_is_positive_zero(self, combo8, sliced_calls):
-        value = series_kernel(combo8, 0.0, 40.0)
-        assert _bits(value) == _bits(0.0)
-        assert sliced_calls
-        for terms in sliced_calls:
-            assert terms is not None and terms.stop - terms.start < len(combo8)
+    def test_block8_disjoint_pair_is_positive_zero(self, combo8, made_blocks):
+        # no block reaches e^-765 at both 0 and 40: +0.0, with no block made
+        px, py = _Point(combo8, 0.0), _Point(combo8, 40.0)
+        value, path = _pair_sum(combo8, px, py)
+        assert _bits(value) == _bits(0.0) and path == "disjoint"
+        assert made_blocks == ([], [])
 
-    def test_grid_makes_each_wide_window_once(self, monkeypatch):
-        # every pair is all-tiny with meeting windows, so every point needs
-        # its wide window; the grid makes it once per point
+    def test_grid_makes_each_wide_window_once(self, made_blocks):
+        # 8 of the 10 pairs are all-tiny with shared blocks, so every point
+        # needs its wide blocks; the grid makes each block once per point
         e = build_combo(5)
-        made = Counter()
-        real = Expansion.term_window
-
-        def spy(self, x, **floor):
-            if floor:
-                made[x] += 1
-            return real(self, x, **floor)
-
-        monkeypatch.setattr(Expansion, "term_window", spy)
         rep = grid_report(e, (0.0, 0.25), (27.0, 28.0), 0.25)
-        monkeypatch.undo()
+        made, _sliced = made_blocks
         full = _Full(e)
         assert len(rep.rows) == 10
-        assert set(made) == {0.0, 0.25, 27.0, 27.25, 27.5, 27.75, 28.0}
-        assert set(made.values()) == {1}
+        assert dict(rep.pair_paths) == {"head": 0, "narrow": 2, "wide": 8, "disjoint": 0}
+        assert {x for x, _n in made} == {0.0, 0.25, 27.0, 27.25, 27.5, 27.75, 28.0}
+        assert set(Counter(made).values()) == {1}
         for x, y, _exact, series, _err, _bound in rep.rows:
             assert _bits(series) == _bits(full.sum(x, y)), (x, y)
 
@@ -366,6 +411,37 @@ class TestAccumulateRest:
         args = (np.zeros(2), np.array([1.0, -1.0]), np.zeros(2), np.ones(2), np.zeros(2))
         assert _bits(_accumulate(*args)) == _bits(0.0)
         assert _accumulate(*args, rest=2.0**-60) is None
+
+    def test_wide_rest_skips_the_second_fsum(self, monkeypatch):
+        # the reals that round to one double span at most its ulp, so once
+        # 2 rest exceeds the first fsum's ulp the +-rest fsums cannot agree
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(reconstruct.math, "fsum", lambda v: calls.append(len(v)) or real(v))
+        ones = np.ones(2)
+        args = (np.zeros(2), ones, np.zeros(2), ones, np.zeros(2))  # 1 + 1, ulp(2) = 2^-51
+        assert _accumulate(*args, rest=2.0**-51) is None
+        assert calls == [3]
+        # 2 rest = ulp(2) is run: 2 - 2^-52 is a double below the binade edge
+        for rest, want in ((2.0**-52, None), (2.0**-54, 2.0)):
+            calls.clear()
+            assert _accumulate(*args, rest=rest) == want
+            assert calls == [3, 3]
+        monkeypatch.undo()
+        # the early return keeps every answer of the two-fsum bracket
+        rng = np.random.default_rng(12)
+        answers = Counter()
+        for _ in range(400):
+            lw, lx, ly = (rng.normal(0.0, 2.0, 5) for _ in range(3))
+            sx, sy = (rng.choice([-1.0, 1.0], 5) for _ in range(2))
+            with np.errstate(under="ignore"):
+                terms = (sx * sy * np.exp(lw + lx + ly)).tolist()
+            rest = math.ldexp(1.0, int(rng.integers(-70, -40)))
+            high = math.fsum(terms + [rest])
+            want = high if high != 0.0 and math.fsum(terms + [-rest]) == high else None
+            assert _accumulate(lw, sx, lx, sy, ly, rest=rest) == want
+            answers[want is None] += 1
+        assert answers[True] > 50 and answers[False] > 50
 
     def test_tiny_regime_returns_none(self):
         args = (np.zeros(3), np.ones(3), np.full(3, -400.0), np.ones(3), np.array([-300.0, -310.0, -320.0]))
@@ -428,6 +504,34 @@ class TestPairPaths:
         assert rep.pair_paths == tuple((p, counts[p]) for p in PAIR_PATHS)
         assert all(counts[p] > 0 for p in PAIR_PATHS)
         assert rep.summary_dict()["pair_paths"] == dict(rep.pair_paths)
+
+    def test_block8_grid_takes_every_path(self, combo8):
+        # the one quick grid known to take all four paths.  Every series
+        # value is the pair's own from fresh points, and two of each path
+        # match the full-horizon sum (0.2-0.3 s each at block 8)
+        e = combo8
+        rep = grid_report(e, (-60.0, 60.0), (-60.0, 60.0), 10.0)
+        assert dict(rep.pair_paths) == {"head": 30, "narrow": 107, "wide": 4, "disjoint": 28}
+        checked = Counter()
+        for x, y, _exact, series, _err, _bound in rep.rows:
+            value, path = _pair_sum(e, _Point(e, x), _Point(e, y))
+            assert _bits(series) == _bits(value), (x, y)
+            if checked[path] < 2:
+                checked[path] += 1
+                assert _bits(series) == _bits(_Full(e).sum(x, y)), (x, y)
+        assert set(checked) == set(PAIR_PATHS)
+
+    def test_grid_points_keep_their_longest_head_list(self):
+        # a grid point's head test reads as many block bounds as the longest
+        # list of a pair it was in, so 4 pairs of this grid take the head
+        # where fresh points fall back to the narrow blocks; the bits agree
+        e = build_combo(5)
+        rep = grid_report(e, (-40.0, 40.0), (-40.0, 40.0), 8.0)
+        assert dict(rep.pair_paths) == {"head": 40, "narrow": 73, "wide": 0, "disjoint": 8}
+        fresh = [_pair_sum(e, _Point(e, x), _Point(e, y)) for x, y, *_ in rep.rows]
+        assert Counter(path for _value, path in fresh) == Counter(head=36, narrow=77, disjoint=8)
+        for (x, y, _exact, series, _err, _bound), (value, _path) in zip(rep.rows, fresh):
+            assert _bits(series) == _bits(value), (x, y)
 
     @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300)])
     def test_raw_and_bounded_sum_the_narrow_window(self, e):

@@ -21,7 +21,7 @@ has ~2.9 million terms) stays cheap.
 
 psi_k(x)^2 = e^(-2 x^2) (2 x^2)^k / k! is the Poisson(2 x^2) probability of
 k, so at a point only indices near 2 x^2 are above double underflow, and
-``Expansion._log_sups`` bounds each combo block there by its largest |psi|.
+``Expansion._log_sup`` bounds each combo block there by its largest |psi|.
 Only a block near the mode is sign-recombined.  In any other block one
 column, the one nearest the mode, leads every other column's psi by over
 e^50 in every row, so each combo there is +-that psi / sqrt(c) to the last
@@ -179,30 +179,6 @@ class Expansion:
         mode 2 x^2 clamped into them (scalar `_log_abs_psi`)."""
         y, end, _ = self._spans[i]
         return _log_abs_psi(int(min(max(2.0 * x * x, y), end - 1)), x)
-
-    def _log_sups(self, x: float) -> list[float]:
-        """ln M_n(x) of blocks 1, 2, ... up to the first block past the mode
-        (y_n > 2 x^2), or to the last: a caller extends it with `_log_sup`
-        and reads every block choice at x off it.  A combo term of block n
-        at (x, y) is combo(x) combo(y), each combo a +-1 sum of c_n psi's
-        over sqrt(c_n), so it is at most c_n M_n(x) M_n(y).  psi_k(x)^2 is
-        unimodal in k with its mode at floor(2 x^2), so ln c_n + ln M_n(x)
-        rises up to the mode's block and falls after it: the blocks whose
-        bound reaches a floor are consecutive.  Past the mode M_n is
-        |psi_{y_n}(x)|, and psi_k^2 falls by 2 x^2 / (k + 1) < y_n / (k + 1)
-        per step, so with y_{n+1} > 4 y_n,
-        ln M_{n+1} - ln M_n < -sum_{j=y_n+1}^{4 y_n} ln(j / y_n) / 2
-        < -y_n (4 ln 4 - 3) / 2 ~ -1.27 y_n: each later bound is lower by
-        over 1.27 y_n - ln 2 >= 56, far beyond the scalar bound's rounding,
-        and once one past the mode is below a floor, so is every later one.
-        """
-        mode = 2.0 * x * x
-        sups = []
-        for i, (y, _, _) in enumerate(self._spans):
-            sups.append(self._log_sup(i, x))
-            if y > mode:
-                break
-        return sups
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -16,12 +16,13 @@ high-precision oracle in the test suite.
 
 Every pair of every scheme goes through one function, :func:`_pair_sum`.
 A raw or bounded pair sums its full horizon; a combo pair reads every
-choice off its points' block bounds (``Expansion._log_sups``).  It sums
-its head blocks alone when the bound on the rest cannot move the rounding
-(at |x|, |y| <= 3 block 1 alone, 135 terms), else the blocks that reach
-e^-765 at both points, or e^-1530 when no term reaches 1e-300, with the
-bits of the full-horizon sum (proofs at :func:`_pair_sum` and
-``_LOG_WIDE``).  A grid report counts its pairs by path.
+choice off one list, its blocks that reach e^-765 at both points (from
+each point's block bounds, ``_Point.log_sups``).  It sums the head of
+that list alone when the bound on the rest cannot move the rounding (at
+|x|, |y| <= 3 block 1 alone, 135 terms), else the whole list, or the
+blocks that reach e^-1530 when no term reaches 1e-300, with the bits of
+the full-horizon sum (proofs at :func:`_pair_sum` and ``_LOG_WIDE``).  A
+grid report counts its pairs by path, each a fact about the pair alone.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _LINEAR_FLOOR_LOG = math.log(1e-300)
 
 # A combo block with ln c_n + min(ln M_n(x), ln M_n(y)) below this is
 # skipped at (x, y): its terms are at most c_n M_n(x) M_n(y), M_n <= 1
-# (`Expansion._log_sups`).  exp() is exactly 0.0 below -745.13, and the 20
+# (`_Point.log_sups`).  exp() is exactly 0.0 below -745.13, and the 20
 # units to spare cover the rounding of every log term and of the bound.
 _LOG_NEGLIGIBLE = -765.0
 # The wide blocks' floor, summed when no term of a pair reaches 1e-300.
@@ -72,8 +73,8 @@ _LOG_WIDE = 2 * _LOG_NEGLIGIBLE
 
 # A combo pair's head blocks are those whose bound lies within this many
 # e-folds of the largest (`_pair_sum`).  The rest is then under
-# 2 * 9 * e^-45 < 2^-60 of the largest bound (eight blocks and the tail),
-# under 2^-7 of an ulp of a sum near that bound.  So a pair falls back to
+# 2 * 7 * e^-45 < 2^-60 of the largest bound (seven blocks at most), under
+# 2^-7 of an ulp of a sum near that bound.  So a pair falls back to
 # the narrow pass only if its sum cancels far below its largest bound or
 # lies that close to a rounding boundary.  A wider gap sums more blocks:
 # at |x|, |y| <= 3 block 1 is summed alone, block 2 being below e^-149 of it.
@@ -160,35 +161,47 @@ def _accumulate(
 class _Point:
     """A point's values, each made on first use and kept: per combo block
     (block 0: a raw or bounded point's full horizon), and ln M_n(x) per
-    combo block from `Expansion._log_sups` on.  A head test reads the first
-    ``listed``: to the first block past the mode, or an earlier partner's."""
+    combo block (`log_sups`)."""
 
     def __init__(self, e: Expansion, x: float) -> None:
         self.e, self.x = e, x
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._sups = e._log_sups(x) if e.scheme == "combo" else []
-        self.listed = len(self._sups)
+        self._sups: list[float] = []
 
     def block(self, n: int):
         if n not in self._blocks:
             self._blocks[n] = self.e._block_values(n, self.x) if n else self.e.basis_log_values(self.x)
         return self._blocks[n]
 
-    def log_sups(self, count: int) -> list[float]:
-        """ln M_n(x) of at least the first ``count`` blocks."""
-        while len(self._sups) < count:
-            self._sups.append(self.e._log_sup(len(self._sups), self.x))
-        return self._sups
+    def log_sups(self, floor: float) -> list[float]:
+        """ln M_n(x) (`Expansion._log_sup`) of blocks 1, 2, ... up to the
+        first block past the mode (y_n > 2 x^2) whose ln c_n + ln M_n(x) is
+        below ``floor``, or to the last: every later block is below it too.
+
+        A combo term of block n at (x, y) is combo(x) combo(y), each combo a
+        +-1 sum of c_n psi's over sqrt(c_n), so it is at most
+        c_n M_n(x) M_n(y).  psi_k(x)^2 is unimodal in k with its mode at
+        floor(2 x^2), so ln c_n + ln M_n(x) rises up to the mode's block and
+        falls after it: the blocks whose bound reaches a floor are
+        consecutive.  Past the mode M_n is |psi_{y_n}(x)|, and psi_k^2 falls
+        by 2 x^2 / (k + 1) < y_n / (k + 1) per step, so with y_{n+1} > 4 y_n,
+        ln M_{n+1} - ln M_n < -sum_{j=y_n+1}^{4 y_n} ln(j / y_n) / 2
+        < -y_n (4 ln 4 - 3) / 2 ~ -1.27 y_n: each later bound is lower by
+        over 1.27 y_n - ln 2 >= 56, far beyond the scalar bound's rounding,
+        and once one past the mode is below a floor, so is every later one.
+        """
+        spans, sups, mode = self.e._spans, self._sups, 2.0 * self.x * self.x
+        for i in range(len(sups), len(spans)):
+            if sups and spans[i - 1][0] > mode and spans[i - 1][2] + sups[-1] < floor:
+                break
+            sups.append(self.e._log_sup(i, self.x))
+        return sups
 
 
 def _reaching(e: Expansion, px: _Point, py: _Point, floor: float) -> list[int]:
     """The blocks n, in order, with ln c_n + min(ln M_n(x), ln M_n(y)) >= floor:
     every term of any other block is below e^floor (`_LOG_NEGLIGIBLE`)."""
-    spans = e._spans
-    for p in (px, py):  # list on while the last block, past the mode, reaches floor
-        while len(p._sups) < len(spans) and spans[len(p._sups) - 1][2] + p._sups[-1] >= floor:
-            p.log_sups(len(p._sups) + 1)
-    sups = zip(spans, px._sups, py._sups)
+    sups = zip(e._spans, px.log_sups(floor), py.log_sups(floor))
     return [n for n, ((_, _, log_c), mx, my) in enumerate(sups, 1) if log_c + min(mx, my) >= floor]
 
 
@@ -198,25 +211,19 @@ def _columns(e: Expansion, px: _Point, py: _Point, numbers: list[int]):
     return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
 
 
-def _head_sum(e: Expansion, px: _Point, py: _Point) -> float | None:
-    """A combo pair's sum over its head blocks alone, or None unless that
-    sum certifies the pair's bits (`_pair_sum`)."""
-    spans = e._spans
-    count = px.listed = py.listed = max(px.listed, py.listed)
-    sups = list(zip(px.log_sups(count), py.log_sups(count)))[:count]
-    log_bounds = [math.log(end - y) + mx + my  # ln B_n = ln(r_n c_n M_n(x) M_n(y))
-                  for (y, end, _), (mx, my) in zip(spans, sups)]
+def _head_sum(e: Expansion, px: _Point, py: _Point, narrow: list[int]) -> float | None:
+    """A combo pair's sum over the head of its ``narrow`` blocks alone, or
+    None unless that sum certifies the pair's bits (`_pair_sum`)."""
+    spans, sx, sy = e._spans, px._sups, py._sups
+    log_bounds = [math.log(spans[n - 1][1] - spans[n - 1][0]) + sx[n - 1] + sy[n - 1]
+                  for n in narrow]  # ln B_n = ln(r_n c_n M_n(x) M_n(y))
     top = max(log_bounds)
     if top < _LINEAR_FLOOR_LOG:  # no term reaches 1e-300
         return None
     cut = top - _HEAD_GAP
-    # else the narrow pass sums no more than the head, with one fsum, not two
-    if not any(b < cut and log_c + max(m) >= _LOG_NEGLIGIBLE
-               for b, (_, _, log_c), m in zip(log_bounds, spans, sups)):
+    head = [n for n, b in zip(narrow, log_bounds) if b >= cut]
+    if len(head) == len(narrow):  # the narrow pass sums the same terms, with one fsum, not two
         return None
-    head = [n for n, b in enumerate(log_bounds, 1) if b >= cut]
-    if count < len(spans):  # the blocks past both lists, past both modes
-        log_bounds.append(log_bounds[-1] - (2.54 * spans[count - 1][0] - math.log(8.0)))
     rest = 2.0 * sum(max(math.exp(b), 5e-324) for b in log_bounds if b < cut)
     return _accumulate(*_columns(e, px, py, head), rest=rest)
 
@@ -225,18 +232,20 @@ def _pair_sum(e: Expansion, px: _Point, py: _Point) -> tuple[float, str]:
     """(sum_i lambda_i b_i(x) b_i(y), the path that gave it).
 
     A raw or bounded pair sums its full horizon, counted as "narrow".  A
-    combo pair first takes the "head" path: the fsum over its head blocks
-    alone, when it certifies the bits the other paths give.  It is not tried
-    when no term reaches 1e-300, or when the head holds every listed block
-    that reaches _LOG_NEGLIGIBLE at either point, where it saves no work.
-    Otherwise the sum is +0.0 if no block reaches _LOG_NEGLIGIBLE at both
-    points ("disjoint"), else the linear sum over those blocks ("narrow"),
-    else the log-domain sum over those that reach _LOG_WIDE ("wide").
+    combo pair's narrow blocks are those that reach _LOG_NEGLIGIBLE at both
+    points (`_reaching`): every term of any other block is exactly 0.0 in a
+    linear fsum.  With none the sum is +0.0 ("disjoint").  Else the pair
+    first takes the "head" path: the fsum over its head blocks alone, when
+    it certifies the narrow fsum's bits.  It is not tried when no term
+    reaches 1e-300, or when the head is every narrow block, where it saves
+    no work.  Otherwise the sum is the linear sum over the narrow blocks
+    ("narrow"), else the log-domain sum over those that reach _LOG_WIDE
+    ("wide").
 
-    The head blocks are the listed ones whose bound
+    The head blocks are the narrow ones whose bound
     B_n = r_n c_n M_n(x) M_n(y) lies within _HEAD_GAP of the largest; rest
-    is twice the sum of every other listed B_n, each at least 5e-324, and
-    of a bound on the blocks past the lists.  Every bit is kept:
+    is twice the sum of the other narrow B_n, each at least 5e-324.  Every
+    bit is kept:
 
     1. S S^T = c I gives sum_s combo_s(x)^2 = sum_k psi_k(x)^2 over a row.
        So by Cauchy-Schwarz, twice, a block's |terms| sum to at most
@@ -244,27 +253,22 @@ def _pair_sum(e: Expansion, px: _Point, py: _Point) -> tuple[float, str]:
        Poisson masses.  The factor 2 covers the rounding of the computed
        logs and combos (under 1e-3 e-folds through block 12, per
        `expansion._combo_block_log_values`) and of the bound itself, and
-       the floor 5e-324 an exp that underflows.  Past both modes r_n c_n
-       grows 4-fold and each M_n falls by over 1.27 y_n per block
-       (`Expansion._log_sups`), so the blocks past the lists sum to at
-       most B_N e^-(2.54 y_N - ln 8) for the last listed block N: the ln 8
-       is the 4-fold growth and the geometric sum, as y_N >= 135.
+       the floor 5e-324 an exp that underflows.
     2. `_accumulate` with rest > 0 answers only if a head term is at least
-       1e-300.  Its block reaches _LOG_NEGLIGIBLE at both points, so the
-       narrow pass is linear: the fsum over blocks whose terms outside the
-       head sum to at most rest, and head terms outside them are +-0.0.
+       1e-300, so the narrow pass is linear: the fsum over the narrow
+       blocks, whose terms outside the head sum to at most rest.
     3. fsum is correctly rounded and rounding is monotone.  So
        RN(S - rest) = RN(S + rest) = s != 0, for the head's exact sum S,
        forces RN(S + R) = s for every |R| <= rest: s is the narrow fsum.
     """
     if e.scheme != "combo":
         return _accumulate(e.log_weights, *px.block(0), *py.block(0)), "narrow"
-    value = _head_sum(e, px, py)
-    if value is not None:
-        return value, "head"
     narrow = _reaching(e, px, py, _LOG_NEGLIGIBLE)
     if not narrow:
         return 0.0, "disjoint"
+    value = _head_sum(e, px, py, narrow)
+    if value is not None:
+        return value, "head"
     # all blocks are the full horizon, which anchors the log-domain sum itself
     value = _accumulate(*_columns(e, px, py, narrow), linear_only=len(narrow) < len(e._spans))
     if value is not None:

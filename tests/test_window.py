@@ -195,10 +195,11 @@ class TestWindowShape:
 
     @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300)])
     def test_raw_and_bounded_are_not_windowed(self, e):
-        # no block bounds: a pair sums the full horizon, kept as block 0
+        # no block bounds: a pair sums the full horizon, kept as block 0,
+        # and lists no ln M_n
         for x in (0.0, 1.5, 3.0):
             p = _Point(e, x)
-            assert p.listed == 0 and _pair_sum(e, p, p)[1] == "narrow"
+            assert _pair_sum(e, p, p)[1] == "narrow" and p._sups == []
             assert list(p._blocks) == [0] and len(p.block(0)[0]) == len(e)
 
     def test_combo7_small_points_touch_block_1(self, monkeypatch):
@@ -254,17 +255,27 @@ class TestWindowShape:
                 assert not kept or kept == list(range(kept[0], kept[-1] + 1)), (x, floor)
 
     def test_list_grows_past_the_mode_while_a_block_reaches_the_floor(self):
-        # at x = 10 the mode 200 sits in block 2, so the first list ends at
-        # block 3, whose bound is still about -174: the list grows to block
-        # 4, far below either floor, and stops there
+        # at x = 10 the mode 200 sits in block 2, and block 3, past it, is
+        # still about -174: the list grows to block 4, far below either
+        # floor, and stops there for both
         e = build_combo(5)
         p = _Point(e, 10.0)
-        assert p.listed == 3 and len(p._sups) == 3
-        assert -174.0 < e._spans[2][2] + p._sups[2] < -173.0
+        sups = p.log_sups(_LOG_NEGLIGIBLE)
+        assert len(sups) == 4
+        assert -174.0 < e._spans[2][2] + sups[2] < -173.0
+        assert e._spans[3][2] + sups[3] < _LOG_WIDE
+        assert p.log_sups(_LOG_WIDE) is sups and len(sups) == 4
         for floor in (_LOG_NEGLIGIBLE, _LOG_WIDE):
             assert _reaching(e, p, p, floor) == [1, 2, 3]
-            assert len(p._sups) == 4
-        assert e._spans[3][2] + p._sups[3] < _LOG_WIDE
+        # at x = 16 block 4 is about -1265: the list stops there at the
+        # narrow floor, and a wide one extends the same list to block 5
+        p = _Point(e, 16.0)
+        sups = p.log_sups(_LOG_NEGLIGIBLE)
+        assert len(sups) == 4 and _LOG_WIDE < e._spans[3][2] + sups[3] < _LOG_NEGLIGIBLE
+        assert p.log_sups(_LOG_WIDE) is sups and len(sups) == 5
+        assert p.log_sups(_LOG_NEGLIGIBLE) is sups and len(sups) == 5
+        assert _reaching(e, p, p, _LOG_NEGLIGIBLE) == [1, 2, 3]
+        assert _reaching(e, p, p, _LOG_WIDE) == [1, 2, 3, 4]
 
     def test_non_finite_point_rejected(self):
         for e in (build_raw(20), build_combo(2)):
@@ -483,17 +494,43 @@ def test_head_sum_bit_equal_to_fallback_and_full_horizon(n, combo8, monkeypatch)
         assert _bits(value) == _bits(full.sum(x, y)), (x, y)
 
 
-def test_head_sum_fires_on_block_1_alone():
-    # the speed-up of small pairs: block 1 certifies the bits alone, and
-    # block 2 is evaluated at neither point
+def test_head_sum_fires_on_block_1_alone(made_blocks, monkeypatch):
+    # the speed-up of small pairs: block 1 certifies the bits alone in one
+    # sum, and block 2 is evaluated at neither point.  A pair near x = 0,
+    # where block 2 is below the floor, has block 1 as its only narrow
+    # block, and the narrow pass sums the same terms
     e = build_combo(7)
+    made, _sliced = made_blocks
+    sums = []
+    real = reconstruct._accumulate
+    monkeypatch.setattr(reconstruct, "_accumulate", lambda *a, **k: sums.append(1) or real(*a, **k))
     rng = np.random.default_rng(2000)
-    fired = 0
+    paths = Counter()
     for x, y in rng.uniform(-3.0, 3.0, (2000, 2)).tolist():
+        made.clear()
+        sums.clear()
         px, py = _Point(e, x), _Point(e, y)
         _value, path = _pair_sum(e, px, py)
-        fired += path == "head" and set(px._blocks) | set(py._blocks) == {1}
-    assert fired >= 0.99 * 2000
+        assert [n for _x, n in made] == [1, 1] and len(sums) == 1, (x, y)
+        if path != "head":
+            assert path == "narrow" and _reaching(e, px, py, _LOG_NEGLIGIBLE) == [1], (x, y)
+        paths[path] += 1
+    assert paths["head"] >= 0.98 * 2000
+
+
+def test_head_reads_past_the_mode_block(combo8, made_blocks):
+    # at x = 6 the mode 72 lies in block 1, and block 3 still reaches the
+    # floor at both points: the head of blocks 1 and 2 certifies the bits,
+    # and block 3's 2,160 terms are evaluated at neither point
+    made, _sliced = made_blocks
+    full = _Full(combo8)
+    for x, y in ((6.0, 6.0), (6.0, 6.5)):
+        made.clear()
+        px, py = _Point(combo8, x), _Point(combo8, y)
+        value, path = _pair_sum(combo8, px, py)
+        assert path == "head" and {n for _x, n in made} == {1, 2}, (x, y)
+        assert _reaching(combo8, px, py, _LOG_NEGLIGIBLE) == [1, 2, 3]
+        assert _bits(value) == _bits(full.sum(x, y)), (x, y)
 
 
 class TestPairPaths:
@@ -511,7 +548,7 @@ class TestPairPaths:
         # match the full-horizon sum (0.2-0.3 s each at block 8)
         e = combo8
         rep = grid_report(e, (-60.0, 60.0), (-60.0, 60.0), 10.0)
-        assert dict(rep.pair_paths) == {"head": 30, "narrow": 107, "wide": 4, "disjoint": 28}
+        assert dict(rep.pair_paths) == {"head": 22, "narrow": 115, "wide": 4, "disjoint": 28}
         checked = Counter()
         for x, y, _exact, series, _err, _bound in rep.rows:
             value, path = _pair_sum(e, _Point(e, x), _Point(e, y))
@@ -521,17 +558,22 @@ class TestPairPaths:
                 assert _bits(series) == _bits(_Full(e).sum(x, y)), (x, y)
         assert set(checked) == set(PAIR_PATHS)
 
-    def test_grid_points_keep_their_longest_head_list(self):
-        # a grid point's head test reads as many block bounds as the longest
-        # list of a pair it was in, so 4 pairs of this grid take the head
-        # where fresh points fall back to the narrow blocks; the bits agree
-        e = build_combo(5)
-        rep = grid_report(e, (-40.0, 40.0), (-40.0, 40.0), 8.0)
-        assert dict(rep.pair_paths) == {"head": 40, "narrow": 73, "wide": 0, "disjoint": 8}
-        fresh = [_pair_sum(e, _Point(e, x), _Point(e, y)) for x, y, *_ in rep.rows]
-        assert Counter(path for _value, path in fresh) == Counter(head=36, narrow=77, disjoint=8)
-        for (x, y, _exact, series, _err, _bound), (value, _path) in zip(rep.rows, fresh):
-            assert _bits(series) == _bits(value), (x, y)
+    @pytest.mark.parametrize("n,step,counts", [(5, 8.0, (28, 85, 0, 8)), (3, 4.0, (162, 247, 20, 12))])
+    def test_grid_paths_are_each_pairs_own(self, n, step, counts, monkeypatch):
+        # a pair's path reads only its own blocks, so a grid point that met
+        # other partners first takes the path, and gives the bits, of the
+        # same pair from fresh points
+        e = build_combo(n)
+        seen = []
+        real = reconstruct._pair_sum
+        monkeypatch.setattr(reconstruct, "_pair_sum",
+                            lambda e_, px, py: seen.append(real(e_, px, py)) or seen[-1])
+        rep = grid_report(e, (-40.0, 40.0), (-40.0, 40.0), step)
+        assert rep.pair_paths == tuple(zip(PAIR_PATHS, counts))
+        assert len(seen) == len(rep.rows)
+        for (x, y, *_), (value, path) in zip(rep.rows, seen):
+            fresh, fresh_path = _pair_sum(e, _Point(e, x), _Point(e, y))
+            assert path == fresh_path and _bits(value) == _bits(fresh), (x, y)
 
     @pytest.mark.parametrize("e", [build_raw(200), build_bounded(3.0, 300)])
     def test_raw_and_bounded_sum_the_narrow_window(self, e):

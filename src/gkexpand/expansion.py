@@ -22,14 +22,7 @@ has ~2.9 million terms) stays cheap.
 psi_k(x)^2 = e^(-2 x^2) (2 x^2)^k / k! is the Poisson(2 x^2) probability of
 k, so at a point only indices near 2 x^2 are above double underflow, and
 ``Expansion._log_sup`` bounds each combo block there by its largest |psi|.
-Only a block near the mode is sign-recombined.  In any other block one
-column, the one nearest the mode, leads every other column's psi by over
-e^50 in every row, so each combo there is +-that psi / sqrt(c) to the last
-bit, and the block evaluates that column alone, a c-th of its psi
-(`_dominant_column`; the proof is at `_combo_block_log_values`).  Block 1
-(c = 1) is always one column; block 2 is recombined only for
-9.45 < |x| < 19.7, block 8 only for 609 < |x| < 1217, besides x = 0 and
-|x| past 5.7e8, where every term of blocks 2 on is 0.0.
+Block 1 (c = 1) is its psi values; every other block is sign-recombined.
 """
 
 from __future__ import annotations
@@ -52,15 +45,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# A combo block collapses to one column (`_dominant_column`) when that
-# column's psi leads its neighbours' by over this many e-folds in every
-# row, plus _COLLAPSE_ULPS x^2 for the rounding of the -x^2 term.  The
-# proof at `_combo_block_log_values` needs e^-T' / (1 - e^-T') < 2^-54 of
-# the computed gaps T' (so T' > 38), and the rounding of the logs spends
-# under 1e-3 of the 12 units to spare.
-_COLLAPSE_GAP = 50.0
-_COLLAPSE_ULPS = 2.0**-46
-
 
 class Expansion:
     """Ordered collection of weighted basis functions.
@@ -72,9 +56,7 @@ class Expansion:
     and its float sign pattern (8 c^2 bytes).  With c = r / 135 that is
     8 + 8/135 bytes per term of the touched blocks, under twice
     ``log_weights``.  The cached arrays are read-only and no returned
-    array aliases them; ``build_combo`` fills none of them.  A block off
-    the point's mode reads one column's slice of its half and one column
-    of its signs, and is not recombined (module docstring).
+    array aliases them; ``build_combo`` fills none of them.
     """
 
     def __init__(
@@ -201,55 +183,19 @@ def _combo_block_log_values(block: _ComboBlock, x: float) -> tuple[np.ndarray, n
     """(signs, log mags) of all un-normalised combos of one block at x,
     ordered (row, slot) row-major.
 
-    Slot s of row h is sum_k S[s, k] psi_{y + h + k r}(x) / sqrt(c).  Where
-    `_dominant_column` names a column k*, every combo of the block is
-    S[s, k*] psi_{y + h + k* r}(x) / sqrt(c) to the last bit, so only
-    column k*'s r values of psi are evaluated, on a slice of the cached
-    index half: each sign is S[s, k*] times psi's, each log psi's minus
-    (ln c) / 2, with no anchor, exp, gemm, cancellation mask or log.  The
-    recombination below, which every other block takes, gives those bits:
-
-    1. Delta(j) = ln|psi_{j+1}(x)| - ln|psi_j(x)| = (ln 2 x^2 - ln(j + 1)) / 2
-       falls with j.  The gap between columns k and k + 1 in row h is
-       minus the sum of the r Delta's from y + h + k r, so k* leads column
-       k* + 1 by the least at row 0, and column k* - 1 by the least at row
-       r - 1: the rows `_dominant_column` tests, each gap by over T
-       (= _COLLAPSE_GAP) plus 2^-46 x^2.  Each further column trails the
-       one before by at least as much again, so a column m steps from k*
-       trails k* by over m T in every row.
-    2. A computed log is off the exact one by a few ulps of its terms:
-       under 1e-3 from k ln|x| and ln k! up to block 12 (a subnormal x
-       included), plus half an ulp of x^2 in the final subtraction, which
-       the 2^-46 x^2 covers with room to spare (the rounding of x^2 itself
-       is common to every log of one call, so it leaves the gaps alone).
-       So in every row the anchor is column k*'s log, its scaled entry is
-       +-1 exactly, and the others sum to below
-       e^-(T - 1) / (1 - e^-(T - 1)) < 2^-54, under half an ulp of 1.
-    3. S's entries are +-1, so each product is exact, and every partial sum
-       of the gemm, in any BLAS order and with or without FMA, is a sum of
-       those tiny entries or +-1 plus one, which rounds to +-1: each sum is
-       exactly S[s, k*] times psi's sign.  Then mags is 1.0 (alive), log(1.0)
-       is 0.0, and anchor + 0.0 - (ln c) / 2 is the collapsed log: a log of
-       psi is never -0.0, which adding 0.0 would flip.
-    4. The edges.  At c = 1 there is no neighbour to test, so block 1
-       always collapses, and the recombination with [[1]] is the identity.
-       There a dead row (psi's log -inf, a dead anchor) occurs only at
-       x = 0, where `basis.log_psi` gives the sign 0 too, and 0.0 * 1.0 is
-       +0.0.  An x whose x^2 overflows (every log -inf, every sign +-1)
-       never collapses, and for c > 1 neither does x = 0 (each gap is
-       -inf - -inf, NaN); a subnormal x collapses with finite logs.
+    Slot s of row h is sum_k S[s, k] psi_{y + h + k r}(x) / sqrt(c).  A
+    computed log is off the exact one by under 1e-3 e-folds up to block 12
+    (from k ln|x| and ln k!, a subnormal x included).  Block 1 (c = 1,
+    S = [[1]]) returns its psi values, the recombination's bits, except
+    where x^2 overflows: there every log is -inf and the recombination
+    gives sign 0, not psi's +-1.
     """
     spec = block.spec
-    k = _dominant_column(spec, x)
-    if k is not None:
-        column = slice(k * spec.r, (k + 1) * spec.r)
-        ramp = np.arange(spec.y + column.start, spec.y + column.stop, dtype=np.float64)
-        psign, lpsi = basis.log_psi_from_half(ramp, block.half[column], x)
-        signs = psign[:, None] * block.signs[:, k]  # (row, slot)
-        return signs.reshape(-1), np.repeat(lpsi - 0.5 * math.log(spec.c), spec.c)
     # the index ramp is made per call: kept, it would add 8 B per term
     ramp = np.arange(spec.y, spec.next_start, dtype=np.float64)
     psign, lpsi = basis.log_psi_from_half(ramp, block.half, x)
+    if spec.c == 1 and x * x < math.inf:
+        return psign, lpsi
     del ramp  # so a deep block's recombination holds the cached half in its place
     # index y + h + k*r sits at flat position k*r + h -> reshape to (c, r)
     lv = lpsi.reshape(spec.c, spec.r)
@@ -275,38 +221,11 @@ def _combo_block_log_values(block: _ComboBlock, x: float) -> tuple[np.ndarray, n
     return signs.T.reshape(-1), logs.T.reshape(-1)
 
 
-def _dominant_column(spec: blocks.BlockSpec, x: float) -> int | None:
-    """The column k* of block n whose psi each combo copies at x, or None
-    if the block must be recombined (proof at `_combo_block_log_values`).
-
-    k* is the column that holds the mode 2 x^2, clamped into the block.  It
-    is named when its psi leads column k* + 1's at row 0 and column
-    k* - 1's at row r - 1 (where each exists) by over T plus 2^-46 x^2,
-    with the scalar `_log_abs_psi`, as `Expansion._log_sup` takes it.
-    So only column 0 or c - 1 is ever named: for 0 < k* < c - 1 the two
-    gaps sum to Delta(a - 1) - Delta(a + r - 1) = ln(1 + r / a) / 2 <= ln 2 / 2,
-    below 2 T, with a = y + k* r >= r.
-    """
-    sq = x * x
-    if sq == math.inf:  # every log is -inf, but psi's signs are +-1
-        return None
-    r = spec.r
-    k = (int(min(max(2.0 * sq, spec.y), spec.next_start - 1)) - spec.y) // r
-    lo = spec.y + k * r  # column k*'s entry in row 0
-    margin = _COLLAPSE_GAP + _COLLAPSE_ULPS * sq
-    if k + 1 < spec.c and not _log_abs_psi(lo, x) - _log_abs_psi(lo + r, x) > margin:
-        return None
-    if k > 0 and not _log_abs_psi(lo + r - 1, x) - _log_abs_psi(lo - 1, x) > margin:
-        return None
-    return k
-
-
 def _log_abs_psi(k: int, x: float) -> float:
     """log |psi_k(x)| = (k ln(2 x^2) - ln k!) / 2 - x^2.  Scalar arithmetic
     in another order, so not bit-equal to basis.log_psi: it feeds only the
-    skip rule, whose threshold leaves a 20-unit margin, and the collapse
-    rule, whose gaps leave 12, and a numpy call on one index costs ten
-    times more."""
+    skip rule, whose threshold leaves a 20-unit margin, and a numpy call on
+    one index costs ten times more."""
     if x == 0.0:  # psi_k(0) = 0 for every k >= 1
         return 0.0 if k == 0 else -math.inf
     return 0.5 * (k * (_LN2 + 2.0 * math.log(abs(x))) - log_factorial(k)) - x * x

@@ -86,9 +86,9 @@ PAIR_PATHS = ("head", "narrow", "wide", "disjoint")
 # Most (x, y) pairs a grid report evaluates; the CLI's default grid has 625.
 MAX_GRID_PAIRS = 10**6
 
-# Most bytes a raw or bounded grid report holds in its columns: each grid
-# column keeps full-horizon (signs, logs), 16 bytes per term.  Combo columns
-# hold the blocks their pairs sum, and are not counted against it.
+# Most bytes a grid report holds in its columns, 16 per term of (signs,
+# logs): a raw or bounded column keeps its full horizon, a combo column at
+# most its blocks that reach _LOG_WIDE (`_column_bytes`).
 MAX_COLUMN_BYTES = 2**29
 
 
@@ -209,6 +209,15 @@ def _columns(e: Expansion, px: _Point, py: _Point, numbers: list[int]):
     """`_accumulate`'s arguments for the blocks ``numbers``, from the points' values."""
     parts = [(e.log_weights[slice(*e._spans[n - 1][:2])], *px.block(n), *py.block(n)) for n in numbers]
     return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+
+
+def _column_bytes(e: Expansion, p: _Point) -> int:
+    """Most bytes of block values a combo grid column at y = p.x can hold:
+    16 r_n c_n for each block with ln c_n + ln M_n(y) >= _LOG_WIDE.  Every
+    block a pair (x, y) sums is among them, as min(M_n(x), M_n(y)) <= M_n(y)."""
+    spans = e._spans
+    return sum(16 * (spans[i][1] - spans[i][0]) for i, sup in enumerate(p.log_sups(_LOG_WIDE))
+               if spans[i][2] + sup >= _LOG_WIDE)
 
 
 def _head_sum(e: Expansion, px: _Point, py: _Point, narrow: list[int]) -> float | None:
@@ -382,8 +391,8 @@ def grid_report(
     For eta != 1 inputs are rescaled by 1/sqrt(eta) at this edge; the
     expansion itself always lives at unit width.  Rows are produced in
     grid order, x outer; no grid point lies past its range's end.  A grid
-    of more than MAX_GRID_PAIRS pairs, or raw or bounded columns of more
-    than MAX_COLUMN_BYTES, raises RangeError before any point is built.
+    of more than MAX_GRID_PAIRS pairs, or columns that can hold more than
+    MAX_COLUMN_BYTES, raises RangeError before any basis value is made.
     Every pair goes through :func:`_pair_sum`; a grid point keeps each of
     its block values, and its ln M_n, once made.
     """
@@ -404,6 +413,12 @@ def grid_report(
             f"{ny} grid columns of {horizon} terms exceed {MAX_COLUMN_BYTES} bytes"
         )
     by = [_Point(e, y * scale) for y in ys]
+    if e.scheme == "combo":
+        held = sum(_column_bytes(e, p) for p in by)
+        if held > MAX_COLUMN_BYTES:
+            raise RangeError(
+                f"{ny} grid columns of up to {held} bytes of block values exceed {MAX_COLUMN_BYTES} bytes"
+            )
     rows = []
     paths = dict.fromkeys(PAIR_PATHS, 0)
     for x in xs:

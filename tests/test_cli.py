@@ -239,12 +239,14 @@ class TestExitCodes:
             (["reconstruct", "--range", "5:1"], "empty grid range"),
             (["reconstruct", "--scheme", "raw", "--horizon", "3000000"],
              "25 grid columns of 3000000 terms exceed 536870912 bytes"),
+            (["reconstruct", "--scheme", "combo", "--max-block", "8", "--range", "900:1100", "--step", "2"],
+             "101 grid columns of up to 3574333440 bytes of block values exceed 536870912 bytes"),
             (["norms", "--scheme", "raw", "--horizon", "1000001"], "--horizon 1000001 exceeds 1000000 table rows"),
             (["norms", "--scheme", "bounded", "--k-max", "10000001"], "--k-max 10000001 exceeds 1000000 table rows"),
             (["bumpcheck", "--indices", ","], "no indices given"),
         ],
-        ids=["range-malformed", "range-empty", "reconstruct-columns", "norms-raw-rows", "norms-bounded-rows",
-             "bumpcheck-no-indices"],
+        ids=["range-malformed", "range-empty", "reconstruct-columns", "reconstruct-combo-columns", "norms-raw-rows",
+             "norms-bounded-rows", "bumpcheck-no-indices"],
     )
     def test_documented_limit_exits_in_one_line(self, tmp_path, capsys, argv, message):
         # the same limits as the capped child runs above, in process

@@ -268,20 +268,6 @@ def _fresh_copy(e):
                      max_block=e.max_block)
 
 
-def _crossing(spec, lo, hi):
-    """The adjacent positive doubles a < b in [lo, hi] at which
-    _dominant_column(spec, .) first changes, by bisection on their bit
-    patterns (ordered as the doubles are)."""
-    a, b = (int(np.float64(v).view(np.int64)) for v in (lo, hi))
-    at = lambda bits: expansion._dominant_column(spec, float(np.int64(bits).view(np.float64)))
-    first = at(a)
-    assert at(b) != first
-    while b - a > 1:
-        m = (a + b) // 2
-        a, b = (m, b) if at(m) == first else (a, m)
-    return tuple(float(np.int64(v).view(np.float64)) for v in (a, b))
-
-
 class TestConstantCache:
     """Each expansion computes its point-independent constants once; every
     later point gives the bits of a fresh basis.log_psi evaluation."""
@@ -303,10 +289,11 @@ class TestConstantCache:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_combo_block_bits_match_fresh_recombination(self, combo8, n):
-        # block 1 always collapses to its one column; the oracle recombines
-        # it with [[1]]
+        # the oracle recombines every block, block 1 with [[1]].  6.2e9: block
+        # 2's recombined logs tie there; 1e154: x^2 is finite, 1e155 and
+        # +-1e200: it overflows, every log is -inf and psi's signs are +-1
         spec = block_spec(n)
-        points = CACHE_POINTS + ((1e200, -1e200) if n == 1 else ())
+        points = CACHE_POINTS + (6165753934.371338, 1e154, 1e155, 1e200, -1e200)
         for i, x in enumerate(points):
             want = _bits(_fresh_combo_block(spec, x))
             if i == 0 or n < 8:  # an empty cache; at block 8 (0.1 s a fill) once
@@ -315,63 +302,20 @@ class TestConstantCache:
             assert _bits(expansion._combo_block_log_values(e._combo_block(n), x)) == want
             assert _bits(expansion._combo_block_log_values(e._combo_block(n), x)) == want
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_collapse_boundary_bits_match_fresh_recombination(self, combo8, n):
-        # on both sides of each point where _dominant_column changes
-        # (column 0 -> None -> column c-1 -> None as x grows), of their
-        # negative twins and of the edge values, a block has the bits of
-        # its full recombination
-        spec = block_spec(n)
-        tiny, end = 5e-324, math.sqrt(spec.next_start)  # mode 2 next_start
-        sides = [side for lo, hi in ((tiny, math.sqrt((spec.y + spec.r) / 2)),
-                                     (math.sqrt((spec.y + (spec.c - 1) * spec.r) / 2), end),
-                                     (end, 1e154))
-                 for side in _crossing(spec, lo, hi)]
-        assert [expansion._dominant_column(spec, x) for x in sides] == [
-            0, None, None, spec.c - 1, spec.c - 1, None]
-        # 6.2e9: without the 2^-46 x^2 allowance, block 2 collapsed here but
-        # its recombined logs tie; 1e155: x^2 overflows, (2^-46 x) x does not
-        edges = (0.0, -0.0, 5e-324, 6165753934.371338, 1e155, 1e200, -1e200)
-        e = _fresh_copy(combo8)
-        for x in [*sides, *(-x for x in sides), *edges]:
-            want = _bits(_fresh_combo_block(spec, x))
-            assert _bits(expansion._combo_block_log_values(e._combo_block(n), x)) == want, x
-
-    @pytest.mark.parametrize("n", range(3, 9))
-    def test_collapse_names_only_an_end_column(self, n):
-        # a middle column's two gaps sum to ln(1 + r / a) / 2 < 2 T, so a
-        # block whose mode lies in a middle column is always recombined
-        spec = block_spec(n)
-        for k in range(1, spec.c - 1):
-            for p in (spec.y + k * spec.r, spec.y + k * spec.r + spec.r // 2,
-                      spec.y + (k + 1) * spec.r - 1):
-                assert expansion._dominant_column(spec, math.sqrt(p / 2)) is None
-        for x in np.geomspace(1e-3, 1e8, 2000):
-            assert expansion._dominant_column(spec, x) in (None, 0, spec.c - 1)
-
-    def test_collapse_fires_where_the_work_is(self, monkeypatch):
-        # combo-pairs' points (|x| <= 3, blocks 1-2 of build_combo(7))
-        # evaluate one column of block 2, 270 of its 540 psi values; x = 0
-        # itself, where every psi of block 2 is 0, is recombined
-        e = build_combo(7)
-        spec2 = block_spec(2)
-        for x in np.linspace(-3.0, 3.0, 600):
-            assert expansion._dominant_column(spec2, x) is not None
-        sizes = []
-        real = expansion.basis.log_psi_from_half
-        monkeypatch.setattr(expansion.basis, "log_psi_from_half",
-                            lambda ks, half, x: sizes.append(len(ks)) or real(ks, half, x))
-        for x in (-3.0, -0.4, 0.3, 2.9):
-            p = _Point(e, x)
-            for n in _reaching(e, p, p, _LOG_NEGLIGIBLE):  # blocks 1 and 2
-                p.block(n)
-        assert sizes == [135, 270] * 4
-        # every block below the mode's collapses, and the mode's block does not
-        for x, mode_block in ((24.0, 3), (1000.0, 8)):
-            assert block_spec(mode_block).y <= 2 * x * x < block_spec(mode_block).next_start
-            for n in range(1, mode_block):
-                assert expansion._dominant_column(block_spec(n), x) == block_spec(n).c - 1
-            assert expansion._dominant_column(block_spec(mode_block), x) is None
+    def test_block_1_is_its_psi_values(self):
+        # block 1 is evaluated without the recombination: its combos are
+        # psi_0 .. psi_134, bit for bit, wherever x^2 is finite
+        e = build_combo(1)
+        ks = np.arange(135.0)
+        for x in CACHE_POINTS + (-1e-160, 6165753934.371338, 1e154, -1e154):
+            assert _bits(expansion._combo_block_log_values(e._combo_block(1), x)) == _bits(log_psi(ks, x))
+        # where x^2 overflows it is the recombination, whose sign is 0
+        # exactly where its log is -inf, though psi's own sign is +-1
+        for x in (1e155, 1e200, -1e200):
+            signs, logs = expansion._combo_block_log_values(e._combo_block(1), x)
+            assert _bits((signs, logs)) == _bits(_fresh_combo_block(block_spec(1), x))
+            assert np.array_equal(signs == 0.0, logs == -np.inf)
+            assert np.all(log_psi(ks, x)[0] != 0.0)
 
     @pytest.mark.parametrize("x", CACHE_POINTS[:7] + (1e200,))
     def test_combo_values_match_fresh_blocks(self, x):

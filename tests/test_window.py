@@ -533,6 +533,51 @@ def test_head_reads_past_the_mode_block(combo8, made_blocks):
         assert _bits(value) == _bits(full.sum(x, y)), (x, y)
 
 
+@pytest.mark.parametrize("n,pairs,narrow", [
+    (6, ((150.0, -150.0), (148.0, -148.3)), [5, 6]),
+    (5, ((75.0, -75.0),), [4, 5]),
+])
+def test_cancelling_pairs_recombine_the_block_past_the_mode(n, pairs, narrow):
+    # each point's mode 2 x^2 lies in block n - 1, just below block n's
+    # first index, and the pair's narrow list also holds block n, whose
+    # first column leads the rest there: it is recombined like every block
+    # past block 1, and the sum keeps the full-horizon bits
+    e = build_combo(n)
+    full = _Full(e)
+    for x, y in pairs:
+        px, py = _Point(e, x), _Point(e, y)
+        assert _reaching(e, px, py, _LOG_NEGLIGIBLE) == narrow, (x, y)
+        for v in (x, y):
+            assert block_spec(n - 1).y <= 2 * v * v < block_spec(n).y
+        assert _bits(series_kernel(e, x, y)) == _bits(full.sum(x, y)), (x, y)
+
+
+def test_combo_grid_columns_capped_before_any_block(combo8, made_blocks):
+    # each of the 101 columns of 900:1100 may hold block 8, 35 MB: 3.4 GB
+    # in all.  The grid fails before any block value is made, and the
+    # 11 columns of 990:1010 (389 MB) stay under the cap
+    made, _sliced = made_blocks
+    with pytest.raises(RangeError, match="101 grid columns of up to 3574333440 bytes"):
+        grid_report(combo8, (900.0, 1100.0), (900.0, 1100.0), 2.0)
+    assert made == []
+    by = [_Point(combo8, y) for y in (990.0 + 2.0 * i for i in range(11))]
+    assert sum(reconstruct._column_bytes(combo8, p) for p in by) <= reconstruct.MAX_COLUMN_BYTES
+
+
+def test_combo_column_bytes_bound_the_blocks_made(made_blocks):
+    # every block a grid makes at a column's point, on the head, narrow and
+    # wide paths (162/247/20/12 pairs), is among those _column_bytes counts
+    e = build_combo(3)
+    made, _sliced = made_blocks
+    rep = grid_report(e, (-40.0, 40.0), (-40.0, 40.0), 4.0)
+    assert dict(rep.pair_paths)["wide"] > 0
+    spans = e._spans
+    for y in {row[1] for row in rep.rows}:
+        held = {n for v, n in made if v == y}
+        assert sum(16 * (spans[n - 1][1] - spans[n - 1][0]) for n in held) <= \
+            reconstruct._column_bytes(e, _Point(e, y)), y
+
+
 class TestPairPaths:
     def test_report_counts_every_path(self):
         e = build_combo(5)

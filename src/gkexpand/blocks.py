@@ -272,13 +272,34 @@ def row_sup_norms(
     first peak's +-2 window and over any later window its bound cannot rule
     out.  The peak heights fall with k, and the grid maximum lies in the
     first window on every row tested; the later windows come within 3.7e-4
-    of it at block 12.  The golden-section refinements to 1e-10, one per
-    slot on its best grid point +-GRID_STEP, then run in lockstep
-    (`optimize.golden_max`): each step evaluates the whole row once for
-    every slot in one batch (`_combo_abs_at`: every bracket lies within
-    WINDOW_HALFWIDTH + GRID_STEP of a peak sqrt(k/2) >= sqrt(67.5), so at
-    x > 0), 36 batched evaluations per row under one errstate.  The index
-    half of log psi is computed once for the row and serves every evaluation.
+    of it at block 12.  Each best grid point x is then refined by
+    golden-section search to 1e-10 on x +- GRID_STEP, all searches of the
+    row in lockstep in one `optimize.golden_max` call (36 evaluations,
+    under one errstate).  Every bracket lies within WINDOW_HALFWIDTH +
+    GRID_STEP of a peak sqrt(k/2) >= sqrt(67.5), so its probes are at x > 0.
+
+    Where `_single_column` certifies x's bracket for a column k, |combo|
+    of every slot is psi_k / sqrt(c) at each probe, bit for bit:
+    - the probes lie in [a, b] = [x - 2 GRID_STEP, x + 2 GRID_STEP], and
+      the peaks of psi_{k-1} and psi_{k+1} lie outside it, so psi_k, being
+      unimodal, is at least min(psi_k(a), psi_k(b)) there;
+    - each psi_j with j > k rises on [a, b], and psi_j(b)^2 is a
+      Poisson(2 b^2) pmf past its mode, so sum_{j>k} psi_j <= (c - 1 - k)
+      psi_{k+1}(b); likewise sum_{j<k} psi_j <= k psi_{k-1}(a);
+    - the certificate asks ln(that bound) + ln 2 < ln min psi_k - 54 ln 2,
+      the ln 2 covering the computed logs' error (under 1e-3 e-folds
+      through block 12) and exp's rounding;
+    - so the other columns sum, in any order, to less than 2^-54 of the
+      computed psi_k, below half an ulp of it, and the row sum over exact
+      +-1 products of `_combo_abs_at` is +-psi_k.
+    The slots sharing such an x then share one search, on psi_k alone, by
+    `_combo_abs_at`'s per-element operations in its order (`math.log`,
+    `basis.log_abs_psi_terms` on floats, one `np.exp`, times c^(-1/2)).
+    The other slots (on every row tested, block-2 rows 263-269 only) each
+    keep a search on the whole row, batched in `_combo_abs_at`.  A
+    refinement that ends below a slot's grid value gives way to the grid
+    point.  The index half of log psi is computed once for the row and
+    serves every evaluation.
     """
     spec = block_spec(n)
     slots = range(spec.c) if slots is None else list(slots)
@@ -294,21 +315,58 @@ def row_sup_norms(
     tops, at = _window_maxima(srows, idx, half)
     best_x, best_v = at.tolist(), tops.tolist()
 
+    # the shared searches first, one per certified grid point, then one per
+    # slot whose grid point is not certified
+    columns = {x: _single_column(idx, half, x) for x in dict.fromkeys(best_x)}
+    shared = [x for x, k in columns.items() if k is not None]
+    terms = [(float(idx[columns[x]]), float(half[columns[x]])) for x in shared]
+    alone = [i for i, x in enumerate(best_x) if columns[x] is None]
+    rows = srows[alone]
+
+    def f(xs: list[float]) -> list[float]:
+        ys = [float(np.exp(basis.log_abs_psi_terms(k, hk, math.log(p), p * p))) * scale
+              for (k, hk), p in zip(terms, xs)]
+        if alone:
+            ys += _combo_abs_at(rows, idx, half, scale, xs[len(terms):]).tolist()
+        return ys
+
     # golden_max needs one step count for all searches; each here takes 35
     # steps (36 evaluations): a bracket x +- GRID_STEP is 2 GRID_STEP wide to
     # within 2 ulp(x) <= 7.3e-12 (block 12's farthest peak, x ~ 19,429), so
     # its count ceil(ln(XTOL / width) / ln(1 / phi)) is that of 34.94 +- 1e-8.
-    def f(xs: list[float]) -> list[float]:
-        return _combo_abs_at(srows, idx, half, scale, xs).tolist()
-
+    points = shared + [best_x[i] for i in alone]
     with np.errstate(under="ignore"):
-        refined = golden_max(f, [(x - basis.GRID_STEP, x + basis.GRID_STEP) for x in best_x])
+        refined = golden_max(f, [(x - basis.GRID_STEP, x + basis.GRID_STEP) for x in points])
+    by_point = dict(zip(shared, refined))
+    per_slot = iter(refined[len(shared):])
     out = []
-    for s, (x_star, v_star), x, v in zip(slots, refined, best_x, best_v):
+    for s, x, v in zip(slots, best_x, best_v):
+        x_star, v_star = by_point[x] if x in by_point else next(per_slot)
         if v_star < v:  # refinement may only improve on the grid point
             x_star, v_star = x, v
         out.append((s, x_star, v_star))
     return out
+
+
+def _single_column(idx: np.ndarray, half: np.ndarray, x: float) -> int | None:
+    """The column k whose psi_k alone gives every combo of the row its
+    |value| at each refinement probe of x +- GRID_STEP, or None where the
+    certificate of `row_sup_norms` fails.  ``half`` is the index half of
+    ``idx``."""
+    c = len(idx)
+    a, b = x - 2.0 * basis.GRID_STEP, x + 2.0 * basis.GRID_STEP
+    centres = np.sqrt(idx / 2.0)
+    k = int(np.abs(centres - x).argmin())
+    if (k > 0 and centres[k - 1] >= a) or (k < c - 1 and centres[k + 1] <= b):
+        return None
+    # psi_k at a and b, psi_{k+1} at b and psi_{k-1} at a, each neighbour
+    # times its column count; a clipped neighbour counts 0 times
+    cols = np.clip([k, k, k + 1, k - 1], 0, c - 1)
+    pts = np.array([a, b, b, a])
+    logs = basis.log_abs_psi_terms(idx[cols], half[cols], np.log(pts), pts * pts)
+    with np.errstate(divide="ignore"):
+        rest = np.logaddexp.reduce(np.log([c - 1.0 - k, k]) + logs[2:])
+    return k if rest + 55.0 * math.log(2.0) < min(logs[0], logs[1]) else None
 
 
 def _window_maxima(

@@ -2,9 +2,12 @@
 
 `golden_steps` is the search itself, as a generator of probe points, so
 that `golden_max` can step several searches in lockstep and evaluate all
-their probes in one call: `blocks.row_sup_norms` refines every slot of a
-row this way, 36 calls of its row evaluator `blocks._combo_abs_at` (x > 0,
-one probe per slot, one errstate for the search) instead of 36 per slot.
+their probes in one call: `blocks.row_sup_norms` refines a row this way,
+one call of 36 steps.  Slots whose bracket one column certifies share one
+search on that column's psi alone; only the other slots, each its own
+search, are evaluated in a batch by the row evaluator
+`blocks._combo_abs_at` (x > 0, one probe per slot, one errstate for the
+search), 36 calls for all of them instead of 36 per slot.
 """
 
 from __future__ import annotations

@@ -493,6 +493,35 @@ def _spy(monkeypatch, owner, name):
     return calls
 
 
+def _golden_spy(monkeypatch, rig=None):
+    """Replace blocks.golden_max with a wrapper that records each call's
+    brackets and the probe lists its f is called with; ``rig(xs, ys)``,
+    if given, replaces f's values."""
+    calls = []
+
+    def spy(f, brackets):
+        probes = []
+        calls.append((list(brackets), probes))
+
+        def g(xs):
+            probes.append(list(xs))
+            ys = f(xs)
+            return ys if rig is None else rig(xs, ys)
+
+        return golden_max(g, brackets)
+
+    monkeypatch.setattr(blocks, "golden_max", spy)
+    return calls
+
+
+def _row_grid_maxima(n, h, slots):
+    """(idx, half, grid points of the slots' maxima) of row h of block n."""
+    idx = np.asarray(row_indices(block_spec(n), h), dtype=np.float64)
+    half = basis.log_index_half(idx)
+    _tops, at = blocks._window_maxima(sign_rows(n, slots).astype(np.float64), idx, half)
+    return idx, half, at.tolist()
+
+
 def _window_scans(calls):
     """How many of the recorded log_psi_from_half calls scan a whole
     window's grid."""
@@ -611,17 +640,21 @@ class TestLocalScan:
 
     def test_scan_evaluates_three_columns_per_window(self, monkeypatch):
         calls = _spy(monkeypatch, basis, "log_psi_from_half")
-        golden = _spy(monkeypatch, blocks, "_combo_abs_at")
+        rows = _spy(monkeypatch, blocks, "_combo_abs_at")
+        golden = _golden_spy(monkeypatch)
         row_sup_norms(7, 4321, (0, 17, 40, 63))
         grid = [np.broadcast_shapes(np.shape(k), np.shape(x)) for k, _half, x in calls if np.ndim(x)]
         # window 0's columns 0 and 1 on its 4,001 grid points, then 7 bound
         # points for each of the 63 later windows: 8,443 values, not 190 x
         # 4,001
         assert grid == [(2, 4001), (63, 7)]
-        # golden-section refinement: the 4 slots' searches run in lockstep,
-        # 36 evaluations of the whole row for all 4 at once
-        assert len(golden) == 36
-        assert all(np.shape(srows) == (4, 64) and len(xs) == 4 for srows, _i, _h, _s, xs in golden)
+        # golden-section refinement: the 4 slots share one grid point, whose
+        # bracket one column certifies, so one search of 36 evaluations on
+        # that column alone, and no evaluation of the whole row
+        assert len(golden) == 1
+        (brackets, probes), = golden
+        assert len(brackets) == 1 and len(probes) == 36
+        assert rows == []
 
     def test_batched_combo_keeps_each_rows_bits(self):
         # each row of _combo_abs_at is the earlier one-point evaluation:
@@ -675,32 +708,47 @@ class TestLocalScan:
         assert math.sqrt(block_spec(n).y / 2.0) - WINDOW_HALFWIDTH - basis.GRID_STEP > 0.0
 
     def test_refinement_probes_stay_above_six(self, monkeypatch):
-        # the first row of block 2 has the smallest peak, sqrt(67.5) ~ 8.22
-        calls = _spy(monkeypatch, blocks, "_combo_abs_at")
-        row_sup_norms(2, 0, range(2))
-        assert len(calls) == 36
-        assert min(min(xs) for *_args, xs in calls) > 6.0
+        # the first row of block 2 has the smallest peak, sqrt(67.5) ~ 8.22;
+        # row 0's slots share one certified search, row 265's take one each
+        for h, searches in ((0, 1), (265, 2)):
+            golden = _golden_spy(monkeypatch)
+            row_sup_norms(2, h, range(2))
+            (brackets, probes), = golden
+            assert len(brackets) == searches
+            assert len(probes) == 36 and all(len(xs) == searches for xs in probes)
+            assert min(a for a, _b in brackets) > 6.0
+            assert min(min(xs) for xs in probes) > 6.0
 
     def test_refinement_falls_back_per_slot(self, monkeypatch):
-        # a slot whose refinement ends below its grid value keeps the grid
-        # point; the other slots keep their refined values
+        # a search that ends below its grid value gives way to the grid
+        # point: for every slot sharing a certified search, and for one
+        # slot alone where the row is not certified
         slots = (0, 17, 40, 63)
-        refined = row_sup_norms(7, 4321, slots)
         spec = block_spec(7)
         idx = np.asarray(row_indices(spec, 4321), dtype=np.float64)
         srows = sign_rows(7, slots).astype(np.float64)
         tops, at = blocks._window_maxima(srows, idx, basis.log_index_half(idx))
+        refined = row_sup_norms(7, 4321, slots)
+        _golden_spy(monkeypatch, rig=lambda _xs, ys: [0.0] * len(ys))
+        got = row_sup_norms(7, 4321, slots)
+        assert got == [(s, float(x), float(v)) for s, x, v in zip(slots, at, tops)]
+        assert all(v > top for (_s, _x, v), top in zip(refined, tops))
+        monkeypatch.undo()
+
+        refined = row_sup_norms(2, 265, (0, 1))
         combo_abs_at = blocks._combo_abs_at
 
-        def below_on_slot_17(rows, *args):
+        def below_on_slot_1(rows, *args):
             vals = combo_abs_at(rows, *args)
-            vals[(rows == srows[1]).all(axis=1)] = 0.0
+            vals[1] = 0.0
             return vals
 
-        monkeypatch.setattr(blocks, "_combo_abs_at", below_on_slot_17)
-        got = row_sup_norms(7, 4321, slots)
-        assert got[1] == (17, float(at[1]), float(tops[1]))
-        assert [got[i] for i in (0, 2, 3)] == [refined[i] for i in (0, 2, 3)]
+        monkeypatch.setattr(blocks, "_combo_abs_at", below_on_slot_1)
+        got = row_sup_norms(2, 265, (0, 1))
+        spec = block_spec(2)
+        idx = np.asarray(row_indices(spec, 265), dtype=np.float64)
+        tops, at = blocks._window_maxima(sign_rows(2).astype(np.float64), idx, basis.log_index_half(idx))
+        assert got == [refined[0], (1, float(at[1]), float(tops[1]))]
         assert refined[1][2] > tops[1]
 
     def test_index_half_computed_once_per_row(self, monkeypatch):
@@ -717,6 +765,78 @@ class TestLocalScan:
         assert [s for s, _x, _v in result] == [0, spec.c - 1]
         for _s, _x, v in result:
             assert lo <= v * v * spec.c * math.sqrt(2.0 * math.pi * (spec.y + h)) <= hi
+
+
+class TestSharedSearch:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_certificate_holds_on_sampled_rows(self, n):
+        # the first, middle and last rows: each grid maximum's bracket is
+        # certified for the column of the first peak
+        spec = block_spec(n)
+        for h in (0, spec.r // 2, spec.r - 1):
+            idx, half, xs = _row_grid_maxima(n, h, _edge_slots(spec.c))
+            assert [blocks._single_column(idx, half, x) for x in xs] == [0] * len(xs)
+
+    def test_certificate_fails_on_block2_tail_rows(self):
+        # block 2's last rows have their two peaks closest: psi_1 comes
+        # within 2^-55 of psi_0 on the bracket from row 263 on
+        for h in range(255, 270):
+            idx, half, xs = _row_grid_maxima(2, h, (0, 1))
+            want = 0 if h < 263 else None
+            assert [blocks._single_column(idx, half, x) for x in xs] == [want, want], h
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_certificate_fails_between_peaks(self, n):
+        spec = block_spec(n)
+        idx = np.asarray(row_indices(spec, spec.r // 2), dtype=np.float64)
+        half = basis.log_index_half(idx)
+        centres = np.sqrt(idx / 2.0)
+        for k in range(min(spec.c - 1, 4)):
+            mid = float(centres[k] + centres[k + 1]) / 2.0
+            assert blocks._single_column(idx, half, mid) is None
+            assert blocks._single_column(idx, half, float(centres[k])) == k
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_shared_values_are_every_slots_row_values(self, monkeypatch, n):
+        # at every probe of a shared search, its value has the bits of the
+        # whole-row evaluation of each slot sharing it (block 2's last
+        # certified row is 262)
+        spec = block_spec(n)
+        slots = _edge_slots(spec.c)
+        srows = sign_rows(n, slots).astype(np.float64)
+        for h in (0, spec.r // 2, spec.r - 1 if n > 2 else 262):
+            idx = np.asarray(row_indices(spec, h), dtype=np.float64)
+            half = basis.log_index_half(idx)
+            seen = []
+            _golden_spy(monkeypatch, rig=lambda xs, ys: seen.append((xs, ys)) or ys)
+            row_sup_norms(n, h, slots)
+            assert len(seen) == 36
+            for (x,), (y,) in seen:
+                with np.errstate(under="ignore"):
+                    rows = blocks._combo_abs_at(srows, idx, half, spec.c**-0.5, [x] * len(slots))
+                assert [v.hex() for v in rows.tolist()] == [y.hex()] * len(slots), (h, x)
+
+    def test_bits_match_full_row_scan_on_both_paths(self):
+        # rows 255-262 take the shared search, rows 263-269 one each
+        for h in range(255, 270):
+            assert_scan_matches(2, h, (0, 1))
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_sampled_rows_match_local_scan(self, n):
+        spec = block_spec(n)
+        slots = (0, 1, spec.c // 2, spec.c - 1)
+        rng = np.random.default_rng(n)
+        for h in rng.integers(0, spec.r, 2).tolist():
+            assert_scan_matches(n, h, slots, local_scan_sup_norms)
+
+    def test_lone_exp_keeps_array_bits(self):
+        # the shared search takes np.exp of one float at a time, and
+        # _combo_abs_at of a whole array: the bits agree
+        logs = np.random.default_rng(35).uniform(-740.0, 5.0, 100_000)
+        with np.errstate(under="ignore"):
+            arr = np.exp(logs).tolist()
+            lone = [float(np.exp(v)) for v in logs.tolist()]
+        assert lone == arr
 
 
 def _recording(fs, probes):

@@ -138,9 +138,9 @@ def log_psi_from_half(ks, half, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_abs_psi_terms(kf: np.ndarray, half, lx, sq) -> np.ndarray:
-    """log |psi_k(x)| = k ln|x| + half - x^2 from float indices ``kf``, their
-    index half and the terms ln|x| and x^2 (floats, or arrays that broadcast
-    against ``kf``): the one place the formula is written."""
+    """log |psi_k(x)| = k ln|x| + half - x^2 from indices ``kf``, their
+    index half and the terms ln|x| and x^2 (all floats, or arrays that
+    broadcast): the one place the formula is written."""
     logs = kf * lx
     logs += half
     logs -= sq

@@ -242,23 +242,21 @@ def _linear(signs: np.ndarray, logs: np.ndarray) -> np.ndarray:
 
 
 def _combo_abs_at(
-    srows: np.ndarray, idx: np.ndarray, half: np.ndarray, scale: float, xs: Sequence[float]
-) -> np.ndarray:
-    """|combo_s(xs[s])| for each sign row s of ``srows`` at points x > 0
-    (else DomainError), given the index half of ``idx``, under the caller's
-    underflow errstate.  Only the arithmetic that depends on the points:
-    ``math.log`` per point, `basis.log_abs_psi_terms`, one exp in place, the
-    signs and each row's pairwise sum over its c terms in order, so row s has
-    the bits of `basis.log_psi_from_half` at xs[s] and a 1-D ``np.sum``.
+    srow: np.ndarray, idx: np.ndarray, half: np.ndarray, scale: float, x: float
+) -> float:
+    """|combo(x)| for the sign row ``srow`` at a point x > 0 (else
+    DomainError), given the index half of ``idx``, under the caller's
+    underflow errstate.  Only the arithmetic that depends on the point:
+    ``math.log``, `basis.log_abs_psi_terms`, one exp in place, the signs and
+    a pairwise ``np.sum`` over the c terms in order, so the bits of
+    `basis.log_psi_from_half` at x.
     """
-    if not all(x > 0.0 for x in xs):
-        raise DomainError(f"combo rows are evaluated at x > 0 only, got {list(xs)!r}")
-    pts = np.array(xs, dtype=np.float64)[:, None]
-    lx = np.array([math.log(x) for x in xs])[:, None]
-    logs = basis.log_abs_psi_terms(idx, half, lx, pts * pts)
+    if not x > 0.0:
+        raise DomainError(f"combo rows are evaluated at x > 0 only, got {x!r}")
+    logs = basis.log_abs_psi_terms(idx, half, math.log(x), x * x)
     vals = np.exp(logs, out=logs)
-    vals *= srows
-    return np.abs(vals.sum(axis=1)) * scale
+    vals *= srow
+    return float(abs(vals.sum())) * scale
 
 
 def row_sup_norms(
@@ -273,10 +271,11 @@ def row_sup_norms(
     out.  The peak heights fall with k, and the grid maximum lies in the
     first window on every row tested; the later windows come within 3.7e-4
     of it at block 12.  Each best grid point x is then refined by
-    golden-section search to 1e-10 on x +- GRID_STEP, all searches of the
-    row in lockstep in one `optimize.golden_max` call (36 evaluations,
-    under one errstate).  Every bracket lies within WINDOW_HALFWIDTH +
-    GRID_STEP of a peak sqrt(k/2) >= sqrt(67.5), so its probes are at x > 0.
+    golden-section search to 1e-10 on x +- GRID_STEP (`optimize.golden_max`,
+    36 evaluations): one search per certified grid point and one per
+    uncertified slot, all under one errstate.  Every bracket lies within
+    WINDOW_HALFWIDTH + GRID_STEP of a peak sqrt(k/2) >= sqrt(67.5), so its
+    probes are at x > 0.
 
     Where `_single_column` certifies x's bracket for a column k, |combo|
     of every slot is psi_k / sqrt(c) at each probe, bit for bit:
@@ -296,7 +295,7 @@ def row_sup_norms(
     `_combo_abs_at`'s per-element operations in its order (`math.log`,
     `basis.log_abs_psi_terms` on floats, one `np.exp`, times c^(-1/2)).
     The other slots (on every row tested, block-2 rows 263-269 only) each
-    keep a search on the whole row, batched in `_combo_abs_at`.  A
+    keep their own search on the whole row, `_combo_abs_at`.  A
     refinement that ends below a slot's grid value gives way to the grid
     point.  The index half of log psi is computed once for the row and
     serves every evaluation.
@@ -313,38 +312,26 @@ def row_sup_norms(
 
     half = basis.log_index_half(idx)
     tops, at = _window_maxima(srows, idx, half)
-    best_x, best_v = at.tolist(), tops.tolist()
-
-    # the shared searches first, one per certified grid point, then one per
-    # slot whose grid point is not certified
-    columns = {x: _single_column(idx, half, x) for x in dict.fromkeys(best_x)}
-    shared = [x for x, k in columns.items() if k is not None]
-    terms = [(float(idx[columns[x]]), float(half[columns[x]])) for x in shared]
-    alone = [i for i, x in enumerate(best_x) if columns[x] is None]
-    rows = srows[alone]
-
-    def f(xs: list[float]) -> list[float]:
-        ys = [float(np.exp(basis.log_abs_psi_terms(k, hk, math.log(p), p * p))) * scale
-              for (k, hk), p in zip(terms, xs)]
-        if alone:
-            ys += _combo_abs_at(rows, idx, half, scale, xs[len(terms):]).tolist()
-        return ys
-
-    # golden_max needs one step count for all searches; each here takes 35
-    # steps (36 evaluations): a bracket x +- GRID_STEP is 2 GRID_STEP wide to
-    # within 2 ulp(x) <= 7.3e-12 (block 12's farthest peak, x ~ 19,429), so
-    # its count ceil(ln(XTOL / width) / ln(1 / phi)) is that of 34.94 +- 1e-8.
-    points = shared + [best_x[i] for i in alone]
-    with np.errstate(under="ignore"):
-        refined = golden_max(f, [(x - basis.GRID_STEP, x + basis.GRID_STEP) for x in points])
-    by_point = dict(zip(shared, refined))
-    per_slot = iter(refined[len(shared):])
+    best_x = at.tolist()
+    shared = {}  # certified grid point -> the search its slots share
     out = []
-    for s, x, v in zip(slots, best_x, best_v):
-        x_star, v_star = by_point[x] if x in by_point else next(per_slot)
-        if v_star < v:  # refinement may only improve on the grid point
-            x_star, v_star = x, v
-        out.append((s, x_star, v_star))
+    with np.errstate(under="ignore"):
+        for x in dict.fromkeys(best_x):
+            k = _single_column(idx, half, x)
+            if k is not None:
+                kf, hk = float(idx[k]), float(half[k])
+                shared[x] = golden_max(
+                    lambda p: float(np.exp(basis.log_abs_psi_terms(kf, hk, math.log(p), p * p))) * scale,
+                    x - basis.GRID_STEP, x + basis.GRID_STEP)
+        for s, srow, x, v in zip(slots, srows, best_x, tops.tolist()):
+            if x in shared:
+                x_star, v_star = shared[x]
+            else:
+                x_star, v_star = golden_max(lambda p: _combo_abs_at(srow, idx, half, scale, p),
+                                            x - basis.GRID_STEP, x + basis.GRID_STEP)
+            if v_star < v:  # refinement may only improve on the grid point
+                x_star, v_star = x, v
+            out.append((s, x_star, v_star))
     return out
 
 

@@ -108,27 +108,18 @@ class Expansion:
     # ------------------------------------------------------------------
     # Evaluation
 
-    def basis_log_values(
-        self, x: float, terms: slice | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(signs, log magnitudes) of the basis functions at x: all of them,
-        or the contiguous slice ``terms``, in new arrays.  Each value has the
-        same bits either way, and on every call: a combo's cached constants
-        are the arrays ``basis.log_psi`` would compute."""
+    def basis_log_values(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """(signs, log magnitudes) of every basis function at x, in new
+        arrays.  Each value has the same bits on every call: a combo's
+        cached constants are the arrays ``basis.log_psi`` would compute."""
         if not math.isfinite(x):
             raise DomainError(f"basis values need a finite point, got {x!r}")
-        start, stop, step = (slice(None) if terms is None else terms).indices(self.horizon)
-        if step != 1:
-            raise RangeError("term slices must be contiguous")
-        if self.scheme == "combo":  # whole blocks, so no value depends on the slice
-            touched = [(n, y, end) for n, (y, end, _) in enumerate(self._spans, 1)
-                       if y < stop and end > start]
-            base = touched[0][1] if touched else start
-            out = np.empty((2, touched[-1][2] - base if touched else 0))  # signs, logs
-            for n, y, end in touched:
-                out[:, y - base : end - base] = self._block_values(n, x)
-            return out[0, start - base : stop - base], out[1, start - base : stop - base]
-        ks = np.arange(start, stop, dtype=np.float64)
+        if self.scheme == "combo":
+            out = np.empty((2, self.horizon))  # signs, logs
+            for n, (y, end, _) in enumerate(self._spans, 1):
+                out[:, y:end] = self._block_values(n, x)
+            return out[0], out[1]
+        ks = np.arange(self.horizon, dtype=np.float64)
         signs, logs = basis.log_psi(ks, x)
         if self.scheme == "bounded":  # h_k = k psi_k, h_0 = psi_0
             logs = logs + np.log(np.maximum(ks, 1.0))
@@ -222,13 +213,14 @@ def _combo_block_log_values(block: _ComboBlock, x: float) -> tuple[np.ndarray, n
 
 
 def _log_abs_psi(k: int, x: float) -> float:
-    """log |psi_k(x)| = (k ln(2 x^2) - ln k!) / 2 - x^2.  Scalar arithmetic
-    in another order, so not bit-equal to basis.log_psi: it feeds only the
-    skip rule, whose threshold leaves a 20-unit margin, and a numpy call on
-    one index costs ten times more."""
+    """log |psi_k(x)| by `basis.log_abs_psi_terms` on floats, the index half
+    (k ln 2 - ln k!) / 2 computed inline: a numpy call on one index costs
+    ten times more.  ``log_factorial`` may differ from the array path in the
+    last bits, so this is not bit-equal to basis.log_psi: it feeds only the
+    skip rule, whose threshold leaves a 20-unit margin."""
     if x == 0.0:  # psi_k(0) = 0 for every k >= 1
         return 0.0 if k == 0 else -math.inf
-    return 0.5 * (k * (_LN2 + 2.0 * math.log(abs(x))) - log_factorial(k)) - x * x
+    return basis.log_abs_psi_terms(k, 0.5 * (k * _LN2 - log_factorial(k)), math.log(abs(x)), x * x)
 
 
 # ----------------------------------------------------------------------

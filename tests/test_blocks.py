@@ -494,21 +494,21 @@ def _spy(monkeypatch, owner, name):
 
 
 def _golden_spy(monkeypatch, rig=None):
-    """Replace blocks.golden_max with a wrapper that records each call's
-    brackets and the probe lists its f is called with; ``rig(xs, ys)``,
-    if given, replaces f's values."""
+    """Replace blocks.golden_max with a wrapper that records each search's
+    bracket and the probes its f is called with; ``rig(x, y)``, if given,
+    replaces f's values."""
     calls = []
 
-    def spy(f, brackets):
+    def spy(f, a, b):
         probes = []
-        calls.append((list(brackets), probes))
+        calls.append(((a, b), probes))
 
-        def g(xs):
-            probes.append(list(xs))
-            ys = f(xs)
-            return ys if rig is None else rig(xs, ys)
+        def g(x):
+            probes.append(x)
+            y = f(x)
+            return y if rig is None else rig(x, y)
 
-        return golden_max(g, brackets)
+        return golden_max(g, a, b)
 
     monkeypatch.setattr(blocks, "golden_max", spy)
     return calls
@@ -581,7 +581,7 @@ class TestLocalScan:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_every_slot_matches_full_row_scan(self, n):
-        # up to 32 searches refined in lockstep on one row
+        # up to 32 slots refined on one row
         spec = block_spec(n)
         for h in (0, spec.r // 2, spec.r - 1):
             assert_scan_matches(n, h, range(spec.c))
@@ -651,54 +651,52 @@ class TestLocalScan:
         # golden-section refinement: the 4 slots share one grid point, whose
         # bracket one column certifies, so one search of 36 evaluations on
         # that column alone, and no evaluation of the whole row
-        assert len(golden) == 1
-        (brackets, probes), = golden
-        assert len(brackets) == 1 and len(probes) == 36
+        (_bracket, probes), = golden
+        assert len(probes) == 36
         assert rows == []
 
     def test_batched_combo_keeps_each_rows_bits(self):
-        # each row of _combo_abs_at is the earlier one-point evaluation:
-        # with the index halves shifted so that all 64 terms are of one
-        # size, a sum in any other order moves last bits
+        # _combo_abs_at of each sign row is the earlier one-point
+        # evaluation: with the index halves shifted so that all 64 terms
+        # are of one size, a sum in any other order moves last bits
         rng = np.random.default_rng(16)
         idx = (np.arange(64) % 2).astype(np.float64)
         half = rng.uniform(-2.0, 0.0, 64)
         srows = sign_rows(7, range(0, 64, 4)).astype(np.float64)
         xs = rng.uniform(0.1, 1.5, len(srows)).tolist()
-        got = blocks._combo_abs_at(srows, idx, half, 0.125, xs)
+        got = [blocks._combo_abs_at(srow, idx, half, 0.125, x) for srow, x in zip(srows, xs)]
         for si, x in enumerate(xs):
             psign, logs = basis.log_psi_from_half(idx, half, x)
             with np.errstate(under="ignore"):
                 want = abs(float(np.sum(srows[si] * psign * np.exp(logs)))) * 0.125
-            assert float(got[si]).hex() == want.hex(), si
+            assert got[si].hex() == want.hex(), si
 
     def test_combo_rows_keep_each_points_bits(self):
         # one index at a time, so the value is exp of one log and a last
-        # bit of ln x shows: each row has the bits of the one-point path
+        # bit of ln x shows: each point has the bits of the one-point path
         # and of the float formula k * math.log(x) + half - x * x; numpy's
         # SIMD log (AVX-512) differs from math.log in the last bit at the
         # two hex points
         xs = [0.5, 3.2, 8.215, 1200.0, float.fromhex("0x1.d41161dfa8ebbp-1"),
               float.fromhex("0x1.1c566bc69fb6ep+3")]
-        ones = np.ones((len(xs), 1))
         for k in (0, 1, 2, 7, 10**3, 3 * 10**6):
             idx = np.array([float(k)])
             half = basis.log_index_half(idx)
             with np.errstate(under="ignore"):
-                got = blocks._combo_abs_at(ones, idx, half, 0.125, xs)
-                for i, x in enumerate(xs):
+                for x in xs:
+                    got = blocks._combo_abs_at(np.ones(1), idx, half, 0.125, x)
                     psign, logs = basis.log_psi_from_half(idx, half, x)
                     one = abs(float(np.sum(psign * np.exp(logs)))) * 0.125
                     formula = float(k) * math.log(x) + float(half[0]) - x * x
                     want = float(np.exp(np.array([formula]))[0]) * 0.125
-                    assert float(got[i]).hex() == one.hex() == want.hex(), (k, x)
+                    assert got.hex() == one.hex() == want.hex(), (k, x)
 
     @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -0.5, -3.2, math.nan, -math.inf])
     def test_combo_rows_need_positive_points(self, bad):
-        srows = sign_rows(3, range(4)).astype(np.float64)
+        srow = sign_rows(3, [1]).astype(np.float64)[0]
         idx = np.arange(1.0, 5.0)
         with pytest.raises(DomainError):
-            blocks._combo_abs_at(srows, idx, basis.log_index_half(idx), 0.5, [1.0, bad, 2.0, 3.0])
+            blocks._combo_abs_at(srow, idx, basis.log_index_half(idx), 0.5, bad)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_refinement_brackets_are_positive(self, n):
@@ -713,11 +711,10 @@ class TestLocalScan:
         for h, searches in ((0, 1), (265, 2)):
             golden = _golden_spy(monkeypatch)
             row_sup_norms(2, h, range(2))
-            (brackets, probes), = golden
-            assert len(brackets) == searches
-            assert len(probes) == 36 and all(len(xs) == searches for xs in probes)
-            assert min(a for a, _b in brackets) > 6.0
-            assert min(min(xs) for xs in probes) > 6.0
+            assert len(golden) == searches
+            assert all(len(probes) == 36 for _bracket, probes in golden)
+            assert min(a for (a, _b), _probes in golden) > 6.0
+            assert min(min(probes) for _bracket, probes in golden) > 6.0
 
     def test_refinement_falls_back_per_slot(self, monkeypatch):
         # a search that ends below its grid value gives way to the grid
@@ -729,7 +726,7 @@ class TestLocalScan:
         srows = sign_rows(7, slots).astype(np.float64)
         tops, at = blocks._window_maxima(srows, idx, basis.log_index_half(idx))
         refined = row_sup_norms(7, 4321, slots)
-        _golden_spy(monkeypatch, rig=lambda _xs, ys: [0.0] * len(ys))
+        _golden_spy(monkeypatch, rig=lambda _x, _y: 0.0)
         got = row_sup_norms(7, 4321, slots)
         assert got == [(s, float(x), float(v)) for s, x, v in zip(slots, at, tops)]
         assert all(v > top for (_s, _x, v), top in zip(refined, tops))
@@ -738,10 +735,8 @@ class TestLocalScan:
         refined = row_sup_norms(2, 265, (0, 1))
         combo_abs_at = blocks._combo_abs_at
 
-        def below_on_slot_1(rows, *args):
-            vals = combo_abs_at(rows, *args)
-            vals[1] = 0.0
-            return vals
+        def below_on_slot_1(srow, *args):  # slot 1's sign row is [1, -1]
+            return 0.0 if srow[1] < 0.0 else combo_abs_at(srow, *args)
 
         monkeypatch.setattr(blocks, "_combo_abs_at", below_on_slot_1)
         got = row_sup_norms(2, 265, (0, 1))
@@ -808,13 +803,13 @@ class TestSharedSearch:
             idx = np.asarray(row_indices(spec, h), dtype=np.float64)
             half = basis.log_index_half(idx)
             seen = []
-            _golden_spy(monkeypatch, rig=lambda xs, ys: seen.append((xs, ys)) or ys)
+            _golden_spy(monkeypatch, rig=lambda x, y: seen.append((x, y)) or y)
             row_sup_norms(n, h, slots)
             assert len(seen) == 36
-            for (x,), (y,) in seen:
+            for x, y in seen:
                 with np.errstate(under="ignore"):
-                    rows = blocks._combo_abs_at(srows, idx, half, spec.c**-0.5, [x] * len(slots))
-                assert [v.hex() for v in rows.tolist()] == [y.hex()] * len(slots), (h, x)
+                    rows = [blocks._combo_abs_at(srow, idx, half, spec.c**-0.5, x) for srow in srows]
+                assert [v.hex() for v in rows] == [y.hex()] * len(slots), (h, x)
 
     def test_bits_match_full_row_scan_on_both_paths(self):
         # rows 255-262 take the shared search, rows 263-269 one each
@@ -831,24 +826,12 @@ class TestSharedSearch:
 
     def test_lone_exp_keeps_array_bits(self):
         # the shared search takes np.exp of one float at a time, and
-        # _combo_abs_at of a whole array: the bits agree
+        # _combo_abs_at of a whole row's array: the bits agree
         logs = np.random.default_rng(35).uniform(-740.0, 5.0, 100_000)
         with np.errstate(under="ignore"):
             arr = np.exp(logs).tolist()
             lone = [float(np.exp(v)) for v in logs.tolist()]
         assert lone == arr
-
-
-def _recording(fs, probes):
-    """f for golden_max: search i maximises fs[i], and each of its probes
-    is appended to probes[i]."""
-
-    def f(xs):
-        for i, x in enumerate(xs):
-            probes[i].append(x)
-        return [g(x) for g, x in zip(fs, xs)]
-
-    return f
 
 
 class TestGoldenMax:
@@ -868,50 +851,20 @@ class TestGoldenMax:
     def test_each_search_matches_scalar_golden_max(self):
         counts = []
         for i, (f, (a, b)) in enumerate(self.CASES):
-            probes, seen = [[]], []
-            got = golden_max(_recording([f], probes), [(a, b)])
+            probes, seen = [], []
+            got = golden_max(lambda x, f=f: probes.append(x) or f(x), a, b)
             want = _scalar_golden_max(lambda x, f=f: seen.append(x) or f(x), a, b, XTOL)
-            assert [[v.hex() for v in r] for r in got] == [[v.hex() for v in want]], i
+            assert [v.hex() for v in got] == [v.hex() for v in want], i
             # the same probes in the same order
-            assert probes[0] == seen, i
+            assert probes == seen, i
             counts.append(len(seen))
         assert counts[4] == 1  # h <= xtol: the midpoint alone
         assert len(set(counts)) == 5
 
-    def test_shared_count_searches_match_scalar_golden_max(self):
-        # brackets x +- GRID_STEP, as row_sup_norms makes them, from block
-        # 2's first peak to block 12's farthest: 36 probes each, evaluated
-        # together
-        centres = [4.743416490252569, 8.2, 100.3, 4321.0001, 19429.03336504418]
-        fs = [lambda x, m=m: math.exp(-2.0 * (x - m - 3e-4) ** 2) for m in centres]
-        brackets = [(m - basis.GRID_STEP, m + basis.GRID_STEP) for m in centres]
-        probes = [[] for _ in fs]
-        record = _recording(fs, probes)
-        calls = []
-
-        def f(xs):
-            calls.append(len(xs))
-            return record(xs)
-
-        got = golden_max(f, brackets)
-        assert calls == [len(fs)] * 36
-        for i, (g, (a, b)) in enumerate(zip(fs, brackets)):
-            seen = []
-            want = _scalar_golden_max(lambda x, g=g: seen.append(x) or g(x), a, b, XTOL)
-            assert [v.hex() for v in got[i]] == [v.hex() for v in want], i
-            assert probes[i] == seen, i
-
-    def test_mismatched_step_counts_raise(self):
-        with pytest.raises(DomainError, match="different steps"):
-            golden_max(lambda xs: [0.0] * len(xs), [(0.0, 1.0), (0.0, 2e-3)])
-
     def test_ties_keep_the_right_probe(self):
         # yc == yd moves the bracket right, so a constant ends on d
-        (x, y), = golden_max(lambda xs: [1.0] * len(xs), [(-1.0, 1.0)])
+        x, y = golden_max(lambda _x: 1.0, -1.0, 1.0)
         assert y == 1.0 and 1.0 - x < 1e-9
-
-    def test_no_brackets(self):
-        assert golden_max(lambda _xs: pytest.fail("evaluated"), []) == []
 
 
 class TestEnergyInvariance:

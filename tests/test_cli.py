@@ -408,14 +408,12 @@ _SWEEP_FLOATS = {"0": "0", "-0.0": "-0.0", "5e-324": "5e-324", "1e-300": "1e-300
                  "1e308": "1e308", "inf": "inf", "-inf": "-inf", "nan": "nan"}
 _SWEEP_INTS = {"0": "0", "-1": "-1", "1": "1", "2^53+1": str(2**53 + 1), "2^63": str(2**63),
                "10^400": "1" + "0" * 400}
-# The only cases left out, with their time on 2 shared vCPUs: --rows is
-# clamped to each block's rows, so these run the full 6-block table
-# (test_norms_rows_clamped_to_block checks the clamp at block 2).  The
-# table takes about 2.8 s; the sweep's tracemalloc makes it 27-29 s.
-_SWEEP_SLOW = {("norms", "--rows", "2^53+1"): "27 s", ("norms", "--rows", "2^63"): "28 s",
-               ("norms", "--rows", "10^400"): "29 s"}
 # A rejected value fails before any large allocation: the traced peak of
 # every case that exits 1 stays under this (the largest seen is 0.6 MB).
+# Only those cases are rerun under tracemalloc, which makes an
+# allocation-heavy run about 10x slower: --rows at 2^53+1, 2^63 and 10^400
+# is clamped to each block's rows and runs the full 6-block table, about
+# 2.8 s untraced (test_norms_rows_clamped_to_block checks the clamp).
 _SWEEP_REJECT_PEAK = 64 << 20
 
 
@@ -429,7 +427,7 @@ def _sweep_cases() -> list:
             flag = action.option_strings[-1]
             values = _SWEEP_FLOATS if action.type is float else _SWEEP_INTS
             cases += [pytest.param(command, flag, text, id=f"{command}{flag}={label}")
-                      for label, text in values.items() if (command, flag, label) not in _SWEEP_SLOW]
+                      for label, text in values.items()]
     return cases
 
 
@@ -440,15 +438,19 @@ class TestFlagSweep:
         # bumpcheck --indices=2^63 ended in a RuntimeWarning, 10^400 in an
         # OverflowError traceback, and 2^53+1 passed on a rounded index
         extra = ["--n=2"] if command == "signs" and flag != "--n" else []
-        tracemalloc.start()
-        try:
-            code = main([command, f"{flag}={value}", *extra, "--out-dir", str(tmp_path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        argv = [command, f"{flag}={value}", *extra, "--out-dir", str(tmp_path)]
+        code = main(argv)
         out, err = capsys.readouterr()
         assert code in (0, 1)
-        assert code == 0 or peak < _SWEEP_REJECT_PEAK, peak
+        if code == 1:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 1
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert capsys.readouterr() == (out, err)
+            assert peak < _SWEEP_REJECT_PEAK, peak
         if code == 1 and err:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
         else:

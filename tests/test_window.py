@@ -159,10 +159,17 @@ class TestWindowedSum:
         assert calls == [(x, points[-1]) for x in points]
 
     def test_sliced_values_bit_equal(self, name, e, points):
+        # each block a pair sum reads of a point (block 0: a raw or bounded
+        # point's full horizon) has the bits of its slice of the full values
+        if e.scheme == "combo":
+            parts = [(n, slice(y, end)) for n, (y, end, _) in enumerate(e._spans, 1)]
+        else:
+            parts = [(0, slice(0, len(e)))]
         for x in points:
             fs, fl = e.basis_log_values(x)
-            for w in (_window(e, x), slice(3, len(e) - 5), slice(len(e) // 3, None)):
-                s, l = e.basis_log_values(x, w)
+            p = _Point(e, x)
+            for n, w in parts:
+                s, l = p.block(n)
                 assert s.tobytes() == fs[w].tobytes() and l.tobytes() == fl[w].tobytes()
 
 
@@ -287,10 +294,6 @@ class TestWindowShape:
                 with pytest.raises(DomainError):
                     grid_report(e, (bad, 1.0), (0.0, 1.0), 0.5)
 
-    def test_non_contiguous_slice_rejected(self):
-        with pytest.raises(RangeError):
-            build_raw(20).basis_log_values(1.0, slice(0, 10, 2))
-
 
 class TestGridWindows:
     def test_raw_grid_bit_equal_to_full_horizon(self):
@@ -312,22 +315,22 @@ class TestGridWindows:
 
 @pytest.fixture
 def made_blocks(monkeypatch):
-    """(x, n) of every combo block value made, and the term slice of every
+    """(x, n) of every combo block value made, and the point of every
     Expansion.basis_log_values call."""
-    made, sliced = [], []
+    made, full = [], []
     real_block, real_values = Expansion._block_values, Expansion.basis_log_values
 
     def block_spy(self, n, x):
         made.append((x, n))
         return real_block(self, n, x)
 
-    def values_spy(self, x, terms=None):
-        sliced.append(terms)
-        return real_values(self, x, terms)
+    def values_spy(self, x):
+        full.append(x)
+        return real_values(self, x)
 
     monkeypatch.setattr(Expansion, "_block_values", block_spy)
     monkeypatch.setattr(Expansion, "basis_log_values", values_spy)
-    return made, sliced
+    return made, full
 
 
 class TestWideWindow:
@@ -343,9 +346,9 @@ class TestWideWindow:
         assert len(e) == 46035 and block_spec(4).next_start == 11475
         assert _point_blocks(e, 0.0, _LOG_WIDE) == [1]
         assert _point_blocks(e, y, _LOG_WIDE) == [1, 2, 3, 4]
-        made, sliced = made_blocks
+        made, full = made_blocks
         assert made and {n for _x, n in made} <= {1, 2, 3, 4}
-        assert not sliced
+        assert not full
         assert _bits(_Full(e).sum(0.0, y)) == _bits(expected)
 
     @pytest.mark.parametrize("n,x,y", [(5, -42.52, -4.64), (5, -39.39, 4.46), (6, -43.21, -4.79)])
@@ -381,7 +384,7 @@ class TestWideWindow:
         # needs its wide blocks; the grid makes each block once per point
         e = build_combo(5)
         rep = grid_report(e, (0.0, 0.25), (27.0, 28.0), 0.25)
-        made, _sliced = made_blocks
+        made, _full = made_blocks
         full = _Full(e)
         assert len(rep.rows) == 10
         assert dict(rep.pair_paths) == {"head": 0, "narrow": 2, "wide": 8, "disjoint": 0}
@@ -500,7 +503,7 @@ def test_head_sum_fires_on_block_1_alone(made_blocks, monkeypatch):
     # where block 2 is below the floor, has block 1 as its only narrow
     # block, and the narrow pass sums the same terms
     e = build_combo(7)
-    made, _sliced = made_blocks
+    made, _full = made_blocks
     sums = []
     real = reconstruct._accumulate
     monkeypatch.setattr(reconstruct, "_accumulate", lambda *a, **k: sums.append(1) or real(*a, **k))
@@ -522,7 +525,7 @@ def test_head_reads_past_the_mode_block(combo8, made_blocks):
     # at x = 6 the mode 72 lies in block 1, and block 3 still reaches the
     # floor at both points: the head of blocks 1 and 2 certifies the bits,
     # and block 3's 2,160 terms are evaluated at neither point
-    made, _sliced = made_blocks
+    made, _full = made_blocks
     full = _Full(combo8)
     for x, y in ((6.0, 6.0), (6.0, 6.5)):
         made.clear()
@@ -556,7 +559,7 @@ def test_combo_grid_columns_capped_before_any_block(combo8, made_blocks):
     # each of the 101 columns of 900:1100 may hold block 8, 35 MB: 3.4 GB
     # in all.  The grid fails before any block value is made, and the
     # 11 columns of 990:1010 (389 MB) stay under the cap
-    made, _sliced = made_blocks
+    made, _full = made_blocks
     with pytest.raises(RangeError, match="101 grid columns of up to 3574333440 bytes"):
         grid_report(combo8, (900.0, 1100.0), (900.0, 1100.0), 2.0)
     assert made == []
@@ -568,7 +571,7 @@ def test_combo_column_bytes_bound_the_blocks_made(made_blocks):
     # every block a grid makes at a column's point, on the head, narrow and
     # wide paths (162/247/20/12 pairs), is among those _column_bytes counts
     e = build_combo(3)
-    made, _sliced = made_blocks
+    made, _full = made_blocks
     rep = grid_report(e, (-40.0, 40.0), (-40.0, 40.0), 4.0)
     assert dict(rep.pair_paths)["wide"] > 0
     spans = e._spans

@@ -15,6 +15,7 @@ natural-order Sylvester-Hadamard matrix S[j, k] = (-1)^popcount(j & k), so
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ __all__ = [
     "SEPARATION_LIMIT",
     "MAX_SIGN_BYTES",
     "WINDOW_HALFWIDTH",
+    "SEARCH_PATHS",
 ]
 
 # Memory cap for the sign pattern of a block, checked in `sign_rows` before
@@ -62,15 +64,15 @@ DEFAULT_BLOCK_CAP = 8
 
 # Sup-norm searches look at +-2 around each peak: contributions from
 # outside a window are below 1e-11 of the peak, far under every tolerance.
-# Only a row's first window is scanned on its grid unless a bound on a
-# later window fails (`_window_maxima`).
+# Only the central band of a row's first window is scanned on its grid
+# unless a window's bound fails (`_window_maxima`).
 WINDOW_HALFWIDTH = 2.0
 
 # Limiting value of the in-row peak separation, 135 / (4 sqrt(90)).
 SEPARATION_LIMIT = 135.0 / (4.0 * math.sqrt(90.0))
 
-# The bound on a later window k >= 1 splits its grid points at
-# |x - x_k| = _BAND_HALFWIDTH into a central band and the points outside:
+# The bound on window k splits its grid points at |x - x_k| =
+# _BAND_HALFWIDTH into a central band and the points outside:
 # - psi_k is unimodal with its peak at the window centre x_k, so it is at
 #   most its centre value on the band, and outside it at most the larger of
 #   its values at the first grid point outside the band on either side;
@@ -79,24 +81,48 @@ SEPARATION_LIMIT = 135.0 / (4.0 * math.sqrt(90.0))
 #   nearer its own peak: the band edge for the band, the window edge for
 #   the points outside;
 # - so |combo| on window k is at most scale * max(band part, outside part),
-#   each part the sum of those three psi values (the last window has no
-#   psi_{k+1}, and its term is 0).
+#   each part the sum of those three psi values (window 0 has no psi_{-1}
+#   and the last window no psi_{k+1}: their terms are 0).
 # Near a peak psi_k falls like exp(-2 d^2), so the outside part sits at
 # about 0.88 of the peak and the band part at about psi_k's peak height
 # m_k, which falls like P_k^(-1/4).  Window 0's maximum exceeds the largest
 # later bound by a factor of about 1 + 0.75 / c, and by at least 1.136 at
 # block 2, 1.0110 at block 7 and 1.000366 at block 12 on the first, middle
-# and last rows.
+# and last rows.  It lies on window 0's band: the band maximum exceeds
+# window 0's outside part by at least 1.13 on those rows of blocks 2-12, so
+# `_window_maxima` scans window 0 on its 501 band points alone.
 _BAND_HALFWIDTH = 0.25
 
-# A later window is skipped when _SKIP_MARGIN times its bound is below
-# every requested slot's maximum in window 0: then none of its grid values
-# can reach window 0's.  The margin must exceed psi's relative rounding
-# (about 1e-6 at block 12), by which a computed grid value may exceed its
-# computed bound, and stay under the headroom above (3.66e-4 at block 12),
-# or later windows get scanned.  2^-16 = 1.5e-5 is 15x the first and 1/24
-# of the second.
+# A window is skipped when _SKIP_MARGIN times its bound is below every
+# requested slot's maximum in window 0: then none of its grid values can
+# reach window 0's.  For window 0 itself the outside part is the bound, and
+# the band maximum is then every slot's maximum of the whole window.  The
+# margin must exceed psi's relative rounding (about 1e-6 at block 12), by
+# which a computed grid value may exceed its computed bound, and stay under
+# the headroom above (3.66e-4 at block 12), or later windows get scanned.
+# 2^-16 = 1.5e-5 is 15x the first and 1/24 of the second.
 _SKIP_MARGIN = 1.0 + 2.0**-16
+
+# The grid of one window, as offsets from its centre, and the slice of it
+# on the central band.
+_STEPS = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
+_INNER = int(round(_BAND_HALFWIDTH / basis.GRID_STEP))
+_BAND = slice(_STEPS - _INNER, _STEPS + _INNER + 1)
+_OFFSETS = np.arange(-_STEPS, _STEPS + 1, dtype=np.float64) * basis.GRID_STEP
+
+# The 7 bound points of a window, as (column offset, grid point): the band
+# part's centre and band edges, then the outside part's first points
+# outside the band and window edges.
+_BOUND_COLS = np.array([0, -1, 1, 0, 0, -1, 1])
+_BOUND_POINTS = _OFFSETS[[_STEPS, _BAND.start, _BAND.stop - 1, _BAND.start - 1, _BAND.stop, 0, -1]]
+_OFFSETS.flags.writeable = _BOUND_COLS.flags.writeable = _BOUND_POINTS.flags.writeable = False
+
+# The paths of a row's sup-norm search, as `norms --scheme combo` counts
+# them (`_row_search`): window 0 scanned on its band or whole, later windows
+# scanned, shared and per-slot refinements, and slots whose refinement
+# ended below the grid value.
+SEARCH_PATHS = ("band_scans", "whole_window_scans", "later_window_scans",
+                "shared_searches", "slot_searches", "grid_kept")
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,10 +178,15 @@ def check_max_block(max_block: int) -> BlockSpec:
 
 def row_indices(spec: BlockSpec, h: int) -> list[int]:
     """Raw indices of row h: y + h, y + h + r, ..., strictly increasing."""
+    return _row_index_array(spec, h).tolist()
+
+
+def _row_index_array(spec: BlockSpec, h: int) -> np.ndarray:
+    """`row_indices` as an int64 array."""
     h = _integer(h, "row")
     if not 0 <= h < spec.r:
         raise RangeError(f"row {h} outside [0, {spec.r}) for block {spec.n}")
-    return [spec.y + h + k * spec.r for k in range(spec.c)]
+    return spec.y + h + spec.r * np.arange(spec.c, dtype=np.int64)
 
 
 def row_log_weights(n: int) -> np.ndarray:
@@ -267,10 +298,11 @@ def row_sup_norms(
 
     Returns [(slot, x_star, value), ...] in the order requested.  All slots
     of a row share one grid scan (`_window_maxima`), at pitch 1e-3 over the
-    first peak's +-2 window and over any later window its bound cannot rule
-    out.  The peak heights fall with k, and the grid maximum lies in the
-    first window on every row tested; the later windows come within 3.7e-4
-    of it at block 12.  Each best grid point x is then refined by
+    first peak's +-_BAND_HALFWIDTH band (its whole +-2 window where the
+    band's bound fails) and over any later window its bound cannot rule
+    out.  The peak heights fall with k, and the grid maximum lies on the
+    first window's band on every row tested; the later windows come within
+    3.7e-4 of it at block 12.  Each best grid point x is then refined by
     golden-section search to 1e-10 on x +- GRID_STEP (`optimize.golden_max`,
     36 evaluations): one search per certified grid point and one per
     uncertified slot, all under one errstate.  Every bracket lies within
@@ -300,18 +332,30 @@ def row_sup_norms(
     point.  The index half of log psi is computed once for the row and
     serves every evaluation.
     """
+    return _row_search(n, h, slots)[0]
+
+
+def _row_search(
+    n: int, h: int, slots: Sequence[int] | None = None
+) -> tuple[list[tuple[int, float, float]], dict[str, int]]:
+    """`row_sup_norms` and how many times its search took each path, a dict
+    in SEARCH_PATHS order."""
     spec = block_spec(n)
     slots = range(spec.c) if slots is None else list(slots)
     srows = sign_rows(n, slots).astype(np.float64)
-    idx = np.asarray(row_indices(spec, h), dtype=np.float64)
+    idx = _row_index_array(spec, h).astype(np.float64)
     scale = spec.c**-0.5
+    paths = dict.fromkeys(SEARCH_PATHS, 0)
 
     if spec.c == 1:
         info = basis.peak(spec.y + h)
-        return [(s, info.x_peak, info.m) for s in slots]
+        return [(s, info.x_peak, info.m) for s in slots], paths
 
     half = basis.log_index_half(idx)
-    tops, at = _window_maxima(srows, idx, half)
+    tops, at, scanned = _window_maxima(srows, idx, half)
+    whole = scanned[:1] == [0]
+    paths["whole_window_scans" if whole else "band_scans"] += 1
+    paths["later_window_scans"] += len(scanned) - whole
     best_x = at.tolist()
     shared = {}  # certified grid point -> the search its slots share
     out = []
@@ -323,16 +367,19 @@ def row_sup_norms(
                 shared[x] = golden_max(
                     lambda p: float(np.exp(basis.log_abs_psi_terms(kf, hk, math.log(p), p * p))) * scale,
                     x - basis.GRID_STEP, x + basis.GRID_STEP)
+        paths["shared_searches"] += len(shared)
         for s, srow, x, v in zip(slots, srows, best_x, tops.tolist()):
             if x in shared:
                 x_star, v_star = shared[x]
             else:
                 x_star, v_star = golden_max(lambda p: _combo_abs_at(srow, idx, half, scale, p),
                                             x - basis.GRID_STEP, x + basis.GRID_STEP)
+                paths["slot_searches"] += 1
             if v_star < v:  # refinement may only improve on the grid point
                 x_star, v_star = x, v
+                paths["grid_kept"] += 1
             out.append((s, x_star, v_star))
-    return out
+    return out, paths
 
 
 def _single_column(idx: np.ndarray, half: np.ndarray, x: float) -> int | None:
@@ -358,21 +405,23 @@ def _single_column(idx: np.ndarray, half: np.ndarray, x: float) -> int | None:
 
 def _window_maxima(
     srows: np.ndarray, idx: np.ndarray, half: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid maximum of |combo| over all peak windows of one row, for each
-    sign row of ``srows``: (values, first grid point reaching them), both
-    of shape (len(srows),).
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Grid maximum of |combo| over all peak windows of one row of c >= 2
+    columns, for each sign row of ``srows``: (values, first grid point
+    reaching them), both of shape (len(srows),), and the windows scanned
+    whole, in order.
 
-    Window 0 is scanned whole.  A later window is scanned only where
-    `_SKIP_MARGIN` times its bound (`_BAND_HALFWIDTH`) reaches window 0's
-    smallest slot maximum, and a slot takes its value only where it is
-    strictly larger, so ties keep the first window.  ``half`` is the index
-    half of ``idx`` (`basis.log_index_half`).
+    Window 0 is scanned on its band (`_BAND_HALFWIDTH`) where `_SKIP_MARGIN`
+    times its outside part is below every slot's band maximum: every grid
+    value outside the band is then strictly lower, so the first point
+    reaching the maximum is the whole window's.  Otherwise it is scanned
+    whole.  A later window is scanned only where `_SKIP_MARGIN` times its
+    bound reaches window 0's smallest slot maximum, and a slot takes its
+    value only where it is strictly larger, so ties keep the first window.
+    ``half`` is the index half of ``idx`` (`basis.log_index_half`).
     """
     c = len(idx)
     scale = c**-0.5
-    steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
-    offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
     centres = np.sqrt(idx / 2.0)
     rows = np.arange(len(srows))
 
@@ -390,44 +439,83 @@ def _window_maxima(
     # Not proved: BLAS sums 3 columns instead of c, in an order of its own.
     # The bit-equality tests against the full-row scan in
     # tests/test_blocks.py cover that.
-    def scan(k: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = max(k - 1, 0), min(k + 2, c)
-        xs = centres[k] + offsets
-        vals = _linear(*basis.log_psi_from_half(idx[lo:hi, None], half[lo:hi, None], xs))
-        combos = np.abs(srows[:, lo:hi] @ vals) * scale
+    def best(combos: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         arg = np.argmax(combos, axis=1)
         return combos[rows, arg], xs[arg]
 
-    top, at = scan(0)
-    bounds = _SKIP_MARGIN * _later_window_bounds(idx, half, offsets)
+    def scan(k: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = max(k - 1, 0), min(k + 2, c)
+        xs = centres[k] + _OFFSETS
+        vals = _linear(*basis.log_psi_from_half(idx[lo:hi, None], half[lo:hi, None], xs))
+        return best(np.abs(srows[:, lo:hi] @ vals) * scale, xs)
+
+    band_xs, band_vals, psi = _row_batch(idx, half, centres)
+    top, at = best(np.abs(srows[:, :2] @ band_vals) * scale, band_xs)
+    band, outside = _window_bounds(psi)
+    scanned = []
     # with no slots there is no maximum to reach
-    for k in (1 + np.flatnonzero(bounds >= top.min(initial=np.inf))).tolist():
+    if not _SKIP_MARGIN * outside[0] < top.min(initial=np.inf):
+        top, at = scan(0)
+        scanned.append(0)
+    bounds = _SKIP_MARGIN * np.maximum(band, outside)
+    for k in (1 + np.flatnonzero(bounds[1:] >= top.min(initial=np.inf))).tolist():
         vals, xs = scan(k)
         better = vals > top
         top = np.where(better, vals, top)
         at = np.where(better, xs, at)
-    return top, at
+        scanned.append(k)
+    return top, at, scanned
 
 
-def _later_window_bounds(idx: np.ndarray, half: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Bound on |combo| at the grid points ``offsets`` around each peak of
-    windows 1..c-1 of a row, for every sign row (`_BAND_HALFWIDTH`), from
-    one batch of 7 psi values per window."""
+@functools.lru_cache(maxsize=None)
+def _row_layout(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each value of `_row_batch`'s evaluation for a row of c >= 2
+    columns lies, as (column, window, offset from the window's centre):
+    window 0's band for its columns 0 and 1, then the 7 bound points of each
+    window 0..c-1.  Read-only, as every row of c columns shares it."""
+    band = _OFFSETS[_BAND]
+    cols = np.clip(np.arange(c)[:, None] + _BOUND_COLS, 0, c - 1)
+    layout = (
+        np.concatenate([np.repeat([0, 1], band.size), cols.ravel()]),
+        np.concatenate([np.zeros(2 * band.size, dtype=np.int64), np.repeat(np.arange(c), len(_BOUND_COLS))]),
+        np.concatenate([band, band, np.tile(_BOUND_POINTS, c)]),
+    )
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def _row_batch(
+    idx: np.ndarray, half: np.ndarray, centres: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One evaluation of every psi value a row's scan starts from:
+    (window 0's band grid points, psi of its columns 0 and 1 there, shape
+    (2, 501), psi at the 7 bound points of each window, shape (c, 7)).
+    ``half`` is the index half of ``idx`` and ``centres`` the peaks
+    sqrt(idx / 2).  Each value has the bits of `basis.log_psi_from_half` at
+    its point: the same operations on the same doubles, all of them
+    positive."""
     c = len(idx)
-    steps = len(offsets) // 2
-    inner = int(round(_BAND_HALFWIDTH / basis.GRID_STEP))
-    ks = np.arange(1, c)
-    # the bound points, as (column offset, grid point): the band part's
-    # centre and band edges, then the outside part's first points outside
-    # the band and window edges
-    cols = np.minimum(ks[:, None] + np.array([0, -1, 1, 0, 0, -1, 1]), c - 1)
-    points = offsets[[steps, steps - inner, steps + inner, steps - inner - 1, steps + inner + 1, 0, -1]]
+    cols, windows, offsets = _row_layout(c)
+    xs = centres[windows] + offsets
+    logs = basis.log_abs_psi_terms(idx[cols], half[cols], np.log(xs), xs * xs)
     with np.errstate(under="ignore"):
-        psi = np.exp(basis.log_psi_from_half(idx[cols], half[cols], np.sqrt(idx[ks, None] / 2.0) + points)[1])
-    psi[-1, [2, 6]] = 0.0  # the last window's clipped right neighbour
+        vals = np.exp(logs, out=logs)
+    width = _BAND.stop - _BAND.start
+    return xs[:width], vals[: 2 * width].reshape(2, width), vals[2 * width :].reshape(c, -1)
+
+
+def _window_bounds(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(band part, outside part) of the bound on |combo| at the grid points
+    of each window of a row, for every sign row (`_BAND_HALFWIDTH`), from
+    psi at the windows' bound points (`_row_batch`), each times c^(-1/2)."""
+    psi = psi.copy()
+    psi[0, 1] = psi[0, 5] = 0.0  # window 0's clipped left neighbour
+    psi[-1, 2] = psi[-1, 6] = 0.0  # the last window's clipped right neighbour
+    scale = len(psi) ** -0.5
     band = psi[:, 0] + psi[:, 1] + psi[:, 2]
     outside = np.maximum(psi[:, 3], psi[:, 4]) + psi[:, 5] + psi[:, 6]
-    return c**-0.5 * np.maximum(band, outside)
+    return scale * band, scale * outside
 
 
 def min_row_separation(n: int) -> float:

@@ -123,7 +123,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 # norms
 
 
-def _norms_raw(args) -> tuple[list[list], bool, str]:
+def _norms_raw(args) -> tuple[list[list], bool, str, dict]:
     rows = []
     ok = True
     for k in range(args.horizon):
@@ -136,21 +136,25 @@ def _norms_raw(args) -> tuple[list[list], bool, str]:
         rows.append([f"psi[{k}]", _fmt(info.m), _fmt(predicted), _fmt(ratio)])
         if k >= 1000 and abs(ratio - 1.0) > RAW_NORM_TOL:
             ok = False
-    return rows, ok, f"horizon={args.horizon} gate=|ratio-1|<={RAW_NORM_TOL} for k>=1000"
+    return rows, ok, f"horizon={args.horizon} gate=|ratio-1|<={RAW_NORM_TOL} for k>=1000", {}
 
 
-def _norms_combo(args) -> tuple[list[list], bool, str]:
+def _norms_combo(args) -> tuple[list[list], bool, str, dict]:
     lo, hi = COMBO_NORM_WINDOW
     blocks.sign_rows(args.max_block, [])  # the block rule and sign cap, before any row runs
     rows = []
     ok = True
+    paths = dict.fromkeys(blocks.SEARCH_PATHS, 0)
     for n in range(1, args.max_block + 1):
         spec = blocks.block_spec(n)
         hs = sorted(set(int(v) for v in np.linspace(0, spec.r - 1, min(args.rows, spec.r))))
         slots = sorted(set(int(v) for v in np.linspace(0, spec.c - 1, min(args.slots, spec.c))))
         for h in hs:
             lead = spec.y + h
-            for s, _x, v in blocks.row_sup_norms(n, h, slots):
+            results, row_paths = blocks._row_search(n, h, slots)
+            for path, count in row_paths.items():
+                paths[path] += count
+            for s, _x, v in results:
                 if lead == 0:  # the k = 0 bump has no asymptotic law
                     rows.append([f"combo[{n},{h},{s}]", _fmt(v), "", ""])
                     continue
@@ -159,10 +163,11 @@ def _norms_combo(args) -> tuple[list[list], bool, str]:
                 rows.append([f"combo[{n},{h},{s}]", _fmt(v), _fmt(predicted), _fmt(ratio)])
                 if n >= 3 and not lo <= ratio <= hi:
                     ok = False
-    return rows, ok, f"max_block={args.max_block} gate=ratio in [{lo},{hi}] for n>=3"
+    detail = f"max_block={args.max_block} gate=ratio in [{lo},{hi}] for n>=3"
+    return rows, ok, detail, {"search_paths": paths}
 
 
-def _norms_bounded(args) -> tuple[list[list], bool, str]:
+def _norms_bounded(args) -> tuple[list[list], bool, str, dict]:
     env = basis.fit_h_envelope(args.domain_edge, k_max=args.k_max)
     log_sups = basis.log_h_sup_many(np.arange(1, args.k_max + 1), args.domain_edge)
     rows = []
@@ -175,7 +180,7 @@ def _norms_bounded(args) -> tuple[list[list], bool, str]:
         f"N={args.domain_edge} sup=exp({env.sup_log_value:.6f})={math.exp(env.sup_log_value):.6f} "
         f"at k={env.sup_argmax}, envelope B={env.B:.6g} max_violation={env.max_violation:.3e}"
     )
-    return rows, ok, detail
+    return rows, ok, detail, {}
 
 
 def cmd_norms(args: argparse.Namespace) -> int:
@@ -189,11 +194,11 @@ def cmd_norms(args: argparse.Namespace) -> int:
     if flag and getattr(args, flag) > MAX_NORM_ROWS:
         raise RangeError(f"--{flag.replace('_', '-')} {getattr(args, flag)} exceeds {MAX_NORM_ROWS} table rows")
     if args.scheme == "raw":
-        rows, ok, detail = _norms_raw(args)
+        rows, ok, detail, extra = _norms_raw(args)
     elif args.scheme == "combo":
-        rows, ok, detail = _norms_combo(args)
+        rows, ok, detail, extra = _norms_combo(args)
     else:
-        rows, ok, detail = _norms_bounded(args)
+        rows, ok, detail, extra = _norms_bounded(args)
     out = _out_dir(args)
     header = (
         ["identifier", "log_sup_norm", "log_envelope", "ratio"]
@@ -203,7 +208,7 @@ def cmd_norms(args: argparse.Namespace) -> int:
     _write_rows(out / "norms", header, rows, args.format)
     _write_json(
         out / "norms_summary.json",
-        {"schema_version": 1, "scheme": args.scheme, "passed": ok, "rows": len(rows)},
+        {"schema_version": 1, "scheme": args.scheme, "passed": ok, "rows": len(rows), **extra},
     )
     return _status_line("norms", ok, detail)
 

@@ -470,7 +470,7 @@ def assert_scan_matches(n, h, slots, reference=full_row_scan_sup_norms):
     srows = sign_rows(n, slots).astype(np.float64)
     best = np.argmax(tops, axis=0)
     cols = np.arange(len(srows))
-    got_tops, got_at = blocks._window_maxima(srows, idx, basis.log_index_half(idx))
+    got_tops, got_at, _scanned = blocks._window_maxima(srows, idx, basis.log_index_half(idx))
     assert np.array_equal(got_tops, tops[best, cols])
     assert np.array_equal(got_at, at[best, cols])
     assert row_sup_norms(n, h, slots) == out
@@ -518,8 +518,14 @@ def _row_grid_maxima(n, h, slots):
     """(idx, half, grid points of the slots' maxima) of row h of block n."""
     idx = np.asarray(row_indices(block_spec(n), h), dtype=np.float64)
     half = basis.log_index_half(idx)
-    _tops, at = blocks._window_maxima(sign_rows(n, slots).astype(np.float64), idx, half)
+    _tops, at, _scanned = blocks._window_maxima(sign_rows(n, slots).astype(np.float64), idx, half)
     return idx, half, at.tolist()
+
+
+def _row_terms(n, h):
+    """(idx, half, peaks sqrt(idx / 2)) of row h of block n."""
+    idx = np.asarray(row_indices(block_spec(n), h), dtype=np.float64)
+    return idx, basis.log_index_half(idx), np.sqrt(idx / 2.0)
 
 
 def _window_scans(calls):
@@ -568,12 +574,17 @@ class TestLocalScan:
         for h in (0, spec.r // 2, spec.r - 1):
             assert dropped_column_ratio(n, h) < 2.0**-58
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_bits_match_full_row_scan(self, n):
+        # every block-2 row, and the first, middle and last rows of blocks
+        # 3-12, take the band scan and keep the bits of the scan of every
+        # whole window (its three-column form from block 9 on)
         spec = block_spec(n)
-        slots = (0, 1, spec.c - 2, spec.c - 1)
-        for h in (0, spec.r // 2, spec.r - 1):
-            assert_scan_matches(n, h, slots)
+        reference = full_row_scan_sup_norms if n <= 8 else local_scan_sup_norms
+        slots = _edge_slots(spec.c)
+        for h in range(spec.r) if n == 2 else (0, spec.r // 2, spec.r - 1):
+            assert_scan_matches(n, h, slots, reference)
+            assert blocks._row_search(n, h, slots)[1]["band_scans"] == 1, h
 
     def test_bits_match_full_row_scan_whole_row(self):
         for n, h in ((5, 1000), (2, 269), (4, 1079), (6, 4319)):
@@ -598,62 +609,127 @@ class TestLocalScan:
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_fallback_matches_full_row_scan(self, monkeypatch, n):
-        # an infinite margin fails every later window's bound, and each is
-        # then scanned like window 0
+        # an infinite margin fails window 0's band bound and every later
+        # window's bound, and each window is then scanned whole; the batch
+        # of band and bound points is still made once
         monkeypatch.setattr(blocks, "_SKIP_MARGIN", math.inf)
         spec = block_spec(n)
         slots = _edge_slots(spec.c)
         for h in (0, spec.r // 2, spec.r - 1):
             assert_scan_matches(n, h, slots)
             calls = _spy(monkeypatch, basis, "log_psi_from_half")
-            row_sup_norms(n, h, slots)
+            batches = _spy(monkeypatch, blocks, "_row_batch")
+            _out, paths = blocks._row_search(n, h, slots)
             assert _window_scans(calls) == spec.c
+            assert len(batches) == 1
+            assert (paths["band_scans"], paths["whole_window_scans"]) == (0, 1)
+            assert paths["later_window_scans"] == spec.c - 1
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_band_holds_every_maximum(self, monkeypatch, n):
-        # the premise of the skip bound: on the first, middle and last rows
+        # the premise of the band scan and the skip bound: on the first,
+        # middle and last rows window 0's band clears its outside part, and
         # every later window's band and outside bound clears window 0's
-        # maximum by the margin, so only window 0 is scanned
+        # maximum, by the margin, so no window is scanned whole
         spec = block_spec(n)
         for h in (0, spec.r // 2, spec.r - 1):
             calls = _spy(monkeypatch, basis, "log_psi_from_half")
-            row_sup_norms(n, h, _edge_slots(spec.c))
-            assert _window_scans(calls) == 1
+            _out, paths = blocks._row_search(n, h, _edge_slots(spec.c))
+            assert _window_scans(calls) == 0
+            assert (paths["band_scans"], paths["whole_window_scans"], paths["later_window_scans"]) == (1, 0, 0)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_skip_bound_holds(self, n):
-        # every grid value of a later window stays within the margin of
-        # that window's bound; slot 0, whose signs all agree with the
-        # positive psi values, reaches the largest
+        # every grid value of a later window, and of window 0 outside its
+        # band, stays within the margin of that window's bound; slot 0,
+        # whose signs all agree with the positive psi values, reaches the
+        # largest
         spec = block_spec(n)
         steps = int(round(WINDOW_HALFWIDTH / basis.GRID_STEP))
+        inner = int(round(blocks._BAND_HALFWIDTH / basis.GRID_STEP))
         offsets = np.arange(-steps, steps + 1, dtype=np.float64) * basis.GRID_STEP
+        outside = np.abs(np.arange(-steps, steps + 1)) > inner
         for h in (0, spec.r // 2, spec.r - 1):
             tops, _at, _out = local_scan_sup_norms(n, h, (0, spec.c - 1))
-            idx = np.asarray(row_indices(spec, h), dtype=np.float64)
-            bounds = blocks._later_window_bounds(idx, basis.log_index_half(idx), offsets)
-            assert np.all(tops[1:].max(axis=1) <= blocks._SKIP_MARGIN * bounds)
+            idx, half, centres = _row_terms(n, h)
+            band_part, outside_part = blocks._window_bounds(blocks._row_batch(idx, half, centres)[2])
+            bounds = np.maximum(band_part, outside_part)
+            assert np.all(tops[1:].max(axis=1) <= blocks._SKIP_MARGIN * bounds[1:])
+            window0 = np.abs(_psi_grid(idx[:2], centres[0] + offsets).sum(axis=0)) * spec.c**-0.5
+            assert window0[outside].max() <= blocks._SKIP_MARGIN * outside_part[0]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_band_margin(self, n):
+        # every slot's band maximum exceeds window 0's outside part by at
+        # least 1.13 (1.1329 at block 2, row 0; 1.1343 at block 12), far
+        # above the margin
+        spec = block_spec(n)
+        slots = _edge_slots(spec.c)
+        srows = sign_rows(n, slots).astype(np.float64)
+        for h in (0, spec.r // 2, spec.r - 1):
+            idx, half, centres = _row_terms(n, h)
+            _xs, band, psi = blocks._row_batch(idx, half, centres)
+            tops = (np.abs(srows[:, :2] @ band) * spec.c**-0.5).max(axis=1)
+            assert tops.min() / blocks._window_bounds(psi)[1][0] >= 1.13
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_whole_window_fallback_matches_full_row_scan(self, monkeypatch, n):
+        # an infinite outside part for window 0 alone fails its band bound:
+        # window 0 is scanned whole, the later windows are still skipped,
+        # and every bit is the full-row scan's
+        window_bounds = blocks._window_bounds
+
+        def no_band(psi):
+            band, outside = window_bounds(psi)
+            outside[0] = math.inf
+            return band, outside
+
+        monkeypatch.setattr(blocks, "_window_bounds", no_band)
+        spec = block_spec(n)
+        slots = _edge_slots(spec.c)
+        for h in (0, spec.r // 2, spec.r - 1):
+            assert_scan_matches(n, h, slots)
+            calls = _spy(monkeypatch, basis, "log_psi_from_half")
+            _out, paths = blocks._row_search(n, h, slots)
+            assert _window_scans(calls) == 1
+            assert (paths["band_scans"], paths["whole_window_scans"], paths["later_window_scans"]) == (0, 1, 0)
 
     def test_no_slots(self):
         for n in (1, 2, 7):
             assert row_sup_norms(n, 0, []) == []
 
     def test_scan_evaluates_three_columns_per_window(self, monkeypatch):
+        terms = _spy(monkeypatch, basis, "log_abs_psi_terms")
         calls = _spy(monkeypatch, basis, "log_psi_from_half")
         rows = _spy(monkeypatch, blocks, "_combo_abs_at")
         golden = _golden_spy(monkeypatch)
         row_sup_norms(7, 4321, (0, 17, 40, 63))
-        grid = [np.broadcast_shapes(np.shape(k), np.shape(x)) for k, _half, x in calls if np.ndim(x)]
-        # window 0's columns 0 and 1 on its 4,001 grid points, then 7 bound
-        # points for each of the 63 later windows: 8,443 values, not 190 x
-        # 4,001
-        assert grid == [(2, 4001), (63, 7)]
+        grid = [np.broadcast_shapes(*map(np.shape, args)) for args in terms if np.ndim(args[2])]
+        # one batch: window 0's columns 0 and 1 on its 501 band points, then
+        # 7 bound points for each of the 64 windows, 1,450 values where the
+        # whole-window scan took 8,443 (2 x 4,001 + 63 x 7); then
+        # _single_column's 4 points; no window is scanned whole
+        assert grid == [(2 * 501 + 7 * 64,), (4,)]
+        assert calls == []
         # golden-section refinement: the 4 slots share one grid point, whose
         # bracket one column certifies, so one search of 36 evaluations on
         # that column alone, and no evaluation of the whole row
         (_bracket, probes), = golden
         assert len(probes) == 36
         assert rows == []
+
+    def test_batch_keeps_the_window_scans_bits(self):
+        # each value of the batch has the bits of log_psi_from_half at its
+        # point: the band's, of window 0's scan, and the bound points'
+        for n, h in ((2, 0), (2, 269), (7, 4321), (12, 0)):
+            idx, half, centres = _row_terms(n, h)
+            xs, band, psi = blocks._row_batch(idx, half, centres)
+            scan = _psi_grid(idx[:2], centres[0] + blocks._OFFSETS)
+            assert np.array_equal(xs, (centres[0] + blocks._OFFSETS)[blocks._BAND])
+            assert np.array_equal(band, scan[:, blocks._BAND])
+            layout_cols = np.clip(np.arange(len(idx))[:, None] + blocks._BOUND_COLS, 0, len(idx) - 1)
+            points = centres[:, None] + blocks._BOUND_POINTS
+            assert np.array_equal(psi, np.exp(basis.log_psi_from_half(idx[layout_cols], half[layout_cols], points)[1]))
 
     def test_batched_combo_keeps_each_rows_bits(self):
         # _combo_abs_at of each sign row is the earlier one-point
@@ -724,7 +800,7 @@ class TestLocalScan:
         spec = block_spec(7)
         idx = np.asarray(row_indices(spec, 4321), dtype=np.float64)
         srows = sign_rows(7, slots).astype(np.float64)
-        tops, at = blocks._window_maxima(srows, idx, basis.log_index_half(idx))
+        tops, at, _scanned = blocks._window_maxima(srows, idx, basis.log_index_half(idx))
         refined = row_sup_norms(7, 4321, slots)
         _golden_spy(monkeypatch, rig=lambda _x, _y: 0.0)
         got = row_sup_norms(7, 4321, slots)
@@ -742,7 +818,7 @@ class TestLocalScan:
         got = row_sup_norms(2, 265, (0, 1))
         spec = block_spec(2)
         idx = np.asarray(row_indices(spec, 265), dtype=np.float64)
-        tops, at = blocks._window_maxima(sign_rows(2).astype(np.float64), idx, basis.log_index_half(idx))
+        tops, at, _scanned = blocks._window_maxima(sign_rows(2).astype(np.float64), idx, basis.log_index_half(idx))
         assert got == [refined[0], (1, float(at[1]), float(tops[1]))]
         assert refined[1][2] > tops[1]
 
@@ -823,6 +899,23 @@ class TestSharedSearch:
         rng = np.random.default_rng(n)
         for h in rng.integers(0, spec.r, 2).tolist():
             assert_scan_matches(n, h, slots, local_scan_sup_norms)
+
+    def test_search_paths_count_each_search(self, monkeypatch):
+        # a certified row's slots share one search, an uncertified row's
+        # slots search alone, a single column searches nothing, and a
+        # refinement ending below the grid value keeps the grid point
+        def counts(n, h, slots):
+            out, paths = blocks._row_search(n, h, slots)
+            assert out == row_sup_norms(n, h, slots)
+            assert list(paths) == list(blocks.SEARCH_PATHS)
+            return [paths[p] for p in ("shared_searches", "slot_searches", "grid_kept")]
+
+        assert counts(7, 4321, (0, 17, 40, 63)) == [1, 0, 0]
+        assert counts(2, 265, (0, 1)) == [0, 2, 0]
+        assert blocks._row_search(1, 7, [0])[1] == dict.fromkeys(blocks.SEARCH_PATHS, 0)
+        _golden_spy(monkeypatch, rig=lambda _x, _y: 0.0)
+        assert counts(7, 4321, (0, 17, 40, 63)) == [1, 0, 4]
+        assert counts(2, 265, (0, 1)) == [0, 2, 2]
 
     def test_lone_exp_keeps_array_bits(self):
         # the shared search takes np.exp of one float at a time, and

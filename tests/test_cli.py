@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkexpand import analysis, blocks, cli, probe
+from gkexpand import analysis, basis, blocks, cli, probe
 from gkexpand.cli import main
 
 TABLE_N4_CSV = (
@@ -384,6 +384,7 @@ class TestExitCodes:
         # block 13 was rejected inside a worker, after blocks 1-12 had run
         calls = []
         monkeypatch.setattr(blocks, "row_sup_norms", lambda *a: calls.append(a) or [])
+        monkeypatch.setattr(blocks, "_row_search", lambda *a: calls.append(a) or ([], {}))
         code = main(["norms", "--scheme", "combo", "--max-block", "13", "--rows", "64",
                      "--slots", "4", "--out-dir", str(tmp_path)])
         assert code == 1
@@ -431,7 +432,50 @@ def _sweep_cases() -> list:
     return cases
 
 
+# Each documented cap: (argv up to the capped flag, the cap, whether the cap
+# itself is run).  The cap is run where that takes under about 2 s; the
+# MAX_NORM_ROWS tables take about 6 s (bounded) and longer (raw).
+_CAPS = [
+    (["reconstruct", "--scheme", "combo", "--max-block"], blocks.DEFAULT_BLOCK_CAP, True),
+    (["weights", "--max-block"], blocks.DEFAULT_BLOCK_CAP, True),
+    (["norms", "--scheme", "combo", "--max-block"], blocks._MAX_SIGN_BLOCK, True),
+    (["norms", "--scheme", "raw", "--horizon"], cli.MAX_NORM_ROWS, False),
+    (["norms", "--scheme", "bounded", "--k-max"], cli.MAX_NORM_ROWS, False),
+    (["bumpcheck", "--window"], basis.MAX_BUMP_HALFWIDTH, True),
+]
+
+
+def _cap_cases() -> list:
+    cases = []
+    for argv, cap, run_cap in _CAPS:
+        for value in [cap, cap + 1] if run_cap else [cap + 1]:
+            cases.append(pytest.param([*argv, str(value)], value > cap, id=f"{argv[0]}{argv[-1]}={value}"))
+    return cases
+
+
 class TestFlagSweep:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, over", _cap_cases())
+    def test_caps_and_one_past(self, tmp_path, capsys, argv, over):
+        # each cap runs to one status line; one past it exits 1 in one
+        # error line before any large allocation, and writes no file
+        argv = [*argv, "--out-dir", str(tmp_path)]
+        if not over:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1) and err == "", err
+            assert out.startswith(f"{argv[0]}: ") and out.count("\n") == 1, out
+            return
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _one_error_line(capsys).startswith("error: ")
+        assert peak < _SWEEP_REJECT_PEAK, peak
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, flag, value", _sweep_cases())
     def test_exits_in_one_line(self, tmp_path, capsys, command, flag, value):
@@ -589,6 +633,23 @@ class TestOutputs:
                      "--rows", "2", "--slots", "2", "--out-dir", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "norms_summary.json").read_text())
         assert doc["passed"] is True
+        assert list(doc["search_paths"]) == list(blocks.SEARCH_PATHS)
+
+    def test_norms_summary_counts_block2_search_paths(self, tmp_path):
+        # every block-2 row: window 0 on its band alone, no later window;
+        # rows 0-262 share one certified search each, and the 7 uncertified
+        # rows 263-269 search each of their 2 slots alone
+        assert main(["norms", "--scheme", "combo", "--max-block", "2", "--rows", "270",
+                     "--slots", "2", "--out-dir", str(tmp_path)]) == 0
+        paths = json.loads((tmp_path / "norms_summary.json").read_text())["search_paths"]
+        assert paths == {"band_scans": 270, "whole_window_scans": 0, "later_window_scans": 0,
+                         "shared_searches": 263, "slot_searches": 14, "grid_kept": 56}
+
+    @pytest.mark.parametrize("scheme", ["raw", "bounded"])
+    def test_norms_summary_without_search(self, tmp_path, scheme):
+        assert main(["norms", "--scheme", scheme, "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "norms_summary.json").read_text())
+        assert list(doc) == ["schema_version", "scheme", "passed", "rows"]
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GKEXPAND_OUT_DIR", str(tmp_path / "envdir"))

@@ -65,6 +65,9 @@ class RadialProfile:
     and returns, element by element, the bits it returns on each float.
     The pair sums then call f once per block of pairs, with numpy's
     overflow warnings off; otherwise they call f once per pair, on floats.
+    Every built-in profile declares it: Cauchy's F is pure IEEE arithmetic
+    on either, and the Gaussian and Laplace F form their exp argument in
+    numpy and map the scalar ``math.exp`` over it (see ``_exp_of``).
 
     ``decreasing`` is a declared fact as well: |f| does not increase on
     [0, inf], up to f's own last-bit rounding, that is
@@ -84,13 +87,29 @@ class RadialProfile:
         return self.f(u)
 
 
-# Gaussian and Laplace stay scalar: np.exp differs from math.exp in the
-# last bit on some arguments, which would move certificate bytes.
-def _gauss(u: float) -> float:
+def _exp_of(arg: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """math.exp of arg where live, else 0.0 (math.exp(-inf) is 0.0).
+
+    Negation, squaring and comparison are correctly rounded in numpy as in
+    Python, so arg and live hold the bits of the float expressions, and
+    mapping math.exp over them is the same libm call on the same doubles.
+    np.exp stays out: it differs from math.exp in the last bit on some
+    arguments, which would move certificate bytes.
+    """
+    arg = np.where(live, arg, -math.inf).ravel()
+    return np.fromiter(map(math.exp, arg.tolist()), float, arg.size).reshape(live.shape)
+
+
+def _gauss(u: float | np.ndarray) -> float | np.ndarray:
+    if isinstance(u, np.ndarray):
+        uu = u * u
+        return _exp_of(-uu, uu < 745.0)
     return math.exp(-u * u) if u * u < 745.0 else 0.0
 
 
-def _laplace(u: float) -> float:
+def _laplace(u: float | np.ndarray) -> float | np.ndarray:
+    if isinstance(u, np.ndarray):
+        return _exp_of(-u, u < 745.0)
     return math.exp(-u) if u < 745.0 else 0.0
 
 
@@ -104,10 +123,11 @@ PROFILES: dict[str, RadialProfile] = {
     # the float square of sqrt(745.0) is >= 745.0, _gauss's zero branch
     "gaussian": RadialProfile(
         "gaussian", _gauss, lambda t: math.sqrt(math.log(1.0 / t)), math.sqrt(745.0),
-        decreasing=True,
+        elementwise=True, decreasing=True,
     ),
     "laplace": RadialProfile(
-        "laplace", _laplace, lambda t: math.log(1.0 / t), 745.0, decreasing=True
+        "laplace", _laplace, lambda t: math.log(1.0 / t), 745.0, elementwise=True,
+        decreasing=True,
     ),
     # from 2^512 on, u * u overflows to inf and _cauchy returns 0.0
     "cauchy": RadialProfile(
@@ -272,10 +292,10 @@ def _certify(
     pts: tuple[float, ...],
 ) -> ProbeCertificate:
     inv_sqrt_n = 1.0 / math.sqrt(n)
-    psi_vals = [template.value(y) for y in pts]
-    coeffs = tuple(math.copysign(inv_sqrt_n, v) for v in psi_vals)
+    psi_vals = list(map(template.value, pts))
+    coeffs = tuple(map(math.copysign, itertools.repeat(inv_sqrt_n), psi_vals))
     quad = _quad_form(pts, coeffs, profile)
-    lin = math.fsum(a * v for a, v in zip(coeffs, psi_vals))
+    lin = math.fsum(map(operator.mul, coeffs, psi_vals))
     return ProbeCertificate(
         kernel=profile.name,
         template=template.name,
@@ -307,21 +327,42 @@ def _values(profile: RadialProfile, u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(profile.f, u.tolist()), float, u.size)
 
 
-def _window_starts(pts: tuple[float, ...], support: float) -> np.ndarray:
+def _window_starts(pts: np.ndarray | tuple[float, ...], support: float) -> np.ndarray:
     """lo[i]: the first j whose pair with i lies inside F's support.
 
     The points must be finite and strictly increasing.  Then u = y_i - y_j
-    is |y_i - y_j|, and since rounding is monotone it never shrinks as j
-    falls or i grows: the pairs inside the support form a window [lo, i)
-    whose start only moves up, and every F outside it is exactly 0.0.
+    is |y_i - y_j|, and for j' < j < i the exact y_i - y_j' exceeds
+    y_i - y_j, so by monotone rounding fl(y_i - y_j') >= fl(y_i - y_j).
+    The predicate P(i, j): fl(y_i - y_j) >= support thus holds for every
+    j < lo[i] and for no lo[i] <= j < i, and every F outside the window
+    [lo[i], i) is exactly 0.0: lo[i] is the least j in [0, i] with j = i
+    or not P(i, j).
+
+    ``searchsorted`` on fl(y - support) guesses k in [0, i]; a rounding of
+    either difference may put it off, by many points where they crowd
+    within an ulp of y_i.  Testing P at k and at k - 1 brackets lo[i]:
+    P(i, k) puts it in [k + 1, i]; else it is at most k, and P(i, k - 1)
+    puts it at k; else it lies in [0, k].  Each bisection pass tests P at
+    the middle of every open bracket and keeps the half holding lo[i], so
+    within log2(n) + 1 passes every bracket is one point, lo[i] exactly,
+    whatever the guess.  A good guess closes its bracket before any pass.
     """
-    lo = 0
-    starts = []
-    for i, yi in enumerate(pts):
-        while lo < i and yi - pts[lo] >= support:
-            lo += 1
-        starts.append(lo)
-    return np.array(starts, dtype=np.int64)
+    y = np.asarray(pts, dtype=float)
+    rows = np.arange(y.size)
+    with np.errstate(over="ignore"):  # fl(y_i - y_j) may overflow to inf
+        k = np.minimum(np.searchsorted(y, y - support, side="right"), rows)
+        at = (k < rows) & (y - y[k] >= support)
+        below = (k > 0) & (y - y[np.maximum(k - 1, 0)] >= support)
+        lo = np.where(at, k + 1, np.where(below, k, 0))
+        hi = np.where(at, rows, k)
+        while True:
+            i = np.flatnonzero(lo < hi)
+            if not i.size:
+                return lo
+            mid = (lo[i] + hi[i]) // 2
+            inside = y[i] - y[mid] >= support
+            lo[i] = np.where(inside, mid + 1, lo[i])
+            hi[i] = np.where(inside, hi[i], mid)
 
 
 def _pair_blocks(y: np.ndarray, starts: np.ndarray, profile: RadialProfile):
@@ -431,12 +472,12 @@ def _quad_form(
     # fsum's correctly rounded value: neither the term order nor the exact
     # zeros left out can move a bit
     rows, rest = _tail_rows(y, c, profile)
-    starts = _window_starts(pts[:rows], profile.support)
+    starts = _window_starts(y[:rows], profile.support)
     if (np.arange(rows) - starts).sum() <= _PAIR_BUDGET:
         quad = fsum_with_rest(np.concatenate([c * c, *pair_terms(starts)]), rest)
         if quad is not None:
             return quad
-    blocks = itertools.chain([c * c], pair_terms(_window_starts(pts, profile.support)))
+    blocks = itertools.chain([c * c], pair_terms(_window_starts(y, profile.support)))
     try:
         return math.fsum(itertools.chain.from_iterable(map(np.ndarray.tolist, blocks)))
     except (ValueError, OverflowError):
@@ -446,12 +487,12 @@ def _quad_form(
 def _points_fault(cert: ProbeCertificate) -> str | None:
     """Why the pair sums cannot run on this certificate, if they cannot:
     they need n coefficients and n finite, strictly increasing points."""
-    pts = cert.points
-    if len(pts) != cert.n or len(cert.coefficients) != cert.n:
+    if len(cert.points) != cert.n or len(cert.coefficients) != cert.n:
         return "size_mismatch"
-    if not all(math.isfinite(y) for y in pts):
+    y = np.array(cert.points, dtype=float)
+    if not np.isfinite(y).all():
         return "points_not_finite"
-    if any(b <= a for a, b in zip(pts, pts[1:])):
+    if not (y[1:] > y[:-1]).all():
         return "points_not_increasing"
     return None
 
@@ -488,10 +529,11 @@ def verify_certificate(
     pts = cert.points
     coeffs = cert.coefficients
     inv_sqrt_n = 1.0 / math.sqrt(n)
-    if not all(abs(abs(a) - inv_sqrt_n) <= 1e-15 for a in coeffs):
+    # a NaN fails the comparison, and so the check
+    if not (np.abs(np.abs(np.array(coeffs, dtype=float)) - inv_sqrt_n) <= 1e-15).all():
         return VerificationResult(False, "bad_coefficient_magnitude", math.nan, math.nan)
     quad = _quad_form(pts, coeffs, profile)
-    lin = math.fsum(a * template.value(y) for a, y in zip(coeffs, pts))
+    lin = math.fsum(map(operator.mul, coeffs, map(template.value, pts)))
     lin_sq = lin * lin
     if not (1.0 - cert.epsilon < quad < 1.0 + cert.epsilon):
         return VerificationResult(False, "quad_form_out_of_range", quad, lin_sq)
@@ -571,7 +613,7 @@ def offdiag_row_sums(
     if fault:
         raise DomainError(f"certificate fails the row sums: {fault}")
     y = np.array(cert.points)
-    starts = _window_starts(cert.points, profile.support)
+    starts = _window_starts(y, profile.support)
     rows, m, pair = _collapsed_prefixes(y, starts, profile)
     starts[rows] += m
     extra = np.zeros((cert.n, 2))
@@ -591,11 +633,9 @@ def offdiag_row_sums(
             lens = lens + 2 * here
         sums.extend(fsum_segments(terms, lens).tolist())
         first = stop
-    return [
-        (i, s, math.ldexp((i - 1) * cert.epsilon, -i))
-        for i, s in enumerate(sums, start=1)
-        if i >= 2
-    ]
+    i = np.arange(2, cert.n + 1)
+    budgets = np.ldexp((i - 1) * cert.epsilon, -i)
+    return list(zip(i.tolist(), sums[1:], budgets.tolist()))
 
 
 def implied_weight_bound(cert: ProbeCertificate) -> float:

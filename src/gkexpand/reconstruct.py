@@ -88,7 +88,10 @@ MAX_GRID_PAIRS = 10**6
 
 # Most bytes a grid report holds in its columns, 16 per term of (signs,
 # logs): a raw or bounded column keeps its full horizon, a combo column at
-# most its blocks that reach _LOG_WIDE (`_column_bytes`).
+# most its blocks that reach _LOG_WIDE (`_column_bytes`).  It bounds the
+# columns, not the peak: a row point's block recombination makes
+# temporaries of the block's size on top of them (a block-8 grid whose
+# columns hold 323 MB peaks at 663 MB).
 MAX_COLUMN_BYTES = 2**29
 
 

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -147,8 +148,21 @@ class TestBuildCertificate:
         assert cert.points[-1] > 1e100
 
     def test_infeasible_size_raises(self):
-        with pytest.raises(ConstructionError):
-            build_certificate(PROFILES["cauchy"], TEMPLATES["cos"], 0.05, 1100)
+        # each schedule fails within its first 1,100 points whatever n is, so
+        # n = 10^12 fails alike, before any step allocates O(n)
+        for kernel in sorted(PROFILES):
+            errors = []
+            for n in (1100, 10**12):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ConstructionError) as err:
+                        build_certificate(PROFILES[kernel], TEMPLATES["cos"], 0.05, n)
+                    _size, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2**20, (kernel, n, peak)
+                errors.append(str(err.value).replace(f"size {n} ", "size N "))
+            assert errors[0] == errors[1], kernel
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -373,6 +387,19 @@ def _counting(profile):
     return dataclasses.replace(profile, f=f), calls
 
 
+def _scalar_window_starts(pts, support):
+    """The scalar loop the searchsorted window starts replaced, kept as the
+    reference: the start of row i's window moves up from row i - 1's while
+    its pair with y_i lies at or beyond the support."""
+    lo = 0
+    starts = []
+    for i, yi in enumerate(pts):
+        while lo < i and yi - pts[lo] >= support:
+            lo += 1
+        starts.append(lo)
+    return starts
+
+
 def _pairs_inside(pts, support):
     return sum(1 for i in range(len(pts)) for j in range(i) if abs(pts[i] - pts[j]) < support)
 
@@ -406,6 +433,9 @@ class TestSupportWindow:
         assert cert.quad_form == expected
         assert _quad_form(cert.points, cert.coefficients, profile) == expected
         assert offdiag_row_sums(cert, profile) == _full_offdiag_row_sums(cert, profile)
+        for support in {profile.support, *(p.support for p in PROFILES.values())}:
+            got = probe._window_starts(cert.points, support)
+            assert got.tolist() == _scalar_window_starts(cert.points, support)
 
     @pytest.mark.parametrize("kernel", sorted(PROFILES))
     def test_f_calls_are_the_pairs_inside_support(self, kernel):
@@ -444,6 +474,25 @@ class TestSupportWindow:
         if kernel != "cauchy":  # every Cauchy pair is inside 2^512
             assert inside < 1000 * 999 // 2
         assert kept + n - 1 < inside
+
+    @pytest.mark.parametrize(
+        "kernel, expected",
+        [("gaussian", (721, 721, 842)), ("laplace", (1762, 1762, 3329)),
+         ("cauchy", (2269, 2269, 47916))],
+    )
+    def test_f_values_per_probe_op(self, kernel, expected):
+        # the F values of one benchmark op at n = 500: build, verify, row
+        # sums; an array path that evaluated more elements would move them
+        profile, calls = _counting(PROFILES[kernel])
+        cert = build_certificate(profile, TEMPLATES["cos"], 0.1, 500)
+        counts = [calls[0]]
+        calls[0] = 0
+        assert verify_certificate(cert, profile, TEMPLATES["cos"]).ok
+        counts.append(calls[0])
+        calls[0] = 0
+        offdiag_row_sums(cert, profile)
+        counts.append(calls[0])
+        assert tuple(counts) == expected
 
     def test_default_support_evaluates_every_pair(self):
         builtin = PROFILES["gaussian"]
@@ -515,6 +564,63 @@ class TestSupportWindow:
         s = profile.support
         assert profile(s) == profile(math.nextafter(s, math.inf)) == profile(1e300) == 0.0
         assert profile(math.nextafter(s, -math.inf)) > 0.0
+
+
+_CROWD = tuple(k / 8.0 for k in range(1, 512))  # 511 points between 0 and 64
+
+_WINDOW_EDGES = {
+    # gaps exactly at the support: the pair at the support is outside
+    "gap-at-support": (745.0, (0.0, 745.0, 1490.0)),
+    "gap-at-support-neighbours": (
+        745.0, (0.0, math.nextafter(745.0, 0.0), 745.0, 1490.0, math.nextafter(2235.0, 4000.0)),
+    ),
+    # 1e308 - (-1e308) overflows to inf, which is at the support
+    "overflow-to-inf": (math.inf, (-1e308, 1e308)),
+    "overflow-to-inf-three": (math.inf, (-1e308, 0.0, 1e308)),
+    "empty": (745.0, ()),
+    "one-point": (745.0, (3.0,)),
+    # fl(2^60 - y_j) is 2^60, at the support, for every y_j <= 64 (the
+    # gap below 2^60 is 128, and 2^60 - 64 is a tie that rounds to even),
+    # but fl(2^60 - 2^60) = 0.0 guesses only y_j = 0.0
+    "crowd-below-an-ulp": (2.0**60, (0.0, *_CROWD, 64.0, 65.0, 2.0**60, 2.0**61)),
+    # the crowd's gaps of 1/8 at a support of 1/8, and a zero support
+    "crowd-small-support": (2.0**-3, (0.0, *_CROWD)),
+    "zero-support": (0.0, (0.0, 1.0, 2.0, 4.0)),
+    "nan-support": (math.nan, (0.0, 1.0, 2.0)),
+}
+
+
+class TestWindowStarts:
+    @pytest.mark.parametrize("case", sorted(_WINDOW_EDGES))
+    def test_edges_match_the_scalar_loop(self, case):
+        support, pts = _WINDOW_EDGES[case]
+        assert all(b > a for a, b in zip(pts, pts[1:]))
+        got = probe._window_starts(pts, support)
+        assert got.dtype == np.int64 and got.shape == (len(pts),)
+        assert got.tolist() == _scalar_window_starts(pts, support)
+
+    def test_bracket_far_from_the_guess(self):
+        # the 513 points up to 64 lie at the support of the row at 2^60,
+        # whose guess is 1: its bracket [0, 1] is off, and bisection on
+        # [2, 514] finds the start
+        support, pts = _WINDOW_EDGES["crowd-below-an-ulp"]
+        y = np.array(pts)
+        assert np.searchsorted(y, y[-2] - support, side="right") == 1
+        assert probe._window_starts(pts, support)[-2] == 513 == pts.index(65.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_points_match_the_scalar_loop(self, seed):
+        # points spread over many magnitudes, with supports drawn from their
+        # own differences so that many pairs land exactly on the support
+        rng = np.random.default_rng(seed)
+        pts = np.unique(np.concatenate([
+            rng.uniform(-50.0, 50.0, 300), np.exp2(rng.uniform(-10.0, 60.0, 300)),
+            rng.integers(-40, 40, 100).astype(float),
+        ]))
+        diffs = pts[rng.integers(pts.size, size=8)] - pts[rng.integers(pts.size, size=8)]
+        for support in [*np.abs(diffs).tolist(), 1.0, 745.0, 2.0**40, math.inf]:
+            got = probe._window_starts(pts, support)
+            assert got.tolist() == _scalar_window_starts(pts.tolist(), support)
 
 
 def _collapsible(pts, support):
@@ -795,12 +901,55 @@ class TestRowBudgets:
         for i, _s, b in rows[:1022]:
             assert b == (i - 1) * cert.epsilon / 2.0**i
         assert rows[-1][2] == 0.0  # so row_bounds fail, as s < b cannot hold
+        # one array ldexp gives math.ldexp's bits, through the subnormals
+        for eps in (cert.epsilon, 0.05, 0.7, math.nextafter(1.0, 0.0)):
+            budgets = offdiag_row_sums(dataclasses.replace(cert, epsilon=eps), PROFILES["gaussian"])
+            assert [b.hex() for _i, _s, b in budgets] == [
+                math.ldexp((i - 1) * eps, -i).hex() for i in range(2, n + 1)
+            ]
 
 
 def _guarded_cauchy(u):
     """The Cauchy F before it served arrays too, kept as the reference."""
     uu = u * u
     return 1.0 / (1.0 + uu) if math.isfinite(uu) else 0.0
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+class TestElementwiseContract:
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_array_f_has_the_float_bits(self, name):
+        # int64 views, so a -0.0 against a 0.0 would count as a difference
+        profile = PROFILES[name]
+        assert profile.elementwise
+        edges = [0.0, 745.0, math.sqrt(745.0), 2.0**512]
+        us = [
+            *np.random.default_rng(38).uniform(0.0, 800.0, 10_000).tolist(),
+            *edges,
+            *(math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)),
+            1e155,  # its square overflows
+            27.0, 720.0, 1.5 * 2.0**511,  # a subnormal F for each profile
+        ]
+        with np.errstate(over="ignore"):
+            on_array = profile.f(np.array(us))
+        on_floats = [profile.f(u) for u in us]
+        assert on_array.dtype == np.float64 and on_array.shape == (len(us),)
+        assert np.array_equal(_bits(on_array), _bits(on_floats))
+        # the set reaches F's subnormal range and its zero branch
+        assert any(0.0 < v < sys.float_info.min for v in on_floats)
+        assert on_floats[us.index(1e155)] == 0.0
+
+    @pytest.mark.parametrize("name", ["gaussian", "laplace"])
+    def test_array_f_keeps_the_shape(self, name):
+        f = PROFILES[name].f
+        u = np.array([[0.0, 1.0, 30.0], [745.0, 2.0, 0.5]])
+        got = f(u)
+        assert got.shape == u.shape
+        assert np.array_equal(_bits(got.ravel()), _bits([f(v) for v in u.ravel().tolist()]))
+        assert f(np.array(2.0)).shape == ()
 
 
 class TestCauchyFormula:
